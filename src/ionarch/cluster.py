@@ -21,6 +21,14 @@ census*, derived here rather than hard-coded:
   spreads once onto each face register that couples to that edge later; a Z
   on a face stays put).
 
+The census is built once per lattice (:func:`cell_lattice`): the analytic
+expectation reads its cached linear sum and its list of sources that can
+flip the check.  The Monte Carlo samples those sources as independent
+Bernoulli faults, but draws only the faults that fire: per chunk of samples,
+a binomial count for each source and that many distinct sample positions.
+A sample's check flips when an odd number of faults land on it, so the cost
+follows the expected number of faults rather than samples times sources.
+
 Error model: every gate is followed by a depolarizing channel (each of the 15
 two-qubit or 3 one-qubit Pauli faults with probability eps/15 or eps/3), and
 each qubit suffers X, Y, Z memory faults with probability r/3 per time step,
@@ -125,32 +133,43 @@ def _gadget_outcome(faults) -> tuple[int, int]:
     return z["C"], z["T"]
 
 
+def _gadget_faults():
+    """Every single fault of the link gadget with its first-order weight.
+
+    Yields ``(faults, weight)``: the (time, qubit, Pauli) list to inject into
+    :func:`_gadget_outcome` and its probability as a :class:`LinearError`.
+    Sources: the Bell-pair depolarizing fault, one memory round on all four
+    qubits before and after the CNOTs, the two CNOT faults, and the two
+    readout faults.
+    """
+    two_qubit = LinearError(eps=Fraction(1, 15))
+    for pa, pb in _TWO_QUBIT_FAULTS:
+        yield [(0, "a", pa), (0, "b", pb)], two_qubit
+        yield [(2, "C", pa), (2, "a", pb)], two_qubit
+        yield [(2, "b", pa), (2, "T", pb)], two_qubit
+    memory = LinearError(r=Fraction(1, 3))
+    for time in (1, 2):
+        for qubit in "CabT":
+            for pauli in _PAULIS:
+                yield [(time, qubit, pauli)], memory
+    readout = LinearError(eps=Fraction(1, 3))
+    for qubit in "ab":
+        for pauli in _PAULIS:
+            yield [(3, qubit, pauli)], readout
+
+
 def teleported_cnot_classes() -> dict[tuple[int, int], LinearError]:
     """Residual Z-error classes of one link, first order, exact weights.
 
     Keys are (z on face qubit, z on edge qubit); the identity class is
-    omitted.  Sources: the Bell-pair depolarizing fault, one memory round on
-    all four qubits before and after the CNOTs, the two CNOT faults, and the
-    two readout faults.
+    omitted.  Each class sums the weights of the gadget faults
+    (:func:`_gadget_faults`) that leave it behind.
     """
     classes: dict[tuple[int, int], LinearError] = {}
-
-    def add(key, eps=Fraction(0), r=Fraction(0)):
-        if key == (0, 0):
-            return
-        classes[key] = classes.get(key, LinearError()) + LinearError(eps, r)
-
-    for pa, pb in _TWO_QUBIT_FAULTS:
-        add(_gadget_outcome([(0, "a", pa), (0, "b", pb)]), eps=Fraction(1, 15))
-        add(_gadget_outcome([(2, "C", pa), (2, "a", pb)]), eps=Fraction(1, 15))
-        add(_gadget_outcome([(2, "b", pa), (2, "T", pb)]), eps=Fraction(1, 15))
-    for time in (1, 2):
-        for qubit in "CabT":
-            for pauli in _PAULIS:
-                add(_gadget_outcome([(time, qubit, pauli)]), r=Fraction(1, 3))
-    for qubit in "ab":
-        for pauli in _PAULIS:
-            add(_gadget_outcome([(3, qubit, pauli)]), eps=Fraction(1, 3))
+    for faults, weight in _gadget_faults():
+        key = _gadget_outcome(faults)
+        if key != (0, 0):
+            classes[key] = classes.get(key, LinearError()) + weight
     return classes
 
 
@@ -277,6 +296,8 @@ class CellLattice:
     ``sources`` lists every error source whose residual can reach those
     faces, with its exact first-order flip probability; ``shell_sources``
     lists the two-hop links kept for locality checks (none of them flip).
+    The census is built once: ``flipping_sources`` keeps the sources with a
+    non-zero flip, in census order, and ``linear`` is the sum of their flips.
     """
 
     def __init__(self):
@@ -289,14 +310,19 @@ class CellLattice:
         self.collar_faces = sorted(
             {lk.face for lk in self.links} - self._in_cell)
         self.shell_links = self._shell_links()
-        classes = teleported_cnot_classes()
-        birth = matched_pair_class()
-        self.sources = self._census(classes, birth)
+        self.link_classes = teleported_cnot_classes()
+        self.birth_class = matched_pair_class()
+        self.sources = self._census(self.link_classes, self.birth_class)
         self.shell_sources = [
             ErrorSource(name=f"shell link {lk.face}->{lk.edge}",
-                        kind="cnot_link", flip=self._link_flip(lk, classes))
+                        kind="cnot_link",
+                        flip=self._link_flip(lk, self.link_classes))
             for lk in self.shell_links
         ]
+        self.flipping_sources = [src for src in self.sources
+                                 if not src.flip.is_zero()]
+        self.linear = sum((src.flip for src in self.flipping_sources),
+                          LinearError())
 
     # -- geometry ---------------------------------------------------------
     @staticmethod
@@ -347,13 +373,17 @@ class CellLattice:
     def _flip_parity(self, z_faces: list[Coord]) -> int:
         return sum(1 for f in z_faces if f in self._in_cell) % 2
 
+    def _residual_flips(self, link: Link, z_c: int, z_t: int) -> bool:
+        """Whether a link residual (z on face, z on edge) flips the check."""
+        z_faces = [link.face] if z_c else []
+        if z_t:
+            z_faces += self._propagated_faces(link.edge, link.position)
+        return bool(self._flip_parity(z_faces))
+
     def _link_flip(self, link: Link, classes) -> LinearError:
         total = LinearError()
         for (z_c, z_t), weight in classes.items():
-            z_faces = [link.face] if z_c else []
-            if z_t:
-                z_faces += self._propagated_faces(link.edge, link.position)
-            if self._flip_parity(z_faces):
+            if self._residual_flips(link, z_c, z_t):
                 total = total + weight
         return total
 
@@ -421,12 +451,12 @@ def cell_lattice() -> CellLattice:
 
 def type1_link_prob(budget: ErrorBudget):
     """Flip probability contributed by one birth Bell pair."""
-    return matched_pair_class().evaluate(budget.eps, budget.r)
+    return cell_lattice().birth_class.evaluate(budget.eps, budget.r)
 
 
 def type2_link_probs(budget: ErrorBudget) -> dict:
     """First-order residual class probabilities of one teleported-CNOT link."""
-    classes = teleported_cnot_classes()
+    classes = cell_lattice().link_classes
     return {
         "p_ZI": classes[(1, 0)].evaluate(budget.eps, budget.r),
         "p_IZ": classes[(0, 1)].evaluate(budget.eps, budget.r),
@@ -440,15 +470,16 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     ``product`` multiplies the independent factors (1 - 2 p_source) exactly;
     ``first_order`` truncates it to 1 - 2 * sum(p_source), which evaluates to
     1 - (512/5) eps - 176 r.  The three grouped factors (birth pairs, CNOT
-    links, readouts) are returned alongside.
+    links, readouts) are returned alongside.  Sources whose flip is zero
+    contribute a factor of exactly one and are skipped.
     """
     eps, r = budget.eps, budget.r
+    lattice = cell_lattice()
     factors = {"birth_pair": 1, "cnot_link": 1, "readout": 1}
-    linear = LinearError()
-    for src in cell_lattice().sources:
+    for src in lattice.flipping_sources:
         p = src.flip.evaluate(eps, r)
         factors[src.kind] = factors[src.kind] * (1 - 2 * p)
-        linear = linear + src.flip
+    linear = lattice.linear
     product = factors["birth_pair"] * factors["cnot_link"] * factors["readout"]
     return {
         "first_order": 1 - 2 * linear.evaluate(eps, r),
@@ -488,18 +519,19 @@ MC_CHUNK = 1 << 16
 
 
 def _flip_probabilities(budget: ErrorBudget, mode: str) -> np.ndarray:
+    """Flip probabilities of the sources that can fire at this budget."""
     lattice = cell_lattice()
     if mode == "classes":
         probs = [float(src.flip.evaluate(budget.eps, budget.r))
-                 for src in lattice.sources]
+                 for src in lattice.flipping_sources]
     elif mode == "gadget":
         probs = _gadget_mode_probabilities(budget)
     else:
         raise ValidationError(f"unknown MC mode {mode!r}")
     arr = np.asarray(probs, dtype=float)
-    if np.any(arr < 0) or np.any(arr > 1):
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ValidationError("flip probabilities outside [0, 1]; budget too large")
-    return arr
+    return arr[arr > 0]
 
 
 def _gadget_mode_probabilities(budget: ErrorBudget) -> list[float]:
@@ -510,56 +542,52 @@ def _gadget_mode_probabilities(budget: ErrorBudget) -> list[float]:
     are retained; the class-mode probabilities are their first-order sums.
     """
     lattice = cell_lattice()
-    probs: list[float] = []
     eps, r = float(budget.eps), float(budget.r)
-
-    def push(weight_eps, weight_r, flips):
-        if flips:
-            probs.append(weight_eps * eps + weight_r * r)
-
+    outcomes = [(_gadget_outcome(faults), weight)
+                for faults, weight in _gadget_faults()]
+    probs: list[float] = []
     for link in lattice.links + lattice.shell_links:
         if link.position == 1:
             continue
-        faults = []
-        for pa, pb in _TWO_QUBIT_FAULTS:
-            faults.append(([(0, "a", pa), (0, "b", pb)], 1 / 15, 0.0))
-            faults.append(([(2, "C", pa), (2, "a", pb)], 1 / 15, 0.0))
-            faults.append(([(2, "b", pa), (2, "T", pb)], 1 / 15, 0.0))
-        for time in (1, 2):
-            for qubit in "CabT":
-                for pauli in _PAULIS:
-                    faults.append(([(time, qubit, pauli)], 0.0, 1 / 3))
-        for qubit in "ab":
-            for pauli in _PAULIS:
-                faults.append(([(3, qubit, pauli)], 1 / 3, 0.0))
-        for injected, w_eps, w_r in faults:
-            z_c, z_t = _gadget_outcome(injected)
-            z_faces = [link.face] if z_c else []
-            if z_t:
-                z_faces += lattice._propagated_faces(link.edge, link.position)
-            push(w_eps, w_r, lattice._flip_parity(z_faces))
-    for src in lattice.sources:
-        if src.kind == "cnot_link":
-            continue
-        if not src.flip.is_zero():
+        flipping = {key for key in lattice.link_classes
+                    if lattice._residual_flips(link, *key)}
+        for key, weight in outcomes:
+            if key in flipping:
+                probs.append(weight.evaluate(eps, r))
+    for src in lattice.flipping_sources:
+        if src.kind != "cnot_link":
             probs.append(float(src.flip.evaluate(budget.eps, budget.r)))
     return probs
 
 
 def _chunk_flip_parity_sum(probs: np.ndarray, seed: int, chunk_index: int,
                            chunk_samples: int) -> int:
-    """Number of flipped-check samples in one deterministic chunk."""
+    """Number of flipped-check samples in one deterministic chunk.
+
+    Sparse sampling: source i fires in k_i ~ Binomial(chunk_samples, p_i)
+    samples, at k_i distinct positions drawn uniformly, which is the law of
+    independent Bernoulli(p_i) draws per sample.  A sample's check flips when
+    an odd number of fired sources land on it.
+    """
     rng = philox_stream(seed, chunk_index)
-    u = rng.random((chunk_samples, probs.size))
-    parity = (u < probs).sum(axis=1) & 1
-    return int(parity.sum())
+    fired = rng.binomial(chunk_samples, probs)
+    positions = [rng.choice(chunk_samples, size=k, replace=False, shuffle=False)
+                 for k in fired if k]
+    if not positions:
+        return 0
+    hits = np.bincount(np.concatenate(positions))
+    return int(np.count_nonzero(hits & 1))
 
 
 def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
                               mode: str = "classes") -> dict:
     """Monte Carlo estimate of the cell-check expectation.
 
-    The sample stream is split into fixed chunks, each driven by its own
+    Each source with a non-zero flip probability fires independently in
+    every sample (in ``"gadget"`` mode each internal fault of every link
+    gadget is its own source), and only the faults that fire are drawn, so
+    the cost follows the number of faults, not samples times sources.  The
+    sample stream is split into fixed chunks, each driven by its own
     counter-based (Philox) stream derived from ``seed`` and the chunk index,
     so the estimate is independent of how chunks are distributed over
     workers.

@@ -27,10 +27,8 @@ from .steane import LogicalCostTable
 class EventKind(Enum):
     ATTEMPT_START = "AttemptStart"
     HERALD = "Herald"
-    REINIT = "Reinit"
     SWITCH_RECONFIG = "SwitchReconfig"
     GATE_DONE = "GateDone"
-    MEASURE_DONE = "MeasureDone"
 
 
 @dataclass(frozen=True)

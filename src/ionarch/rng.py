@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for stream ``stream`` of the seed's Philox sequence."""
-    bitgen = np.random.Philox(key=seed & (2**256 - 1))
+    """Generator for stream ``stream`` of the seed's Philox sequence.
+
+    The seed is the Philox key, which must lie in [0, 2**128).
+    """
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed {seed} outside [0, 2**128)")
+    bitgen = np.random.Philox(key=seed)
     if stream:
         bitgen = bitgen.jumped(stream)
     return np.random.Generator(bitgen)

@@ -106,6 +106,19 @@ def test_netsim_event_log_deterministic(tmp_path, capsys):
     assert log_a.read_bytes() == log_b.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+@pytest.mark.parametrize("argv", [
+    ("mc-cluster", "--samples", "100"),
+    ("netsim", "--pairs", "2"),
+    ("hypercell", "--trials", "1"),
+])
+def test_seed_out_of_range_exit(capsys, argv, seed):
+    code, out, err = run_cli(capsys, *argv, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: seed") and err.count("\n") == 1
+
+
 def test_hypercell_scan_csv(capsys):
     code, out, _ = run_cli(capsys, "hypercell", "--scan",
                            "--eps-grid", "1e-6,1e-4", "--ratio-grid", "1,10")

@@ -217,6 +217,30 @@ def test_mc_deterministic_and_partition_independent():
     assert sum(shuffled) == a["flipped"]
 
 
+def test_chunk_sampler_high_and_degenerate_probabilities():
+    # the gates above fire at most a few faults per sample; here most
+    # positions of a chunk are hit, so drawing positions with replacement
+    # or miscounting the parity would show
+    chunks = 4
+    samples = chunks * MC_CHUNK
+
+    def flipped(probs):
+        probs = np.asarray(probs, dtype=float)
+        return sum(_chunk_flip_parity_sum(probs, 17, i, MC_CHUNK)
+                   for i in range(chunks))
+
+    for probs in [(0.3, 0.6, 0.95), (0.95,), (0.5, 0.05, 0.2, 0.7)]:
+        expected = (1 - np.prod([1 - 2 * p for p in probs])) / 2
+        sigma = math.sqrt(expected * (1 - expected) / samples)
+        assert abs(flipped(probs) / samples - expected) <= 6 * sigma, probs
+    assert flipped([1.0]) == samples
+    assert flipped([1.0, 1.0]) == 0
+    assert flipped([0.0, 0.0, 0.0]) == 0
+    assert flipped([]) == 0
+    # a short last chunk is sampled in full too
+    assert _chunk_flip_parity_sum(np.array([1.0]), 17, 4, 17) == 17
+
+
 def test_mc_gadget_mode_cross_validation():
     # explicit per-fault sampling has the same first-order behavior; allow a
     # quadratic gap on top of the statistical tolerance
