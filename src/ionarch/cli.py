@@ -200,11 +200,13 @@ def _cmd_netsim(args, cfg) -> int:
     link = LinkModel(kind=kind, params=params)
     elu_a = netsim.EluState(elu_id=0, ports=args.m_p, m_t=args.m_t)
     elu_b = netsim.EluState(elu_id=1, ports=args.m_p, m_t=args.m_t)
-    result = netsim.run_link_sim(link, elu_a, elu_b, pairs, seed,
-                                 collect_log=args.log is not None)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result["event_log"]) + "\n")
+            result = netsim.run_link_sim(
+                link, elu_a, elu_b, pairs, seed,
+                log_sink=lambda line: fh.write(line + "\n"))
+    else:
+        result = netsim.run_link_sim(link, elu_a, elu_b, pairs, seed)
     sys.stdout.write(netsim.summary_json(result) + "\n")
     return 0
 

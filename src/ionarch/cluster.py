@@ -38,6 +38,7 @@ where r is the step duration over the decoherence time.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,8 +86,9 @@ class ErrorBudget:
         if not 0 <= float(self.eps) <= 1 / 15:
             raise ValidationError(
                 f"gate error {self.eps} outside the depolarizing-model range [0, 1/15]")
-        if float(self.r) < 0:
-            raise ValidationError("memory error ratio must be non-negative")
+        if not 0 <= float(self.r) < math.inf:
+            raise ValidationError(
+                f"memory error ratio {self.r} must be finite and non-negative")
         if float(self.r) > 0.05:
             warnings.warn(
                 f"memory error ratio {self.r} is large; first-order "

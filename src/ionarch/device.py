@@ -57,20 +57,24 @@ class DeviceParams:
     reinit_time: float = 1.0 * _MICRO
 
     def __post_init__(self):
+        # comparisons are written so that NaN fails them
         for name in ("t_single_gate", "t_two_gate", "t_toffoli", "t_measure",
-                     "t_remote_entangle", "tau_decoherence", "reinit_time"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+                     "t_remote_entangle", "tau_decoherence", "reinit_time",
+                     "gamma"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
         for name in ("p_excite", "solid_angle_fraction", "detector_efficiency"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        if self.gamma <= 0:
-            raise ValidationError("gamma must be positive")
-        if self.repetition_rate is not None and self.repetition_rate <= 0:
-            raise ValidationError("repetition_rate must be positive")
-        if self.dark_rate < 0:
-            raise ValidationError("dark_rate must be non-negative")
+        rate = self.repetition_rate
+        if rate is not None and not 0 < rate < math.inf:
+            raise ValidationError(
+                f"repetition_rate must be positive and finite, got {rate}")
+        if not self.dark_rate >= 0:
+            raise ValidationError(
+                f"dark_rate must be non-negative, got {self.dark_rate}")
 
     @property
     def rep_rate(self) -> float:

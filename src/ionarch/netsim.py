@@ -5,18 +5,25 @@ heralded attempt per repetition period 1/R; a failed ion is blocked for its
 re-initialization time (and, conservatively, for the heralding flight time of
 the classical outcome) before its slot attempts again.  Successful ions swap
 their entanglement into memory and re-enter the rotation on the same
-schedule.  All randomness flows through one counter-based stream per run, and
-events are processed in (time, sequence) order, so identical seeds give
-bit-identical event logs.
+schedule.  Every link request draws from its own counter-based stream,
+``philox_stream(seed, request_id)``: ``run_link_sim``'s single request is
+stream 0, and in a Toffoli pipeline the request of gate ``g`` to operand
+``op`` (0, 1, 2) is stream ``3*g + op``.  Events are processed in (time,
+sequence) order, so identical seeds give bit-identical event logs.  An
+uncontended request is drawn in bulk by a closed form that reproduces the
+event engine draw for draw; the engine serves event logs and is its oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .device import DeviceParams, LinkModel, link_success_probability
 from .errors import InvalidPort, ValidationError, ZeroSuccessProbability
@@ -187,6 +194,10 @@ class OXCSwitch:
 
 # ---------------------------------------------------------------------------
 
+#: Heralded pairs a teleported Toffoli needs to each of its three operands.
+PAIRS_PER_OPERAND = 7
+
+
 @dataclass
 class _Ion:
     """One TDM slot: an attempt stream on a fixed per-ion grid.
@@ -205,65 +216,68 @@ class _Ion:
         return self.start + self.ticks * tick
 
 
-class _LinkEngine:
-    """Shared attempt/herald machinery for link and pipeline runs."""
+def _attempt_tick(params: DeviceParams, herald_latency: float,
+                  overlap_feedback: bool) -> float:
+    """Per-ion attempt spacing: repetition period or herald + reinit."""
+    block = 0.0 if overlap_feedback else herald_latency
+    return max(1.0 / params.rep_rate, block + params.reinit_time)
 
-    def __init__(self, params: DeviceParams, p_success: float, seed: int,
-                 herald_latency: float, overlap_feedback: bool,
-                 log: list | None):
-        if p_success <= 0.0:
-            raise ZeroSuccessProbability("link success probability is zero")
-        self.params = params
+
+class _LinkEngine:
+    """Event-driven attempt/herald machinery: the exact oracle of the closed form.
+
+    Request ``request_id`` draws from ``philox_stream(seed, request_id)``, and
+    every request group runs on its own queue, so a request's draws and times
+    depend neither on the other requests nor on earlier groups.  Log lines go
+    to ``emit`` one at a time.
+    """
+
+    def __init__(self, p_success: float, seed: int, tick: float,
+                 herald_latency: float, emit=None):
         self.p = p_success
-        self.rng = philox_stream(seed)
+        self.seed = seed
+        self.tick = tick
         self.herald_latency = herald_latency
-        self.overlap_feedback = overlap_feedback
-        self.queue = EventQueue()
-        self.log = log
+        self.emit = emit
         self.attempts = 0
         self.heralds_ok = 0
 
     def _emit(self, event: SimEvent):
-        if self.log is not None:
-            self.log.append(event.log_line())
-
-    @property
-    def tick(self) -> float:
-        """Per-ion attempt spacing: repetition period or herald + reinit."""
-        block = 0.0 if self.overlap_feedback else self.herald_latency
-        return max(1.0 / self.params.rep_rate,
-                   block + self.params.reinit_time)
+        if self.emit is not None:
+            self.emit(event.log_line())
 
     def run_request_group(self, requests, ions_by_request, start: float) -> float:
         """Drive concurrent requests to completion; returns the last herald time."""
         w = self.herald_latency
         tick = self.tick
+        queue = EventQueue()
 
-        def schedule_attempt(ion, request):
-            t = max(ion.next_allowed(tick), self.queue.clock)
+        def schedule_attempt(ion, request, rng):
+            t = max(ion.next_allowed(tick), queue.clock)
             ev = SimEvent(t, EventKind.ATTEMPT_START, ion.elu, ion.port,
                           request.request_id)
-            self.queue.push(ev, (ion, request))
+            queue.push(ev, (ion, request, rng))
 
         for request in requests:
+            rng = philox_stream(self.seed, request.request_id)
             for ion in ions_by_request[request.request_id]:
                 ion.start = max(ion.start, start)
-                schedule_attempt(ion, request)
+                schedule_attempt(ion, request, rng)
 
         last_done = start
-        while len(self.queue):
-            event, ctx = self.queue.pop()
+        while len(queue):
+            event, ctx = queue.pop()
             if event.kind is EventKind.ATTEMPT_START:
-                ion, request = ctx
+                ion, request, rng = ctx
                 self._emit(event)
                 self.attempts += 1
-                ok = bool(self.rng.random() < self.p)
+                ok = bool(rng.random() < self.p)
                 herald = SimEvent(event.time + w, EventKind.HERALD, ion.elu,
                                   ion.port, request.request_id, success=ok)
-                self.queue.push(herald, ctx)
+                queue.push(herald, ctx)
                 ion.ticks += 1
             elif event.kind is EventKind.HERALD:
-                ion, request = ctx
+                ion, request, rng = ctx
                 self._emit(event)
                 if event.success:
                     self.heralds_ok += 1
@@ -272,51 +286,69 @@ class _LinkEngine:
                         request.register(event.time)
                         last_done = max(last_done, event.time)
                     if not request.done:
-                        schedule_attempt(ion, request)
+                        schedule_attempt(ion, request, rng)
             else:
                 self._emit(event)
         return last_done
 
 
-def _effective_multiplexity(elu_a: EluState, elu_b: EluState,
-                            m_p: int | None, m_t: int | None) -> tuple[int, int]:
-    ports = m_p if m_p is not None else min(elu_a.ports, elu_b.ports)
-    tdm = m_t if m_t is not None else min(elu_a.m_t, elu_b.m_t)
+def _effective_multiplexity(m_p: int | None, m_t: int | None,
+                            default_ports: int, default_tdm: int) -> tuple[int, int]:
+    ports = m_p if m_p is not None else default_ports
+    tdm = m_t if m_t is not None else default_tdm
     if ports < 1 or tdm < 1:
         raise ValidationError("multiplexities must be at least 1")
     return ports, tdm
 
 
+def _link_probability(link: LinkModel, p_override: float | None) -> float:
+    p = p_override if p_override is not None else link_success_probability(link)
+    if p == 0.0:
+        raise ZeroSuccessProbability("link success probability is zero")
+    if not 0.0 < p <= 1.0:      # also rejects NaN
+        raise ValidationError(f"link success probability {p} outside (0, 1]")
+    return p
+
+
+def _check_herald_latency(herald_latency: float):
+    if not 0.0 <= herald_latency < math.inf:
+        raise ValidationError(
+            f"herald latency {herald_latency} must be finite and non-negative")
+
+
 def _closed_form_link_run(p: float, n_pairs: int, n_ions: int, tick: float,
-                          w: float, seed: int) -> dict:
+                          w: float, seed: int, stream: int = 0,
+                          start: float = 0.0) -> dict:
     """Batched equivalent of the event engine for one uncontended request.
 
-    With a common start and a uniform per-ion cadence, the engine processes
-    attempts tick by tick in ion order and consumes one uniform per attempt,
-    so outcomes can be drawn in bulk in the same stream order.  After the
+    The request draws from ``philox_stream(seed, stream)``.  With a common
+    start and a uniform per-ion cadence, the engine processes attempts tick by
+    tick in ion order and consumes one uniform per attempt, so outcomes can be
+    drawn in bulk in the same stream order; attempt k heralds at
+    ``(start + k * tick) + w``, the engine's own float arithmetic.  After the
     pair completing the request heralds, the engine drains the already
     scheduled attempts of the next tick (the ions whose heralds preceded the
     completing one), which is reproduced exactly here.
     """
-    rng = philox_stream(seed)
-    completions: list[float] = []
+    rng = philox_stream(seed, stream)
+    hit_ticks: list[np.ndarray] = []
     successes_seen = 0
     tick_base = 0
-    chunk_ticks = max(1, (1 << 16) // max(n_ions, 1))
+    # about twice the expected attempts, at most 2**16 uniforms per chunk;
+    # the chunking does not change which draw decides which attempt
+    chunk_ticks = max(1, math.ceil(min((1 << 16) // n_ions,
+                                       2 * n_pairs / (p * n_ions))))
     while True:
         draws = rng.random(chunk_ticks * n_ions) < p
         hits = draws.nonzero()[0]
         if successes_seen + hits.size < n_pairs:
             successes_seen += hits.size
-            for flat in hits:
-                completions.append((tick_base + int(flat) // n_ions) * tick + w)
+            hit_ticks.append(tick_base + hits // n_ions)
             tick_base += chunk_ticks
             continue
-        final = hits[n_pairs - 1 - successes_seen]
-        for flat in hits[:n_pairs - successes_seen]:
-            completions.append((tick_base + int(flat) // n_ions) * tick + w)
-        k_done = int(final) // n_ions
-        rank = int(final) % n_ions
+        final = int(hits[n_pairs - 1 - successes_seen])
+        hit_ticks.append(tick_base + hits[:n_pairs - successes_seen] // n_ions)
+        k_done, rank = divmod(final, n_ions)
         # attempts: every ion through tick k_done, plus the drained attempts
         # of the ions already rescheduled before the completing herald
         attempts = (tick_base + k_done + 1) * n_ions + rank
@@ -325,7 +357,8 @@ def _closed_form_link_run(p: float, n_pairs: int, n_ions: int, tick: float,
         if drawn > draws.size:      # drained tick spills into the next chunk
             extra = rng.random(drawn - draws.size) < p
             heralds_ok += int(extra.sum())
-        return {"completions": completions, "attempts": attempts,
+        completions = (start + np.concatenate(hit_ticks) * tick) + w
+        return {"completions": completions.tolist(), "attempts": attempts,
                 "heralds_ok": heralds_ok}
 
 
@@ -334,36 +367,42 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
                  m_t: int | None = None, herald_latency: float = 10e-9,
                  overlap_feedback: bool = False,
                  collect_log: bool = False,
-                 p_override: float | None = None) -> dict:
+                 p_override: float | None = None,
+                 log_sink=None) -> dict:
     """Generate ``n_pairs`` heralded pairs between two registers.
 
     Returns the makespan, per-pair inter-completion latencies, attempt count
-    and success count, plus the event log when requested.  ``p_override``
-    replaces the physical success probability (for degenerate-link studies).
+    and success count.  The event log is returned as ``event_log`` with
+    ``collect_log``, or passed line by line to the callable ``log_sink``;
+    either runs the event engine, which otherwise serves only when the herald
+    latency reaches the attempt spacing.  ``p_override`` replaces the physical
+    success probability (for degenerate-link studies).  The single request
+    draws from stream 0 of ``seed``.
     """
     if n_pairs < 1:
         raise ValidationError("n_pairs must be at least 1")
-    ports, tdm = _effective_multiplexity(elu_a, elu_b, m_p, m_t)
-    p = p_override if p_override is not None else link_success_probability(link)
-    if p <= 0.0:
-        raise ZeroSuccessProbability("link success probability is zero")
+    if collect_log and log_sink is not None:
+        raise ValidationError("collect_log and log_sink are exclusive")
+    ports, tdm = _effective_multiplexity(m_p, m_t,
+                                         min(elu_a.ports, elu_b.ports),
+                                         min(elu_a.m_t, elu_b.m_t))
+    p = _link_probability(link, p_override)
+    _check_herald_latency(herald_latency)
     log: list | None = [] if collect_log else None
+    emit = log.append if log is not None else log_sink
 
     switch = OXCSwitch(n_ports=max(2 * ports, 2))
     circuits = [(2 * k, 2 * k + 1) for k in range(ports)]
     for a, b in circuits:
         if switch.request(a, b) != "granted":
             raise ValidationError("fresh switch must grant immediately")
-        if log is not None:
-            log.append(SimEvent(0.0, EventKind.SWITCH_RECONFIG, elu_a.elu_id,
-                                a, 0).log_line())
+        if emit is not None:
+            emit(SimEvent(0.0, EventKind.SWITCH_RECONFIG, elu_a.elu_id,
+                          a, 0).log_line())
 
-    params = link.params
-    block = 0.0 if overlap_feedback else herald_latency
-    tick = max(1.0 / params.rep_rate, block + params.reinit_time)
-    if collect_log or herald_latency >= tick:
-        engine = _LinkEngine(params, p, seed, herald_latency,
-                             overlap_feedback, log)
+    tick = _attempt_tick(link.params, herald_latency, overlap_feedback)
+    if emit is not None or herald_latency >= tick:
+        engine = _LinkEngine(p, seed, tick, herald_latency, emit)
         request = EntanglementRequest(elu_a.elu_id, elu_b.elu_id, n_pairs,
                                       request_id=0)
         ions = [_Ion(elu_a.elu_id, port)
@@ -423,30 +462,49 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     duration from the cost table's audit trail) while seven heralded pairs
     are generated to each of the three operand registers over the available
     ports; the gate completes after the slower of the two phases plus the
-    teleportation circuit.
+    teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
+    from stream ``3*g + op`` of ``seed``; being independent and uncontended,
+    the three requests run as three closed-form link runs, unless the event
+    log is collected or the herald latency reaches the attempt spacing.
     """
     if n_toffolis < 1:
         raise ValidationError("n_toffolis must be at least 1")
     layout = table.layout
-    ports = m_p if m_p is not None else getattr(layout, "m_p", 2)
-    tdm = m_t if m_t is not None else getattr(layout, "m_t", 10)
-    p = p_override if p_override is not None else link_success_probability(link)
+    ports, tdm = _effective_multiplexity(m_p, m_t, getattr(layout, "m_p", 2),
+                                         getattr(layout, "m_t", 10))
+    p = _link_probability(link, p_override)
+    _check_herald_latency(herald_latency)
+    tick = _attempt_tick(link.params, herald_latency, overlap_feedback=False)
     log: list | None = [] if collect_log else None
-    engine = _LinkEngine(link.params, p, seed, herald_latency, False, log)
+    engine = None
+    if collect_log or herald_latency >= tick:
+        engine = _LinkEngine(p, seed, tick, herald_latency,
+                             log.append if log is not None else None)
 
     prep = table.phi_plus_prep_time
     teleport = table.toffoli_teleport_time
     gate_times = []
     link_wait = 0.0
+    attempts = 0
     t = 0.0
     for k in range(n_toffolis):
-        requests = [EntanglementRequest(elu_a=3 * k + op, elu_b=-1,
-                                        pairs_needed=7, request_id=op)
-                    for op in range(3)]
-        ions = {op: [_Ion(3 * k + op, port) for port in range(ports)
-                     for _ in range(tdm)]
-                for op in range(3)}
-        links_end = engine.run_request_group(requests, ions, start=t)
+        streams = range(3 * k, 3 * k + 3)      # one per operand register
+        if engine is None:
+            runs = [_closed_form_link_run(p, PAIRS_PER_OPERAND, ports * tdm,
+                                          tick, herald_latency, seed,
+                                          stream=s, start=t)
+                    for s in streams]
+            links_end = max(run["completions"][-1] for run in runs)
+            attempts += sum(run["attempts"] for run in runs)
+        else:
+            requests = [EntanglementRequest(elu_a=s, elu_b=-1,
+                                            pairs_needed=PAIRS_PER_OPERAND,
+                                            request_id=s)
+                        for s in streams]
+            ions = {s: [_Ion(s, port) for port in range(ports)
+                        for _ in range(tdm)]
+                    for s in streams}
+            links_end = engine.run_request_group(requests, ions, start=t)
         prep_end = t + prep
         gate_end = max(prep_end, links_end) + teleport
         link_wait += max(0.0, links_end - prep_end)
@@ -460,6 +518,6 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
         "gate_times_s": gate_times,
         "mean_gate_time_s": t / n_toffolis,
         "link_wait_fraction": link_wait / t if t else 0.0,
-        "attempts": engine.attempts,
+        "attempts": engine.attempts if engine is not None else attempts,
         "event_log": log if collect_log else None,
     }

@@ -106,6 +106,34 @@ def test_netsim_event_log_deterministic(tmp_path, capsys):
     assert log_a.read_bytes() == log_b.read_bytes()
 
 
+def test_netsim_log_streams_the_collected_lines(tmp_path, capsys):
+    from ionarch.config import device_from_config
+    from ionarch.device import LinkModel, LinkType
+    from ionarch.netsim import EluState, run_link_sim
+    path = tmp_path / "events.log"
+    code, _, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
+                         "--repetition-rate-hz", "500000", "--log", str(path))
+    assert code == 0
+    link = LinkModel(LinkType.TYPE_I,
+                     device_from_config({}, repetition_rate=500000.0))
+    collected = run_link_sim(link, EluState(0), EluState(1), 30, 9,
+                             collect_log=True)["event_log"]
+    assert path.read_bytes() == ("\n".join(collected) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("netsim", "--pairs", "5", "--repetition-rate-hz", "nan"),
+    ("netsim", "--pairs", "5", "--repetition-rate-hz", "inf"),
+    ("threshold", "--eps", "1e-4", "--ratio", "nan", "--json"),
+    ("threshold", "--eps", "1e-4", "--ratio", "inf", "--json"),
+])
+def test_non_finite_input_exit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])
 @pytest.mark.parametrize("argv", [
     ("mc-cluster", "--samples", "100"),

@@ -156,6 +156,9 @@ def test_budget_guards():
         ErrorBudget(eps=0.2, r=0.0)
     with pytest.raises(ValidationError):
         ErrorBudget(eps=0.0, r=-1e-3)
+    for ratio in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            ErrorBudget(eps=0.0, r=ratio)
     with pytest.warns(UserWarning):
         ErrorBudget(eps=0.0, r=0.06)
 

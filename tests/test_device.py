@@ -36,6 +36,21 @@ def test_type2_success_probability():
     assert link_success_probability(link) == pytest.approx(2.0e-6)
 
 
+@pytest.mark.parametrize("name", [
+    "t_single_gate", "t_two_gate", "t_toffoli", "t_measure",
+    "t_remote_entangle", "gamma", "repetition_rate", "dark_rate", "p_excite",
+    "solid_angle_fraction", "detector_efficiency", "tau_decoherence",
+    "reinit_time"])
+def test_device_params_reject_nan(name):
+    with pytest.raises(ValidationError):
+        DeviceParams(**{name: math.nan})
+
+
+def test_repetition_rate_must_be_finite():
+    with pytest.raises(ValidationError):
+        DeviceParams(repetition_rate=math.inf)
+
+
 def test_zero_factor_gives_zero_probability():
     link = make_link(LinkType.TYPE_I, eta=0.0)
     assert link_success_probability(link) == 0.0

@@ -184,6 +184,51 @@ def test_batched_path_matches_event_engine():
             assert engine[key] == batched[key], (p, m_p, m_t, key)
 
 
+def test_link_sim_outputs_pinned():
+    # recorded before each request got its own stream: run_link_sim's single
+    # request stays on stream 0, so both paths keep every output bit
+    pins = {3: (5880, 0.00058601, 300), 21: (5709, 0.00056801, 301)}
+    for seed, (attempts, makespan, heralded) in pins.items():
+        for collect_log in (True, False):
+            result = run_link_sim(slow_rep_link(0.05), *default_elus(), 300,
+                                  seed=seed, m_p=2, m_t=10,
+                                  collect_log=collect_log)
+            assert (result["attempts"], result["makespan_s"],
+                    result["heralded_successes"]) == (attempts, makespan,
+                                                      heralded)
+
+
+def test_log_sink_receives_the_collected_lines():
+    lines = []
+    streamed = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4,
+                            log_sink=lines.append)
+    collected = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4,
+                             collect_log=True)
+    assert lines == collected["event_log"]
+    assert summary_json(streamed) == summary_json(collected)
+    with pytest.raises(ValidationError):
+        run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4,
+                     collect_log=True, log_sink=lines.append)
+
+
+@pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
+def test_invalid_probability_rejected(p):
+    link, table = pipeline_fixture()
+    with pytest.raises(ValidationError):
+        run_link_sim(link, *default_elus(), 10, seed=1, p_override=p)
+    with pytest.raises(ValidationError):
+        run_toffoli_pipeline(1, table, link, seed=1, p_override=p)
+
+
+@pytest.mark.parametrize("latency", [float("nan"), -1e-9, float("inf")])
+def test_invalid_herald_latency_rejected(latency):
+    link, table = pipeline_fixture()
+    with pytest.raises(ValidationError):
+        run_link_sim(link, *default_elus(), 10, seed=1, herald_latency=latency)
+    with pytest.raises(ValidationError):
+        run_toffoli_pipeline(1, table, link, seed=1, herald_latency=latency)
+
+
 def test_zero_probability_rejected():
     params = DeviceParams(p_excite=0.0)
     link = LinkModel(LinkType.TYPE_I, params)
@@ -210,6 +255,43 @@ def pipeline_fixture(p=0.01, rate=0.5e6):
     link = LinkModel(LinkType.TYPE_I, params)
     table = level1_costs(params, MusiqcLayout())
     return link, table
+
+
+def test_batched_pipeline_matches_event_engine():
+    # collect_log=True runs the event engine, one request group per gate;
+    # without it each gate is three closed-form runs on streams 3*gate + op
+    keys = ("makespan_s", "gate_times_s", "attempts", "link_wait_fraction")
+    cases = [(0.01, 0.5e6, 2, 10, 9, 3, 10e-9), (0.05, 0.5e6, 1, 1, 3, 4, 0.0),
+             (1.0, 0.5e6, 2, 10, 5, 2, 10e-9),
+             (0.3, 0.5e6, 3, 2, 2**64 + 1, 3, 10e-9),
+             (0.05, 1e3, 1, 3, 8, 3, 10e-9),
+             # a slow herald stretches the attempt spacing past the teleport,
+             # so a gate's drained attempts outlive it
+             (0.05, 0.5e6, 1, 3, 8, 3, 5e-4)]
+    for p, rate, m_p, m_t, seed, n, latency in cases:
+        link, table = pipeline_fixture(min(p, 0.25), rate)
+        kwargs = dict(m_p=m_p, m_t=m_t, p_override=p, herald_latency=latency)
+        engine = run_toffoli_pipeline(n, table, link, seed, collect_log=True,
+                                      **kwargs)
+        batched = run_toffoli_pipeline(n, table, link, seed, **kwargs)
+        for key in keys:
+            assert engine[key] == batched[key], (p, rate, m_p, m_t, key)
+    # the default device, two gates
+    params = DeviceParams()
+    link = LinkModel(LinkType.TYPE_I, params)
+    table = level1_costs(params, MusiqcLayout())
+    engine = run_toffoli_pipeline(2, table, link, 3, collect_log=True)
+    batched = run_toffoli_pipeline(2, table, link, 3)
+    for key in keys:
+        assert engine[key] == batched[key], key
+
+
+@pytest.mark.parametrize("multiplexity", [dict(m_t=0), dict(m_p=-1),
+                                          dict(m_p=0, m_t=0)])
+def test_pipeline_multiplexity_rejected(multiplexity):
+    link, table = pipeline_fixture()
+    with pytest.raises(ValidationError):
+        run_toffoli_pipeline(1, table, link, seed=1, **multiplexity)
 
 
 def test_pipeline_degenerate_link_limit():
