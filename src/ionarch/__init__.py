@@ -5,8 +5,8 @@ from .device import (DeviceParams, EluPhysics, LinkModel, LinkType,
                      effective_connection_time, elu_gate_rate,
                      link_success_probability, mean_connection_time,
                      type1_error_terms)
-from .errors import (DomainError, InsufficientConcatenation, InvalidPort,
-                     NTooSmall, ValidationError, ZeroSuccessProbability)
+from .errors import (DomainError, InsufficientConcatenation, NTooSmall,
+                     ValidationError, ZeroSuccessProbability)
 from .steane import (ConcatSelection, LogicalCostTable, Primitive,
                      level1_costs, lift_level, remote_cnot_cost,
                      required_concat_level, table_at_level, toffoli_cost)
@@ -16,7 +16,7 @@ __all__ = [
     "DeviceParams", "EluPhysics", "LinkModel", "LinkType",
     "effective_connection_time", "elu_gate_rate", "link_success_probability",
     "mean_connection_time", "type1_error_terms",
-    "DomainError", "InsufficientConcatenation", "InvalidPort", "NTooSmall",
+    "DomainError", "InsufficientConcatenation", "NTooSmall",
     "ValidationError", "ZeroSuccessProbability",
     "ConcatSelection", "LogicalCostTable", "Primitive", "level1_costs",
     "lift_level", "remote_cnot_cost", "required_concat_level",

@@ -24,11 +24,8 @@ class MusiqcLayout:
     """
 
     kind: str = "musiqc"
-    elu_qubits: int = 100
-    ports: int = 6
     m_p: int = 2
     m_t: int = 10
-    elus_per_bit: float = 1.5
     ec_rounds_per_step: int = 2
 
     def qubits(self, n: int) -> int:
@@ -50,11 +47,6 @@ class QlaLayout:
     """
 
     kind: str = "qla"
-    lu_side: int = 7
-    lus_per_lb: int = 6
-    comm_units_per_lb: int = 18
-    comm_unit_side: int = 7
-    comm_cnots_per_lb: int = 441
     ec_rounds_per_step: int = 3
     #: Swap-chain depth assumed when a lifted level consumes a distributed
     #: Bell pair through the comm units (typical nested-swapping depth).
@@ -77,8 +69,6 @@ class NnLayout:
     """Strictly nearest-neighbor hardware running a ripple-carry adder."""
 
     kind: str = "nn"
-    qubits_per_bit: int = 20
-    qubit_constant: int = 20
     ec_rounds_per_step: int = 1
 
     def qubits(self, n: int) -> int:

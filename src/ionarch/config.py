@@ -7,13 +7,12 @@ CLI flag > config file > documented default.
 
 from __future__ import annotations
 
-from .arch import ArchLayout, layout_from_name
 from .device import TWO_PI, DeviceParams
 from .errors import ValidationError
 
 _MICRO = 1e-6
 
-# key -> (type, description)
+# key -> type
 KNOWN_KEYS = {
     "device.t_single_gate_us": float,
     "device.t_two_gate_us": float,
@@ -28,9 +27,6 @@ KNOWN_KEYS = {
     "device.detector_efficiency": float,
     "device.tau_decoherence_s": float,
     "device.reinit_time_us": float,
-    "layout.arch": str,
-    "layout.m_p": int,
-    "layout.m_t": int,
     "run.seed": int,
     "run.samples": int,
     "run.pairs": int,
@@ -52,7 +48,7 @@ def parse_config_text(text: str) -> dict:
             raise ValidationError(f"config line {lineno}: unknown key {key!r}")
         caster = KNOWN_KEYS[key]
         try:
-            values[key] = caster(value) if caster is not str else value
+            values[key] = caster(value)
         except ValueError:
             raise ValidationError(
                 f"config line {lineno}: cannot parse {value!r} as {caster.__name__}") from None
@@ -95,11 +91,6 @@ def device_from_config(cfg: dict, **overrides) -> DeviceParams:
         if value is not None:
             kwargs[field] = value
     return DeviceParams(**kwargs)
-
-
-def layout_from_config(cfg: dict, arch: str | None = None) -> ArchLayout:
-    name = arch or cfg.get("layout.arch", "musiqc")
-    return layout_from_name(name)
 
 
 def resolve(flag_value, cfg: dict, key: str, default):

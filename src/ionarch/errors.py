@@ -13,10 +13,6 @@ class NTooSmall(ValidationError):
     """Adder-depth formulas are only defined for register sizes above their domain cutoff."""
 
 
-class InvalidPort(ValidationError):
-    """Switch port index out of range, or both endpoints are the same port."""
-
-
 class DomainError(ValidationError):
     """Argument outside the validity domain of an analytic expression."""
 

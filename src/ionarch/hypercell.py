@@ -27,7 +27,6 @@ class TreeConfig:
 
     elu_coordination: int = 3    # register valency: 1 link down, rest up
     layers: int = 4
-    p: float = 0.1               # per-attempt link success probability
     c: float = 3.0               # -ln of the tolerated connection failure
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class TreeConfig:
             raise ValidationError("coordination must be 3, 4, or 5")
         if self.layers < 1:
             raise ValidationError("layers must be at least 1")
-        if not 0 < self.p <= 1:
-            raise ValidationError("p must lie in (0, 1]")
         if self.c <= 0:
             raise ValidationError("c must be positive")
 
@@ -289,9 +286,7 @@ def boundary_scan(eps_grid, ratio_grid, config: TreeConfig | None = None,
             feasible = best["eps_total"] < eps_crit
             if feasible and trials > 0:
                 mc_cfg = TreeConfig(elu_coordination=config.elu_coordination,
-                                    layers=best["layers_opt"],
-                                    p=min(best["t_opt"] / tau_e, 1.0),
-                                    c=config.c)
+                                    layers=best["layers_opt"], c=config.c)
                 mc_budget = HypercellBudget(t=best["t_opt"], tau_e=tau_e,
                                             tau_d=tau_d, eps=eps,
                                             eps_crit=eps_crit)

@@ -9,9 +9,11 @@ schedule.  Every link request draws from its own counter-based stream,
 ``philox_stream(seed, request_id)``: ``run_link_sim``'s single request is
 stream 0, and in a Toffoli pipeline the request of gate ``g`` to operand
 ``op`` (0, 1, 2) is stream ``3*g + op``.  Events are processed in (time,
-sequence) order, so identical seeds give bit-identical event logs.  An
-uncontended request is drawn in bulk by a closed form that reproduces the
-event engine draw for draw; the engine serves event logs and is its oracle.
+sequence) order, so identical seeds give bit-identical event logs.  One
+request runner serves both simulators.  It draws an uncontended request in
+bulk by a closed form that reproduces the event engine draw for draw, and
+runs the engine, the closed form's oracle, only for event logs or when the
+herald latency reaches the attempt spacing.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .device import DeviceParams, LinkModel, link_success_probability
-from .errors import InvalidPort, ValidationError, ZeroSuccessProbability
+from .errors import ValidationError, ZeroSuccessProbability
 from .rng import philox_stream
 from .steane import LogicalCostTable
 
@@ -34,7 +35,6 @@ from .steane import LogicalCostTable
 class EventKind(Enum):
     ATTEMPT_START = "AttemptStart"
     HERALD = "Herald"
-    SWITCH_RECONFIG = "SwitchReconfig"
     GATE_DONE = "GateDone"
 
 
@@ -100,8 +100,6 @@ class EluState:
 
 @dataclass
 class EntanglementRequest:
-    elu_a: int
-    elu_b: int
     pairs_needed: int
     request_id: int = 0
     completed: int = 0
@@ -116,80 +114,6 @@ class EntanglementRequest:
     @property
     def done(self) -> bool:
         return self.completed >= self.pairs_needed
-
-
-class OXCSwitch:
-    """Non-blocking optical crossconnect with FIFO arbitration.
-
-    Any free input port can be routed to any free input port through one of
-    floor(n_ports / 2) Bell-state detectors; a port participates in at most
-    one active circuit.  Requests that cannot be served queue in FIFO order
-    and are re-examined head-first on every release.
-    """
-
-    def __init__(self, n_ports: int):
-        if n_ports < 2:
-            raise ValidationError("switch needs at least 2 ports")
-        self.n_ports = n_ports
-        self.capacity = n_ports // 2
-        self.active: set[tuple[int, int]] = set()
-        self.busy_ports: set[int] = set()
-        self.queue: deque[tuple[int, int]] = deque()
-        self.granted_log: list[tuple[int, int]] = []
-        self.released_log: list[tuple[int, int]] = []
-
-    def _check_ports(self, a: int, b: int):
-        if a == b:
-            raise InvalidPort("circuit endpoints must differ")
-        for port in (a, b):
-            if not 0 <= port < self.n_ports:
-                raise InvalidPort(f"port {port} out of range 0..{self.n_ports - 1}")
-
-    def _grantable(self, a: int, b: int) -> bool:
-        return (len(self.active) < self.capacity
-                and a not in self.busy_ports and b not in self.busy_ports)
-
-    def request(self, a: int, b: int) -> str:
-        self._check_ports(a, b)
-        if self._grantable(a, b):
-            self._grant(a, b)
-            return "granted"
-        self.queue.append((a, b))
-        return "queued"
-
-    def _grant(self, a: int, b: int):
-        self.active.add((a, b))
-        self.busy_ports.update((a, b))
-        self.granted_log.append((a, b))
-        self._invariants()
-
-    def release(self, a: int, b: int) -> list[tuple[int, int]]:
-        """Release a circuit; returns the queued circuits granted as a result."""
-        if (a, b) not in self.active:
-            raise InvalidPort(f"circuit {(a, b)} is not active")
-        self.active.remove((a, b))
-        self.busy_ports.difference_update((a, b))
-        self.released_log.append((a, b))
-        granted = []
-        # FIFO scan: earlier arrivals get first pick of the freed resources
-        pending = deque()
-        while self.queue:
-            req = self.queue.popleft()
-            if self._grantable(*req):
-                self._grant(*req)
-                granted.append(req)
-            else:
-                pending.append(req)
-        self.queue = pending
-        self._invariants()
-        return granted
-
-    def _invariants(self):
-        if len(self.active) > self.capacity:
-            raise ValidationError("detector capacity exceeded")
-        ports = [p for circuit in self.active for p in circuit]
-        if len(ports) != len(set(ports)):
-            raise ValidationError("a port appears in two active circuits")
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +170,8 @@ class _LinkEngine:
         if self.emit is not None:
             self.emit(event.log_line())
 
-    def run_request_group(self, requests, ions_by_request, start: float) -> float:
-        """Drive concurrent requests to completion; returns the last herald time."""
+    def run_request_group(self, requests, ions_by_request, start: float):
+        """Drive concurrent requests to completion."""
         w = self.herald_latency
         tick = self.tick
         queue = EventQueue()
@@ -264,7 +188,6 @@ class _LinkEngine:
                 ion.start = max(ion.start, start)
                 schedule_attempt(ion, request, rng)
 
-        last_done = start
         while len(queue):
             event, ctx = queue.pop()
             if event.kind is EventKind.ATTEMPT_START:
@@ -276,7 +199,7 @@ class _LinkEngine:
                                   ion.port, request.request_id, success=ok)
                 queue.push(herald, ctx)
                 ion.ticks += 1
-            elif event.kind is EventKind.HERALD:
+            else:       # HERALD
                 ion, request, rng = ctx
                 self._emit(event)
                 if event.success:
@@ -284,12 +207,8 @@ class _LinkEngine:
                 if not request.done:
                     if event.success:
                         request.register(event.time)
-                        last_done = max(last_done, event.time)
                     if not request.done:
                         schedule_attempt(ion, request, rng)
-            else:
-                self._emit(event)
-        return last_done
 
 
 def _effective_multiplexity(m_p: int | None, m_t: int | None,
@@ -362,6 +281,35 @@ def _closed_form_link_run(p: float, n_pairs: int, n_ions: int, tick: float,
                 "heralds_ok": heralds_ok}
 
 
+def _run_requests(streams, registers, n_pairs: int, ports: int, tdm: int,
+                  p: float, tick: float, w: float, seed: int, start: float,
+                  emit) -> tuple[list, int, int]:
+    """Serve a group of concurrent, uncontended link requests.
+
+    Request ``streams[i]`` draws from ``philox_stream(seed, streams[i])``,
+    logs register ``registers[i]`` and needs ``n_pairs`` heralded pairs over
+    ``ports * tdm`` ions that start attempting at ``start``.  Returns each
+    request's completion times, the attempt count and the heralded successes.
+    The event engine runs when ``emit`` takes log lines or the herald latency
+    reaches the attempt spacing; otherwise the closed form, its draw-for-draw
+    equivalent, does.
+    """
+    if emit is None and w < tick:
+        runs = [_closed_form_link_run(p, n_pairs, ports * tdm, tick, w, seed,
+                                      stream=s, start=start)
+                for s in streams]
+        return ([run["completions"] for run in runs],
+                sum(run["attempts"] for run in runs),
+                sum(run["heralds_ok"] for run in runs))
+    engine = _LinkEngine(p, seed, tick, w, emit)
+    requests = [EntanglementRequest(n_pairs, request_id=s) for s in streams]
+    ions = {s: [_Ion(elu, port) for port in range(ports) for _ in range(tdm)]
+            for s, elu in zip(streams, registers)}
+    engine.run_request_group(requests, ions, start)
+    return ([request.completion_times for request in requests],
+            engine.attempts, engine.heralds_ok)
+
+
 def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
                  n_pairs: int, seed: int, m_p: int | None = None,
                  m_t: int | None = None, herald_latency: float = 10e-9,
@@ -391,36 +339,11 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
     log: list | None = [] if collect_log else None
     emit = log.append if log is not None else log_sink
 
-    switch = OXCSwitch(n_ports=max(2 * ports, 2))
-    circuits = [(2 * k, 2 * k + 1) for k in range(ports)]
-    for a, b in circuits:
-        if switch.request(a, b) != "granted":
-            raise ValidationError("fresh switch must grant immediately")
-        if emit is not None:
-            emit(SimEvent(0.0, EventKind.SWITCH_RECONFIG, elu_a.elu_id,
-                          a, 0).log_line())
-
     tick = _attempt_tick(link.params, herald_latency, overlap_feedback)
-    if emit is not None or herald_latency >= tick:
-        engine = _LinkEngine(p, seed, tick, herald_latency, emit)
-        request = EntanglementRequest(elu_a.elu_id, elu_b.elu_id, n_pairs,
-                                      request_id=0)
-        ions = [_Ion(elu_a.elu_id, port)
-                for port in range(ports) for _ in range(tdm)]
-        makespan = engine.run_request_group([request], {0: ions}, start=0.0)
-        times = request.completion_times
-        attempts, heralds_ok = engine.attempts, engine.heralds_ok
-        completed = request.completed
-    else:
-        # batched path, draw-for-draw equivalent to the event engine
-        run = _closed_form_link_run(p, n_pairs, ports * tdm, tick,
-                                    herald_latency, seed)
-        times = run["completions"]
-        makespan = times[-1]
-        attempts, heralds_ok = run["attempts"], run["heralds_ok"]
-        completed = len(times)
-    for a, b in circuits:
-        switch.release(a, b)
+    (times,), attempts, heralds_ok = _run_requests(
+        [0], [elu_a.elu_id], n_pairs, ports, tdm, p, tick, herald_latency,
+        seed, start=0.0, emit=emit)
+    makespan = times[-1]
     latencies = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
     busy = n_pairs * herald_latency
     result = {
@@ -428,11 +351,9 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
         "latencies_s": latencies,
         "mean_pair_latency_s": makespan / n_pairs,
         "attempts": attempts,
-        "successes": completed,
+        "successes": len(times),
         "heralded_successes": heralds_ok,
         "link_wait_fraction": max(0.0, 1.0 - busy / makespan) if makespan else 0.0,
-        "switch_granted": len(switch.granted_log),
-        "switch_released": len(switch.released_log),
     }
     if collect_log:
         result["event_log"] = log
@@ -476,10 +397,7 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     _check_herald_latency(herald_latency)
     tick = _attempt_tick(link.params, herald_latency, overlap_feedback=False)
     log: list | None = [] if collect_log else None
-    engine = None
-    if collect_log or herald_latency >= tick:
-        engine = _LinkEngine(p, seed, tick, herald_latency,
-                             log.append if log is not None else None)
+    emit = log.append if log is not None else None
 
     prep = table.phi_plus_prep_time
     teleport = table.toffoli_teleport_time
@@ -489,22 +407,11 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     t = 0.0
     for k in range(n_toffolis):
         streams = range(3 * k, 3 * k + 3)      # one per operand register
-        if engine is None:
-            runs = [_closed_form_link_run(p, PAIRS_PER_OPERAND, ports * tdm,
-                                          tick, herald_latency, seed,
-                                          stream=s, start=t)
-                    for s in streams]
-            links_end = max(run["completions"][-1] for run in runs)
-            attempts += sum(run["attempts"] for run in runs)
-        else:
-            requests = [EntanglementRequest(elu_a=s, elu_b=-1,
-                                            pairs_needed=PAIRS_PER_OPERAND,
-                                            request_id=s)
-                        for s in streams]
-            ions = {s: [_Ion(s, port) for port in range(ports)
-                        for _ in range(tdm)]
-                    for s in streams}
-            links_end = engine.run_request_group(requests, ions, start=t)
+        completions, gate_attempts, _ = _run_requests(
+            streams, streams, PAIRS_PER_OPERAND, ports, tdm, p, tick,
+            herald_latency, seed, start=t, emit=emit)
+        links_end = max(times[-1] for times in completions)
+        attempts += gate_attempts
         prep_end = t + prep
         gate_end = max(prep_end, links_end) + teleport
         link_wait += max(0.0, links_end - prep_end)
@@ -518,6 +425,6 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
         "gate_times_s": gate_times,
         "mean_gate_time_s": t / n_toffolis,
         "link_wait_fraction": link_wait / t if t else 0.0,
-        "attempts": engine.attempts if engine is not None else attempts,
+        "attempts": attempts,
         "event_log": log if collect_log else None,
     }

@@ -213,7 +213,7 @@ def test_criterion_09_netsim():
 @report(10, "hypercell")
 def test_criterion_10_hypercell():
     p = 3 / 32
-    config = TreeConfig(layers=4, p=p)
+    config = TreeConfig(layers=4)
     budget = HypercellBudget(t=p, tau_e=1.0, tau_d=1e4, eps=1e-5)
     mc = mc_tree_build(config, budget, trials=4000, seed=7)
     assert abs(mc["mean_accumulated_error"] / total_error(budget) - 1) <= 0.10

@@ -183,11 +183,14 @@ def test_config_precedence_triple_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # the layout.* keys were once accepted and then ignored
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("device.bogus = 1\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "netsim", "--config", str(cfg))
-    assert code == 2
-    assert "unknown key" in err
+    for line in ("device.bogus = 1", "layout.arch = qla", "layout.m_p = 1",
+                 "layout.m_t = 1"):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "netsim", "--config", str(cfg))
+        assert code == 2, line
+        assert "unknown key" in err
 
 
 def test_config_parser():

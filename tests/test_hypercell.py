@@ -131,7 +131,7 @@ def test_construction2_error():
 
 
 def test_mc_tree_build_deterministic_limit():
-    cfg = TreeConfig(layers=2, p=1.0)
+    cfg = TreeConfig(layers=2)
     budget = HypercellBudget(t=1.0, tau_e=1.0, tau_d=1e30, eps=0.0)
     result = mc_tree_build(cfg, budget, trials=200, seed=1)
     assert result["success_rate"] == 1.0
@@ -140,7 +140,7 @@ def test_mc_tree_build_deterministic_limit():
 
 def test_mc_tree_build_matches_total_error():
     p = 3 / 32
-    cfg = TreeConfig(layers=4, p=p)
+    cfg = TreeConfig(layers=4)
     budget = HypercellBudget(t=p, tau_e=1.0, tau_d=1e4, eps=1e-5)
     result = mc_tree_build(cfg, budget, trials=4000, seed=7)
     assert result["mean_accumulated_error"] == pytest.approx(
@@ -150,7 +150,7 @@ def test_mc_tree_build_matches_total_error():
 
 
 def test_mc_staged_cheaper_than_single_shot():
-    cfg = TreeConfig(layers=2, p=0.35)
+    cfg = TreeConfig(layers=2)
     budget = HypercellBudget(t=0.35, tau_e=1.0, tau_d=1e5, eps=1e-6)
     staged = mc_tree_build(cfg, budget, trials=300, seed=42, staged=True)
     single = mc_tree_build(cfg, budget, trials=300, seed=42, staged=False)
