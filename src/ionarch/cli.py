@@ -83,7 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=2.9e-4)
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--layers", type=int, default=4)
+    p.add_argument("--layers", type=int, default=None,
+                   help="tree depth (default: the depth whose ports reach "
+                        "c/p)")
     _add_common(p)
 
     return parser
@@ -222,10 +224,13 @@ def _cmd_hypercell(args, cfg) -> int:
         return 0
     tau_d = 1.0
     tau_e = args.ratio * tau_d
-    cfg_tree = hypercell.TreeConfig(layers=args.layers)
-    t = args.t if args.t is not None else min(tau_e, cfg_tree.c * tau_e / 2.0) / 100.0
+    shape = hypercell.TreeConfig()
+    t = args.t if args.t is not None else min(tau_e, shape.c * tau_e / 2.0) / 100.0
     budget = hypercell.HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
                                        eps=args.eps)
+    layers = (args.layers if args.layers is not None
+              else hypercell.design_layers(budget.p, shape.arity, shape.c))
+    cfg_tree = hypercell.TreeConfig(layers=layers)
     payload = {
         "p": budget.p,
         "ports": cfg_tree.ports,

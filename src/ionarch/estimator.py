@@ -210,9 +210,16 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
 
 
 def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
-              level: int = 1, stabilizer_reps: int = 3) -> dict:
-    """One report row in the canonical CSV schema."""
-    table = table_at_level(params, layout, level, stabilizer_reps=stabilizer_reps)
+              level: int = 1, stabilizer_reps: int = 3,
+              table: LogicalCostTable | None = None) -> dict:
+    """One report row in the canonical CSV schema.
+
+    ``table`` is the layout's cost table at ``level`` when the caller has
+    already built it; otherwise it is built here.
+    """
+    if table is None:
+        table = table_at_level(params, layout, level,
+                               stabilizer_reps=stabilizer_reps)
     resources = adder_resources(n, layout)
     if isinstance(layout, NnLayout):
         depth_total = 2 * n + 3
@@ -251,11 +258,13 @@ def crossover_scan(n_values, layouts=("musiqc", "qla", "nn"),
     params = params or DeviceParams()
     layout_objs = [layout_from_name(name) if isinstance(name, str) else name
                    for name in layouts]
+    tables = [table_at_level(params, layout, level) for layout in layout_objs]
     rows = []
     for n in n_values:
-        for layout in layout_objs:
+        for layout, table in zip(layout_objs, tables):
             try:
-                rows.append(adder_row(n, layout, params, level=level))
+                rows.append(adder_row(n, layout, params, level=level,
+                                      table=table))
             except NTooSmall:
                 continue
     crossover_n = None

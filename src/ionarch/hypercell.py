@@ -6,8 +6,9 @@ attempt succeeds with small probability p = t / tau_E.  The analytics cover
 the failure probability of an m-port connection attempt, the root-to-root
 path length, the accumulated memory and swap errors, the feasibility window
 for the attempt time t, and the operational cost scaling; the Monte Carlo
-builds trees explicitly with per-pair timestamps and reports the empirical
-root-to-root error against the analytic total.
+draws each trial's build cost and connection from their exact laws, ages the
+root-to-root path pair by pair and reports the empirical error against the
+analytic total.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 from .rng import philox_stream
+
+MAX_PORTS = 2**62
 
 
 @dataclass(frozen=True)
@@ -36,6 +41,9 @@ class TreeConfig:
             raise ValidationError("layers must be at least 1")
         if self.c <= 0:
             raise ValidationError("c must be positive")
+        if self.ports > MAX_PORTS:
+            raise ValidationError(
+                f"{self.layers} layers give more than 2**62 ports")
 
     @property
     def arity(self) -> int:
@@ -46,6 +54,12 @@ class TreeConfig:
         # one extra branching at the top layer: twice the top-layer registers
         # for binary trees, arity times for wider ones
         return self.arity * self.arity**self.layers
+
+
+def design_layers(p: float, arity: int, c: float) -> int:
+    """Smallest tree depth (at least 1) whose ports reach the target c/p."""
+    m = c / p
+    return max(1, math.ceil(math.log(max(m, 2.0), arity)) - 1)
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,18 @@ def construction2_error(t: float, tau_d: float, eps: float,
 
 
 MC_TRIAL_CHUNK = 256
+# numpy draws NegBinomial(n, p) as Poisson(Gamma(n, (1-p)/p)) and refuses
+# (1-p)/p (n + 10 sqrt(n)) above about 2**63; each part stays 8x below that
+_NEGBIN_LIMIT = 2.0**60
+_MAX_NEGBIN_PARTS_PER_TRIAL = 1024
+_MAX_SINGLE_SHOT_COST = 2**62
+
+
+def _negbin_max_count(p: float) -> float:
+    """Largest count n, possibly fractional, of a NegBinomial(n, p) part."""
+    ratio = _NEGBIN_LIMIT * p / (1.0 - p)
+    # the n with (1-p)/p (n + 10 sqrt(n)) = _NEGBIN_LIMIT
+    return (ratio / (math.sqrt(25.0 + ratio) + 5.0)) ** 2
 
 
 def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
@@ -185,6 +211,14 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     term per path pair plus one eps swap term per intermediate register, and
     is averaged over trials where the port connection heralds.
 
+    Costs and connections are drawn from their exact laws, so the work does
+    not grow with the tree.  The 2E staged links of a trial (E per tree)
+    cost 2E + NegBinomial(2E, p) attempts; NegBinomial is additive in its
+    count, so a chunk draws its trials' sum, split into equal parts that
+    numpy can draw.  A single-shot tree is built Geometric(p**E) times.  The
+    m ports of a trial connect with probability 1 - (1 - p)**m, so a chunk's
+    connected count is one binomial draw, and only connected trials draw
+    their pair birth times.
     Trials run in fixed chunks, each on its own counter-based stream, so the
     result does not depend on how chunks are spread over workers.
     """
@@ -192,10 +226,33 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
         raise ValidationError("trials must be positive")
     p = budget.p
     m = config.ports
-    n_path_pairs = int(round(path_length(m) if m >= 2 else 1.0))
+    n_path_pairs = int(round(path_length(m)))
     n_tree_pairs = n_path_pairs - 1          # split across the two trees
     n_swaps = n_path_pairs - 1
     tree_edges = sum(config.arity**k for k in range(1, config.layers + 1))
+    # ages at 2t: a tree pair born at u in [0, t) has age 2t - u, the
+    # connecting pair born at t + u has age t - u
+    age_sum_at_zero = (2 * n_tree_pairs + 1) * budget.t
+
+    if p < 1:
+        connect_prob = -math.expm1(m * math.log1p(-p))
+        if staged:
+            max_count = _negbin_max_count(p)
+            if max_count * _MAX_NEGBIN_PARTS_PER_TRIAL < 2 * tree_edges:
+                raise DomainError(
+                    f"staged trees need about {2 * tree_edges / p:.3g} "
+                    "attempts per trial, beyond the sampler's range")
+        else:
+            log_rebuilds = -tree_edges * math.log(p)    # log of 1 / p**E
+            if (log_rebuilds > math.log(_MAX_SINGLE_SHOT_COST)
+                    or 2 * tree_edges * math.exp(log_rebuilds) + m
+                    > _MAX_SINGLE_SHOT_COST):
+                raise DomainError(
+                    f"single-shot trees need about p**-{tree_edges} = "
+                    f"e**{log_rebuilds:.4g} rebuilds; the expected cost "
+                    "passes 2**62 attempts")
+            # Geometric(w) by inversion: floor(Exp / -log(1 - w)) + 1
+            rebuild_rate = -math.log1p(-math.exp(-log_rebuilds))
 
     successes = 0
     total_cost = 0
@@ -205,30 +262,27 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     while done < trials:
         take = min(MC_TRIAL_CHUNK, trials - done)
         rng = philox_stream(seed, chunk_index)
-        for _ in range(take):
-            cost = 0
-            for _tree in (0, 1):
-                if staged:
-                    # retry each link independently until it heralds
-                    draws = (rng.geometric(p, size=tree_edges) if p < 1
-                             else [1] * tree_edges)
-                    cost += int(sum(draws))
-                else:
-                    while True:
-                        cost += tree_edges
-                        if p == 1 or bool((rng.random(tree_edges) < p).all()):
-                            break
-            # connect the two surfaces: m port pairs, one window
-            cost += m
-            connected = p == 1 or bool((rng.random(m) < p).any())
-            total_cost += cost
-            if not connected:
-                continue
-            successes += 1
-            ages = budget.t * 2.0 - rng.uniform(0.0, budget.t, size=n_tree_pairs)
-            connect_age = budget.t - rng.uniform(0.0, budget.t)
-            err_sum += ((float(ages.sum()) + connect_age) / budget.tau_d
-                        + budget.eps * n_swaps)
+        if p == 1:
+            total_cost += take * (2 * tree_edges + m)
+            connected = take
+        else:
+            if staged:
+                count = take * 2 * tree_edges
+                parts = math.ceil(count / max_count)
+                failures = rng.negative_binomial(count / parts, p, size=parts)
+                total_cost += take * (2 * tree_edges + m) + sum(failures.tolist())
+            else:
+                builds = np.floor(rng.standard_exponential((take, 2))
+                                  / rebuild_rate) + 1.0
+                total_cost += (tree_edges * sum(map(int, builds.ravel().tolist()))
+                               + take * m)
+            # connect the two surfaces: m port pairs, one window; each trial
+            # connects with probability connect_prob
+            connected = int(rng.binomial(take, connect_prob))
+        successes += connected
+        offsets = budget.t * float(rng.random((connected, n_path_pairs)).sum())
+        err_sum += ((connected * age_sum_at_zero - offsets) / budget.tau_d
+                    + connected * budget.eps * n_swaps)
         done += take
         chunk_index += 1
 
@@ -278,9 +332,9 @@ def boundary_scan(eps_grid, ratio_grid, config: TreeConfig | None = None,
                 err = total_error(budget)
                 if best is None or err < best["eps_total"]:
                     m = config.c / budget.p
-                    layers = max(1, math.ceil(math.log(max(m, 2.0), config.arity)) - 1)
                     best = {"t_opt": t, "eps_total": err,
-                            "layers_opt": layers,
+                            "layers_opt": design_layers(budget.p, config.arity,
+                                                        config.c),
                             "p_fail": fail_prob(min(budget.p, 1.0),
                                                 max(int(m), 1))["exact"]}
             feasible = best["eps_total"] < eps_crit

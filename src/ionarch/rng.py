@@ -16,11 +16,11 @@ from .errors import ValidationError
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for stream ``stream`` of the seed's Philox sequence.
 
-    The seed is the Philox key, which must lie in [0, 2**128).
+    The seed is the Philox key, which must lie in [0, 2**128).  Stream k
+    starts at counter k * 2**128, the state ``Philox(key=seed).jumped(k)``
+    reaches, set directly because jumping costs more than the draws of a
+    small chunk.
     """
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed {seed} outside [0, 2**128)")
-    bitgen = np.random.Philox(key=seed)
-    if stream:
-        bitgen = bitgen.jumped(stream)
-    return np.random.Generator(bitgen)
+    return np.random.Generator(np.random.Philox(key=seed, counter=stream << 128))

@@ -165,6 +165,28 @@ def test_hypercell_point(capsys):
                                                                 rel=0.01)
 
 
+def test_hypercell_point_depth_follows_p(capsys):
+    # without --layers the tree is deep enough for the m = c/p design rule
+    code, out, _ = run_cli(capsys, "hypercell", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ports"] >= 3.0 / payload["p"]
+    assert payload["ports"] == 512 and payload["path_length"] == 19
+    _, out, _ = run_cli(capsys, "hypercell", "--layers", "4", "--json")
+    assert json.loads(out)["ports"] == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ("hypercell", "--layers", "3000", "--trials", "1"),
+    ("hypercell", "--layers", "100"),
+])
+def test_hypercell_port_ceiling_exit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_precedence_triple_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("run.pairs = 25\nrun.seed = 4\n", encoding="utf-8")

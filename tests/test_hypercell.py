@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import pytest
 
@@ -192,3 +194,86 @@ def test_boundary_csv_schema():
     text = boundary_rows_to_csv(rows)
     assert text.splitlines()[0] == ",".join(BOUNDARY_CSV_COLUMNS)
     assert text.splitlines()[0] == "eps,ratio,t_opt,layers_opt,eps_total,p_fail,feasible"
+
+
+def _tree_edges(config):
+    return sum(config.arity**k for k in range(1, config.layers + 1))
+
+
+def _near(value, mean, var, trials):
+    assert abs(value - mean) <= 6.0 * math.sqrt(var / trials), (value, mean)
+
+
+@pytest.mark.parametrize("layers, p", [
+    (13, 3 / 16384),
+    # 2E/p is about 1.1e20: each trial's NegBinomial needs about 100 parts
+    (33, 3.079e-10),
+])
+def test_mc_staged_moments(layers, p):
+    config = TreeConfig(layers=layers)
+    budget = HypercellBudget(t=p, tau_e=1.0, tau_d=1.0, eps=1e-5)
+    trials = 3000
+    result = mc_tree_build(config, budget, trials=trials, seed=11)
+    edges, m = _tree_edges(config), config.ports
+    _near(result["mean_cost_attempts"], 2 * edges / p + m,
+          2 * edges * (1 - p) / p**2, trials)
+    q = 1.0 - (1.0 - p) ** m
+    _near(result["success_rate"], q, q * (1 - q), trials)
+    # total_error with the tree's real port count in place of c/p
+    at_ports = total_error(dataclasses.replace(budget, c=m * p))
+    _near(result["mean_accumulated_error"], at_ports,
+          result["path_pairs"] / 12 * (budget.t / budget.tau_d) ** 2,
+          round(result["success_rate"] * trials))
+
+
+def test_mc_single_shot_moments():
+    config = TreeConfig(layers=2)
+    p = 0.35
+    budget = HypercellBudget(t=p, tau_e=1.0, tau_d=1.0, eps=1e-5)
+    trials = 3000
+    result = mc_tree_build(config, budget, trials=trials, seed=12,
+                           staged=False)
+    edges, m = _tree_edges(config), config.ports
+    window = p**edges
+    _near(result["mean_cost_attempts"], 2 * edges / window + m,
+          2 * edges**2 * (1 - window) / window**2, trials)
+    q = 1.0 - (1.0 - p) ** m
+    _near(result["success_rate"], q, q * (1 - q), trials)
+
+
+def test_mc_single_shot_out_of_range_raises():
+    # a 30-link window at p = 3/32 needs about p**-30 = 7e30 rebuilds
+    budget = HypercellBudget(t=3 / 32, tau_e=1.0, tau_d=1.0, eps=1e-5)
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        mc_tree_build(TreeConfig(layers=4), budget, trials=10, seed=1,
+                      staged=False)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_mc_staged_out_of_range_raises():
+    budget = HypercellBudget(t=1e-25, tau_e=1.0, tau_d=1.0, eps=1e-5)
+    with pytest.raises(DomainError):
+        mc_tree_build(TreeConfig(layers=1), budget, trials=1, seed=1)
+
+
+def test_tree_port_ceiling():
+    assert TreeConfig(layers=61).ports == 2**62
+    with pytest.raises(ValidationError):
+        TreeConfig(layers=62)
+
+
+def test_boundary_scan_with_trials_on_default_grids():
+    rows = boundary_scan((1e-6, 1e-5, 1e-4, 1e-3), (0.1, 1.0, 10.0, 100.0),
+                         trials=200, seed=1)
+    assert len(rows) == 16
+    assert max(row["layers_opt"] for row in rows) == 33
+
+
+@pytest.mark.parametrize("layers, staged", [(4, True), (1, False)])
+def test_mc_tree_build_repeatable(layers, staged):
+    config = TreeConfig(layers=layers)
+    budget = HypercellBudget(t=3 / 32, tau_e=1.0, tau_d=1e4, eps=1e-5)
+    first = mc_tree_build(config, budget, trials=700, seed=3, staged=staged)
+    assert first == mc_tree_build(config, budget, trials=700, seed=3,
+                                  staged=staged)

@@ -12,3 +12,13 @@ def test_streams_pinned():
     for (seed, stream), draws in pinned.items():
         rng = philox_stream(seed, stream)
         assert rng.integers(0, 2**63, size=2).tolist() == draws
+
+
+def test_streams_match_jumped_reference():
+    import numpy as np
+    for seed, stream in [(0, 0), (5, 3), (2**128 - 1, 1), (9, 2**20)]:
+        reference = np.random.Philox(key=seed)
+        if stream:
+            reference = reference.jumped(stream)
+        expected = np.random.Generator(reference).random(5)
+        assert (philox_stream(seed, stream).random(5) == expected).all()
