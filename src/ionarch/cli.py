@@ -214,11 +214,11 @@ def _cmd_netsim(args, cfg) -> int:
 
 
 def _cmd_hypercell(args, cfg) -> int:
-    seed = config.resolve(args.seed, cfg, "run.seed", 1)
     if args.scan:
+        if args.trials:
+            raise ValidationError("--trials is for point mode only")
         rows = hypercell.boundary_scan(_grid(args.eps_grid),
-                                       _grid(args.ratio_grid),
-                                       trials=args.trials, seed=seed)
+                                       _grid(args.ratio_grid))
         _emit(args, payload={"rows": rows} if args.json else None,
               csv_text=hypercell.boundary_rows_to_csv(rows))
         return 0
@@ -241,6 +241,7 @@ def _cmd_hypercell(args, cfg) -> int:
         "cost": hypercell.hypercell_cost(budget.p, cfg_tree.c)["log_cost"],
     }
     if args.trials:
+        seed = config.resolve(args.seed, cfg, "run.seed", 1)
         payload["mc"] = hypercell.mc_tree_build(cfg_tree, budget, args.trials,
                                                 seed)
     _emit(args, payload=payload)

@@ -12,25 +12,26 @@ from .errors import ValidationError
 
 _MICRO = 1e-6
 
-# key -> type
-KNOWN_KEYS = {
-    "device.t_single_gate_us": float,
-    "device.t_two_gate_us": float,
-    "device.t_toffoli_us": float,
-    "device.t_measure_us": float,
-    "device.t_remote_entangle_us": float,
-    "device.gamma_hz": float,             # linewidth over 2*pi, in Hz
-    "device.repetition_rate_hz": float,
-    "device.dark_rate_hz": float,
-    "device.p_excite": float,
-    "device.solid_angle_fraction": float,
-    "device.detector_efficiency": float,
-    "device.tau_decoherence_s": float,
-    "device.reinit_time_us": float,
-    "run.seed": int,
-    "run.samples": int,
-    "run.pairs": int,
+# device key -> (DeviceParams field, scale to SI units)
+_DEVICE_KEYS = {
+    "device.t_single_gate_us": ("t_single_gate", _MICRO),
+    "device.t_two_gate_us": ("t_two_gate", _MICRO),
+    "device.t_toffoli_us": ("t_toffoli", _MICRO),
+    "device.t_measure_us": ("t_measure", _MICRO),
+    "device.t_remote_entangle_us": ("t_remote_entangle", _MICRO),
+    "device.gamma_hz": ("gamma", TWO_PI),     # linewidth over 2*pi, in Hz
+    "device.repetition_rate_hz": ("repetition_rate", 1.0),
+    "device.dark_rate_hz": ("dark_rate", 1.0),
+    "device.p_excite": ("p_excite", 1.0),
+    "device.solid_angle_fraction": ("solid_angle_fraction", 1.0),
+    "device.detector_efficiency": ("detector_efficiency", 1.0),
+    "device.tau_decoherence_s": ("tau_decoherence", 1.0),
+    "device.reinit_time_us": ("reinit_time", _MICRO),
 }
+
+# key -> type
+KNOWN_KEYS = {**dict.fromkeys(_DEVICE_KEYS, float),
+              "run.seed": int, "run.samples": int, "run.pairs": int}
 
 
 def parse_config_text(text: str) -> dict:
@@ -69,22 +70,7 @@ def device_from_config(cfg: dict, **overrides) -> DeviceParams:
     win over the config file; ``None`` overrides are ignored.
     """
     kwargs = {}
-    mapping = {
-        "device.t_single_gate_us": ("t_single_gate", _MICRO),
-        "device.t_two_gate_us": ("t_two_gate", _MICRO),
-        "device.t_toffoli_us": ("t_toffoli", _MICRO),
-        "device.t_measure_us": ("t_measure", _MICRO),
-        "device.t_remote_entangle_us": ("t_remote_entangle", _MICRO),
-        "device.gamma_hz": ("gamma", TWO_PI),
-        "device.repetition_rate_hz": ("repetition_rate", 1.0),
-        "device.dark_rate_hz": ("dark_rate", 1.0),
-        "device.p_excite": ("p_excite", 1.0),
-        "device.solid_angle_fraction": ("solid_angle_fraction", 1.0),
-        "device.detector_efficiency": ("detector_efficiency", 1.0),
-        "device.tau_decoherence_s": ("tau_decoherence", 1.0),
-        "device.reinit_time_us": ("reinit_time", _MICRO),
-    }
-    for key, (field, scale) in mapping.items():
+    for key, (field, scale) in _DEVICE_KEYS.items():
         if key in cfg:
             kwargs[field] = cfg[key] * scale
     for field, value in overrides.items():

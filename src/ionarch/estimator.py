@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,20 +26,15 @@ CSV_COLUMNS = ["n", "layout", "circuit", "level", "depth_total",
                "toffoli_steps", "time_s", "qubits", "parallel_ops"]
 
 
-def floor_log2(x) -> int:
-    """floor(log2(x)) for a positive int or Fraction, exactly."""
-    if x <= 0:
-        raise ValidationError("floor_log2 requires a positive argument")
-    if isinstance(x, int):
-        return x.bit_length() - 1
-    frac = Fraction(x)
-    if frac >= 1:
-        return (frac.numerator // frac.denominator).bit_length() - 1
-    e = 0
-    while frac < 1:
-        frac *= 2
-        e -= 1
-    return e
+def floor_log2(x: int) -> int:
+    """floor(log2(x)) for a positive integer, exactly.
+
+    For n >= 3, floor(log2(n/3)) is ``floor_log2(n // 3)``: 2**e <= n/3 holds
+    exactly when 2**e <= n // 3.
+    """
+    if not isinstance(x, numbers.Integral) or x <= 0:
+        raise ValidationError("floor_log2 requires a positive integer")
+    return int(x).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ def qcla_depth(n: int) -> DepthProfile:
     if n <= 6:
         raise NTooSmall(f"carry-lookahead depth formula requires n > 6, got {n}")
     total = (floor_log2(n) + floor_log2(n - 1)
-             + floor_log2(Fraction(n, 3)) + floor_log2(Fraction(n - 1, 3)) + 14)
+             + floor_log2(n // 3) + floor_log2((n - 1) // 3) + 14)
     return DepthProfile(x_steps=2, cnot_steps=4, toffoli_steps=total - 6)
 
 
@@ -75,7 +71,7 @@ def qla_comm_steps(n: int) -> Fraction:
     if n <= 6:
         raise NTooSmall(f"communication-step formula requires n > 6, got {n}")
     total = Fraction(0)
-    for x in (Fraction(n), Fraction(n - 1), Fraction(n, 3), Fraction(n - 1, 3)):
+    for x in (n, n - 1, n // 3, (n - 1) // 3):
         t = floor_log2(x)
         total += Fraction(t * (t + 17), 4)
     return total
@@ -154,12 +150,6 @@ def adder_execution_time(n: int, layout: ArchLayout,
             + profile.cnot_steps * steps["cnot"]
             + profile.x_steps * steps["x"]
             + comm)
-
-
-def logical_toffoli_step_time(layout: ArchLayout, table: LogicalCostTable) -> float:
-    """One Toffoli time step including the layout's folded correction rounds."""
-    return (table.time(Primitive.TOFFOLI)
-            + layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND))
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not

@@ -301,15 +301,13 @@ BOUNDARY_CSV_COLUMNS = ["eps", "ratio", "t_opt", "layers_opt", "eps_total",
 
 
 def boundary_scan(eps_grid, ratio_grid, config: TreeConfig | None = None,
-                  trials: int = 0, seed: int = 0,
                   t_points: int = 120, eps_crit: float = 2.9e-3) -> list[dict]:
     """Feasibility map over gate error and tau_E/tau_D.
 
     For each grid point the attempt time is swept logarithmically over the
     valid domain of the error formulas (tree depth follows from the port
     target c/p); a point is feasible when some t keeps the total error below
-    eps_crit.  With ``trials`` > 0 each feasible optimum is cross-checked by
-    the tree Monte Carlo.
+    eps_crit.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid))
     ratio_grid = sorted(set(float(x) for x in ratio_grid))
@@ -337,20 +335,11 @@ def boundary_scan(eps_grid, ratio_grid, config: TreeConfig | None = None,
                                                         config.c),
                             "p_fail": fail_prob(min(budget.p, 1.0),
                                                 max(int(m), 1))["exact"]}
-            feasible = best["eps_total"] < eps_crit
-            if feasible and trials > 0:
-                mc_cfg = TreeConfig(elu_coordination=config.elu_coordination,
-                                    layers=best["layers_opt"], c=config.c)
-                mc_budget = HypercellBudget(t=best["t_opt"], tau_e=tau_e,
-                                            tau_d=tau_d, eps=eps,
-                                            eps_crit=eps_crit)
-                mc = mc_tree_build(mc_cfg, mc_budget, trials, seed)
-                feasible = mc["success_rate"] > 0.5
             rows.append({
                 "eps": eps, "ratio": ratio,
                 "t_opt": best["t_opt"], "layers_opt": best["layers_opt"],
                 "eps_total": best["eps_total"], "p_fail": best["p_fail"],
-                "feasible": feasible,
+                "feasible": best["eps_total"] < eps_crit,
             })
     return rows
 

@@ -1,4 +1,4 @@
-"""Seeded discrete-event simulation of the photonic entanglement fabric.
+"""Seeded simulation of the photonic entanglement fabric.
 
 Attempt semantics: every active TDM slot (communication ion) fires one
 heralded attempt per repetition period 1/R; a failed ion is blocked for its
@@ -8,12 +8,11 @@ their entanglement into memory and re-enter the rotation on the same
 schedule.  Every link request draws from its own counter-based stream,
 ``philox_stream(seed, request_id)``: ``run_link_sim``'s single request is
 stream 0, and in a Toffoli pipeline the request of gate ``g`` to operand
-``op`` (0, 1, 2) is stream ``3*g + op``.  Events are processed in (time,
-sequence) order, so identical seeds give bit-identical event logs.  One
-request runner serves both simulators.  It draws an uncontended request in
-bulk by a closed form that reproduces the event engine draw for draw, and
-runs the engine, the closed form's oracle, only for event logs or when the
-herald latency reaches the attempt spacing.
+``op`` (0, 1, 2) is stream ``3*g + op``.  One request runner serves both
+simulators.  It draws each request in bulk by a closed form and writes the
+event log from the same draws, in the (time, sequence) order of the
+discrete-event engine, so identical seeds give bit-identical results and
+logs.  The engine itself is kept as the closed form's oracle for tests.
 """
 
 from __future__ import annotations
@@ -35,7 +34,20 @@ from .steane import LogicalCostTable
 class EventKind(Enum):
     ATTEMPT_START = "AttemptStart"
     HERALD = "Herald"
-    GATE_DONE = "GateDone"
+
+
+def _herald_kind(ok: bool) -> str:
+    return f"{EventKind.HERALD.value}({'ok' if ok else 'fail'})"
+
+
+# An event-log line is the time stamp followed by the fields:
+# "time,kind,register,port,request".
+def _log_stamp(time: float) -> str:
+    return f"{time:.9e}"
+
+
+def _log_fields(kind: str, elu: int, port: int, request: int) -> str:
+    return f",{kind},{elu},{port},{request}"
 
 
 @dataclass(frozen=True)
@@ -50,8 +62,9 @@ class SimEvent:
     def log_line(self) -> str:
         kind = self.kind.value
         if self.kind is EventKind.HERALD:
-            kind = f"Herald({'ok' if self.success else 'fail'})"
-        return f"{self.time:.9e},{kind},{self.elu},{self.port},{self.request}"
+            kind = _herald_kind(self.success)
+        return (_log_stamp(self.time)
+                + _log_fields(kind, self.elu, self.port, self.request))
 
 
 class EventQueue:
@@ -127,8 +140,8 @@ class _Ion:
     """One TDM slot: an attempt stream on a fixed per-ion grid.
 
     Attempt k happens at ``start + k * tick``; keeping the grid arithmetic
-    multiplicative (not accumulated) makes the event engine and the batched
-    closed-form path bit-identical.
+    multiplicative (not accumulated) makes the event engine and the closed
+    form bit-identical.
     """
 
     elu: int
@@ -140,75 +153,74 @@ class _Ion:
         return self.start + self.ticks * tick
 
 
-def _attempt_tick(params: DeviceParams, herald_latency: float,
-                  overlap_feedback: bool) -> float:
-    """Per-ion attempt spacing: repetition period or herald + reinit."""
-    block = 0.0 if overlap_feedback else herald_latency
-    return max(1.0 / params.rep_rate, block + params.reinit_time)
+def _attempt_tick(params: DeviceParams, herald_latency: float) -> float:
+    """Per-ion attempt spacing: repetition period or herald + reinit.
+
+    The closed form and its log assume that every herald arrives before its
+    ion's next attempt.  The spacing exceeds the latency by the
+    re-initialization time, unless that vanishes next to the latency in
+    floating point; such a latency is rejected.
+    """
+    if not 0.0 <= herald_latency < math.inf:
+        raise ValidationError(
+            f"herald latency {herald_latency} must be finite and non-negative")
+    tick = max(1.0 / params.rep_rate, herald_latency + params.reinit_time)
+    if herald_latency >= tick:
+        raise ValidationError(
+            f"herald latency {herald_latency} s reaches the attempt spacing "
+            f"{tick} s")
+    return tick
 
 
 class _LinkEngine:
     """Event-driven attempt/herald machinery: the exact oracle of the closed form.
 
-    Request ``request_id`` draws from ``philox_stream(seed, request_id)``, and
-    every request group runs on its own queue, so a request's draws and times
-    depend neither on the other requests nor on earlier groups.  Log lines go
-    to ``emit`` one at a time.
+    Drives one request at a time on its own queue, one uniform per attempt;
+    log lines go to ``emit`` one at a time.  No simulator runs it: tests
+    compare the closed form with it through ``_engine_link_run``.
     """
 
-    def __init__(self, p_success: float, seed: int, tick: float,
-                 herald_latency: float, emit=None):
+    def __init__(self, p_success: float, tick: float, herald_latency: float,
+                 emit=None):
         self.p = p_success
-        self.seed = seed
         self.tick = tick
         self.herald_latency = herald_latency
         self.emit = emit
         self.attempts = 0
         self.heralds_ok = 0
 
-    def _emit(self, event: SimEvent):
-        if self.emit is not None:
-            self.emit(event.log_line())
-
-    def run_request_group(self, requests, ions_by_request, start: float):
-        """Drive concurrent requests to completion."""
+    def run_request(self, request: EntanglementRequest, ions, rng):
+        """Drive ``request`` to completion over ``ions``, drawing from ``rng``."""
         w = self.herald_latency
         tick = self.tick
         queue = EventQueue()
 
-        def schedule_attempt(ion, request, rng):
+        def schedule_attempt(ion):
             t = max(ion.next_allowed(tick), queue.clock)
-            ev = SimEvent(t, EventKind.ATTEMPT_START, ion.elu, ion.port,
-                          request.request_id)
-            queue.push(ev, (ion, request, rng))
+            queue.push(SimEvent(t, EventKind.ATTEMPT_START, ion.elu, ion.port,
+                                request.request_id), ion)
 
-        for request in requests:
-            rng = philox_stream(self.seed, request.request_id)
-            for ion in ions_by_request[request.request_id]:
-                ion.start = max(ion.start, start)
-                schedule_attempt(ion, request, rng)
-
+        for ion in ions:
+            schedule_attempt(ion)
         while len(queue):
-            event, ctx = queue.pop()
+            event, ion = queue.pop()
+            if self.emit is not None:
+                self.emit(event.log_line())
             if event.kind is EventKind.ATTEMPT_START:
-                ion, request, rng = ctx
-                self._emit(event)
                 self.attempts += 1
                 ok = bool(rng.random() < self.p)
-                herald = SimEvent(event.time + w, EventKind.HERALD, ion.elu,
-                                  ion.port, request.request_id, success=ok)
-                queue.push(herald, ctx)
+                queue.push(SimEvent(event.time + w, EventKind.HERALD, ion.elu,
+                                    ion.port, request.request_id, success=ok),
+                           ion)
                 ion.ticks += 1
             else:       # HERALD
-                ion, request, rng = ctx
-                self._emit(event)
                 if event.success:
                     self.heralds_ok += 1
                 if not request.done:
                     if event.success:
                         request.register(event.time)
                     if not request.done:
-                        schedule_attempt(ion, request, rng)
+                        schedule_attempt(ion)
 
 
 def _effective_multiplexity(m_p: int | None, m_t: int | None,
@@ -229,124 +241,143 @@ def _link_probability(link: LinkModel, p_override: float | None) -> float:
     return p
 
 
-def _check_herald_latency(herald_latency: float):
-    if not 0.0 <= herald_latency < math.inf:
-        raise ValidationError(
-            f"herald latency {herald_latency} must be finite and non-negative")
+def _log_ticks(emit, outcomes: list, first_tick: int, ports: list, tick: float,
+               w: float, start: float, elu: int, request: int):
+    """Write the event log of consecutive attempts, one tick at a time.
+
+    ``outcomes`` are the attempts from tick ``first_tick`` on, in (tick, ion)
+    order, and ion ``i`` sits on port ``ports[i]``.  Tick k logs its
+    AttemptStart lines at ``start + k * tick`` in ion order, then their Herald
+    lines at ``+ w``; a short last tick holds the drained attempts of the
+    ions ranked first and is logged the same way.
+    """
+    attempt = [_log_fields(EventKind.ATTEMPT_START.value, elu, port, request)
+               for port in ports]
+    herald = [(_log_fields(_herald_kind(False), elu, port, request),
+               _log_fields(_herald_kind(True), elu, port, request))
+              for port in ports]
+    n_ions = len(ports)
+    for j in range(0, len(outcomes), n_ions):
+        t = start + (first_tick + j // n_ions) * tick
+        heralds = outcomes[j:j + n_ions]
+        stamp = _log_stamp(t)
+        for fields in attempt[:len(heralds)]:
+            emit(stamp + fields)
+        stamp = _log_stamp(t + w)
+        for fields, ok in zip(herald, heralds):
+            emit(stamp + fields[ok])
 
 
-def _closed_form_link_run(p: float, n_pairs: int, n_ions: int, tick: float,
-                          w: float, seed: int, stream: int = 0,
-                          start: float = 0.0) -> dict:
-    """Batched equivalent of the event engine for one uncontended request.
+def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
+                          tick: float, w: float, seed: int, stream: int = 0,
+                          start: float = 0.0, elu: int = 0, emit=None) -> dict:
+    """One uncontended request on register ``elu``, drawn in bulk.
 
-    The request draws from ``philox_stream(seed, stream)``.  With a common
-    start and a uniform per-ion cadence, the engine processes attempts tick by
-    tick in ion order and consumes one uniform per attempt, so outcomes can be
-    drawn in bulk in the same stream order; attempt k heralds at
-    ``(start + k * tick) + w``, the engine's own float arithmetic.  After the
-    pair completing the request heralds, the engine drains the already
-    scheduled attempts of the next tick (the ions whose heralds preceded the
-    completing one), which is reproduced exactly here.
+    The request draws from ``philox_stream(seed, stream)`` over
+    ``ports * tdm`` ions; ion ``i`` sits on port ``i // tdm``.  With a common
+    start and a uniform per-ion cadence, the event engine processes attempts
+    tick by tick in ion order and consumes one uniform per attempt, so
+    outcomes can be drawn in bulk in the same stream order; attempt k
+    heralds at ``(start + k * tick) + w``, the engine's own float
+    arithmetic.  After the pair completing the request heralds, the engine
+    drains the already scheduled attempts of the next tick (the ions whose
+    heralds preceded the completing one), which is reproduced exactly here.
+    ``emit`` receives the engine's event log line by line.
     """
     rng = philox_stream(seed, stream)
+    n_ions = ports * tdm
+    port_of = [i // tdm for i in range(n_ions)]
     hit_ticks: list[np.ndarray] = []
-    successes_seen = 0
-    tick_base = 0
+    needed = n_pairs
+    attempts = heralds_ok = tick_base = 0
     # about twice the expected attempts, at most 2**16 uniforms per chunk;
     # the chunking does not change which draw decides which attempt
     chunk_ticks = max(1, math.ceil(min((1 << 16) // n_ions,
                                        2 * n_pairs / (p * n_ions))))
-    while True:
+    while needed:
         draws = rng.random(chunk_ticks * n_ions) < p
-        hits = draws.nonzero()[0]
-        if successes_seen + hits.size < n_pairs:
-            successes_seen += hits.size
-            hit_ticks.append(tick_base + hits // n_ions)
-            tick_base += chunk_ticks
-            continue
-        final = int(hits[n_pairs - 1 - successes_seen])
-        hit_ticks.append(tick_base + hits[:n_pairs - successes_seen] // n_ions)
-        k_done, rank = divmod(final, n_ions)
-        # attempts: every ion through tick k_done, plus the drained attempts
-        # of the ions already rescheduled before the completing herald
-        attempts = (tick_base + k_done + 1) * n_ions + rank
-        drawn = attempts - tick_base * n_ions
-        heralds_ok = successes_seen + int(draws[:drawn].sum())
-        if drawn > draws.size:      # drained tick spills into the next chunk
-            extra = rng.random(drawn - draws.size) < p
-            heralds_ok += int(extra.sum())
-        completions = (start + np.concatenate(hit_ticks) * tick) + w
-        return {"completions": completions.tolist(), "attempts": attempts,
-                "heralds_ok": heralds_ok}
+        hits = draws.nonzero()[0][:needed]
+        if hits.size == needed:
+            # the completing pair heralds on the ion of rank `rank`; the ions
+            # ranked before it have already started their next attempt
+            k_done, rank = divmod(int(hits[-1]), n_ions)
+            drawn = (k_done + 1) * n_ions + rank
+            if drawn > draws.size:      # drained tick spills into the next chunk
+                draws = np.concatenate([draws,
+                                        rng.random(drawn - draws.size) < p])
+            draws = draws[:drawn]
+        if emit is not None:
+            _log_ticks(emit, draws.tolist(), tick_base, port_of, tick, w,
+                       start, elu, stream)
+        attempts += draws.size
+        heralds_ok += int(draws.sum())
+        hit_ticks.append(tick_base + hits // n_ions)
+        needed -= hits.size
+        tick_base += chunk_ticks
+    completions = (start + np.concatenate(hit_ticks) * tick) + w
+    return {"completions": completions.tolist(), "attempts": attempts,
+            "heralds_ok": heralds_ok}
+
+
+def _engine_link_run(p: float, n_pairs: int, ports: int, tdm: int,
+                     tick: float, w: float, seed: int, stream: int = 0,
+                     start: float = 0.0, elu: int = 0, emit=None) -> dict:
+    """``_closed_form_link_run`` run by the event engine: the test oracle."""
+    engine = _LinkEngine(p, tick, w, emit)
+    request = EntanglementRequest(n_pairs, request_id=stream)
+    ions = [_Ion(elu, i // tdm, start) for i in range(ports * tdm)]
+    engine.run_request(request, ions, philox_stream(seed, stream))
+    return {"completions": request.completion_times,
+            "attempts": engine.attempts, "heralds_ok": engine.heralds_ok}
 
 
 def _run_requests(streams, registers, n_pairs: int, ports: int, tdm: int,
                   p: float, tick: float, w: float, seed: int, start: float,
-                  emit) -> tuple[list, int, int]:
+                  emit=None) -> tuple[list, int, int]:
     """Serve a group of concurrent, uncontended link requests.
 
     Request ``streams[i]`` draws from ``philox_stream(seed, streams[i])``,
     logs register ``registers[i]`` and needs ``n_pairs`` heralded pairs over
     ``ports * tdm`` ions that start attempting at ``start``.  Returns each
     request's completion times, the attempt count and the heralded successes.
-    The event engine runs when ``emit`` takes log lines or the herald latency
-    reaches the attempt spacing; otherwise the closed form, its draw-for-draw
-    equivalent, does.
+    Each request is one closed-form run; ``emit`` takes their log lines
+    request by request.
     """
-    if emit is None and w < tick:
-        runs = [_closed_form_link_run(p, n_pairs, ports * tdm, tick, w, seed,
-                                      stream=s, start=start)
-                for s in streams]
-        return ([run["completions"] for run in runs],
-                sum(run["attempts"] for run in runs),
-                sum(run["heralds_ok"] for run in runs))
-    engine = _LinkEngine(p, seed, tick, w, emit)
-    requests = [EntanglementRequest(n_pairs, request_id=s) for s in streams]
-    ions = {s: [_Ion(elu, port) for port in range(ports) for _ in range(tdm)]
-            for s, elu in zip(streams, registers)}
-    engine.run_request_group(requests, ions, start)
-    return ([request.completion_times for request in requests],
-            engine.attempts, engine.heralds_ok)
+    runs = [_closed_form_link_run(p, n_pairs, ports, tdm, tick, w, seed,
+                                  stream=s, start=start, elu=elu, emit=emit)
+            for s, elu in zip(streams, registers)]
+    return ([run["completions"] for run in runs],
+            sum(run["attempts"] for run in runs),
+            sum(run["heralds_ok"] for run in runs))
 
 
 def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
                  n_pairs: int, seed: int, m_p: int | None = None,
                  m_t: int | None = None, herald_latency: float = 10e-9,
-                 overlap_feedback: bool = False,
-                 collect_log: bool = False,
                  p_override: float | None = None,
                  log_sink=None) -> dict:
     """Generate ``n_pairs`` heralded pairs between two registers.
 
     Returns the makespan, per-pair inter-completion latencies, attempt count
-    and success count.  The event log is returned as ``event_log`` with
-    ``collect_log``, or passed line by line to the callable ``log_sink``;
-    either runs the event engine, which otherwise serves only when the herald
-    latency reaches the attempt spacing.  ``p_override`` replaces the physical
-    success probability (for degenerate-link studies).  The single request
-    draws from stream 0 of ``seed``.
+    and success count.  The callable ``log_sink`` receives the event log line
+    by line.  ``p_override`` replaces the physical success probability (for
+    degenerate-link studies).  The single request draws from stream 0 of
+    ``seed``.
     """
     if n_pairs < 1:
         raise ValidationError("n_pairs must be at least 1")
-    if collect_log and log_sink is not None:
-        raise ValidationError("collect_log and log_sink are exclusive")
     ports, tdm = _effective_multiplexity(m_p, m_t,
                                          min(elu_a.ports, elu_b.ports),
                                          min(elu_a.m_t, elu_b.m_t))
     p = _link_probability(link, p_override)
-    _check_herald_latency(herald_latency)
-    log: list | None = [] if collect_log else None
-    emit = log.append if log is not None else log_sink
-
-    tick = _attempt_tick(link.params, herald_latency, overlap_feedback)
+    tick = _attempt_tick(link.params, herald_latency)
     (times,), attempts, heralds_ok = _run_requests(
         [0], [elu_a.elu_id], n_pairs, ports, tdm, p, tick, herald_latency,
-        seed, start=0.0, emit=emit)
+        seed, start=0.0, emit=log_sink)
     makespan = times[-1]
     latencies = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
     busy = n_pairs * herald_latency
-    result = {
+    return {
         "makespan_s": makespan,
         "latencies_s": latencies,
         "mean_pair_latency_s": makespan / n_pairs,
@@ -355,9 +386,6 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
         "heralded_successes": heralds_ok,
         "link_wait_fraction": max(0.0, 1.0 - busy / makespan) if makespan else 0.0,
     }
-    if collect_log:
-        result["event_log"] = log
-    return result
 
 
 def summary_json(result: dict) -> str:
@@ -375,7 +403,6 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
                          link: LinkModel, seed: int,
                          m_p: int | None = None, m_t: int | None = None,
                          herald_latency: float = 10e-9,
-                         collect_log: bool = False,
                          p_override: float | None = None) -> dict:
     """Simulate sequential teleported Toffoli gates on fresh registers.
 
@@ -385,8 +412,7 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     ports; the gate completes after the slower of the two phases plus the
     teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
     from stream ``3*g + op`` of ``seed``; being independent and uncontended,
-    the three requests run as three closed-form link runs, unless the event
-    log is collected or the herald latency reaches the attempt spacing.
+    the three requests run as three closed-form link runs.
     """
     if n_toffolis < 1:
         raise ValidationError("n_toffolis must be at least 1")
@@ -394,10 +420,7 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     ports, tdm = _effective_multiplexity(m_p, m_t, getattr(layout, "m_p", 2),
                                          getattr(layout, "m_t", 10))
     p = _link_probability(link, p_override)
-    _check_herald_latency(herald_latency)
-    tick = _attempt_tick(link.params, herald_latency, overlap_feedback=False)
-    log: list | None = [] if collect_log else None
-    emit = log.append if log is not None else None
+    tick = _attempt_tick(link.params, herald_latency)
 
     prep = table.phi_plus_prep_time
     teleport = table.toffoli_teleport_time
@@ -409,15 +432,12 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
         streams = range(3 * k, 3 * k + 3)      # one per operand register
         completions, gate_attempts, _ = _run_requests(
             streams, streams, PAIRS_PER_OPERAND, ports, tdm, p, tick,
-            herald_latency, seed, start=t, emit=emit)
+            herald_latency, seed, start=t)
         links_end = max(times[-1] for times in completions)
         attempts += gate_attempts
         prep_end = t + prep
         gate_end = max(prep_end, links_end) + teleport
         link_wait += max(0.0, links_end - prep_end)
-        if log is not None:
-            log.append(SimEvent(gate_end, EventKind.GATE_DONE,
-                                elu=k, request=k).log_line())
         gate_times.append(gate_end - t)
         t = gate_end
     return {
@@ -426,5 +446,4 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
         "mean_gate_time_s": t / n_toffolis,
         "link_wait_fraction": link_wait / t if t else 0.0,
         "attempts": attempts,
-        "event_log": log if collect_log else None,
     }

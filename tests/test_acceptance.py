@@ -205,8 +205,9 @@ def test_criterion_09_netsim():
     gain = base["makespan_s"] / tdm["makespan_s"]
     assert abs(gain - 20.0) / 20.0 <= 0.15
 
-    log1 = run_link_sim(link, *elus, 200, seed=5, collect_log=True)["event_log"]
-    log2 = run_link_sim(link, *elus, 200, seed=5, collect_log=True)["event_log"]
+    log1, log2 = [], []
+    run_link_sim(link, *elus, 200, seed=5, log_sink=log1.append)
+    run_link_sim(link, *elus, 200, seed=5, log_sink=log2.append)
     assert log1 == log2
 
 

@@ -95,7 +95,22 @@ def test_netsim_zero_probability_exit(capsys):
     assert code == 2
 
 
-def test_netsim_event_log_deterministic(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def engine_log(on_engine):
+    """The event engine's log of `netsim --pairs 30 --seed 9
+    --repetition-rate-hz 500000`, as the bytes of a log file."""
+    from ionarch.config import device_from_config
+    from ionarch.device import LinkModel, LinkType
+    from ionarch.netsim import EluState, run_link_sim
+    link = LinkModel(LinkType.TYPE_I,
+                     device_from_config({}, repetition_rate=500000.0))
+    lines = []
+    on_engine(run_link_sim, link, EluState(0), EluState(1), 30, 9,
+              log_sink=lines.append)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_netsim_event_log_deterministic(tmp_path, capsys, engine_log):
     log_a = tmp_path / "a.log"
     log_b = tmp_path / "b.log"
     for path in (log_a, log_b):
@@ -103,22 +118,32 @@ def test_netsim_event_log_deterministic(tmp_path, capsys):
                              "--repetition-rate-hz", "500000",
                              "--log", str(path))
         assert code == 0
-    assert log_a.read_bytes() == log_b.read_bytes()
+    assert log_a.read_bytes() == log_b.read_bytes() == engine_log
 
 
-def test_netsim_log_streams_the_collected_lines(tmp_path, capsys):
-    from ionarch.config import device_from_config
-    from ionarch.device import LinkModel, LinkType
-    from ionarch.netsim import EluState, run_link_sim
+def test_netsim_log_streams_the_collected_lines(tmp_path, capsys, engine_log):
     path = tmp_path / "events.log"
-    code, _, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
-                         "--repetition-rate-hz", "500000", "--log", str(path))
+    code, out, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
+                           "--repetition-rate-hz", "500000", "--log",
+                           str(path))
     assert code == 0
-    link = LinkModel(LinkType.TYPE_I,
-                     device_from_config({}, repetition_rate=500000.0))
-    collected = run_link_sim(link, EluState(0), EluState(1), 30, 9,
-                             collect_log=True)["event_log"]
-    assert path.read_bytes() == ("\n".join(collected) + "\n").encode()
+    assert path.read_bytes() == engine_log
+    _, plain, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
+                          "--repetition-rate-hz", "500000")
+    assert out == plain
+
+
+def test_netsim_herald_latency_reaching_spacing_exit(tmp_path, capsys):
+    # 10 ns of herald latency plus 1e-30 s of re-initialization rounds to the
+    # 10 ns herald latency itself, the attempt spacing at 1 GHz
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("device.reinit_time_us = 1e-24\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "netsim", "--pairs", "3", "--seed", "1",
+                             "--repetition-rate-hz", "1e9",
+                             "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: herald latency") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -154,6 +179,17 @@ def test_hypercell_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "eps,ratio,t_opt,layers_opt,eps_total,p_fail,feasible"
     assert len(lines) == 5
+
+
+def test_hypercell_scan_rejects_trials(capsys):
+    # the scan runs no Monte Carlo; --trials belongs to point mode
+    code, out, err = run_cli(capsys, "hypercell", "--scan", "--trials", "200")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trials is for point mode only\n"
+    code, out, _ = run_cli(capsys, "hypercell", "--scan", "--trials", "0")
+    assert code == 0
+    assert out == run_cli(capsys, "hypercell", "--scan")[1]
 
 
 def test_hypercell_point(capsys):

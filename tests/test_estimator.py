@@ -9,7 +9,7 @@ from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import NTooSmall, ValidationError
 from ionarch.estimator import (CSV_COLUMNS, adder_execution_time, adder_resources,
-                               adder_row, crossover_scan, qcla_depth,
+                               adder_row, crossover_scan, floor_log2, qcla_depth,
                                qla_comm_steps, qla_teleport_distance,
                                rows_to_csv, shor_estimate)
 from ionarch.steane import table_at_level
@@ -58,6 +58,14 @@ def test_depth_formulas_exhaustive():
     for n in range(7, 4097):
         assert qcla_depth(n).total == depth_oracle(n), n
         assert qla_comm_steps(n) == comm_oracle(n), n
+
+
+def test_floor_log2_integers_only():
+    for n in range(3, 4097):
+        assert floor_log2(n // 3) == floor_log2_oracle(n, 3), n
+    for bad in (0, -4, Fraction(7, 3), 2.0):
+        with pytest.raises(ValidationError):
+            floor_log2(bad)
 
 
 def test_depth_formulas_large_n():

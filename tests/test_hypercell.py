@@ -263,9 +263,8 @@ def test_tree_port_ceiling():
         TreeConfig(layers=62)
 
 
-def test_boundary_scan_with_trials_on_default_grids():
-    rows = boundary_scan((1e-6, 1e-5, 1e-4, 1e-3), (0.1, 1.0, 10.0, 100.0),
-                         trials=200, seed=1)
+def test_boundary_scan_on_default_grids():
+    rows = boundary_scan((1e-6, 1e-5, 1e-4, 1e-3), (0.1, 1.0, 10.0, 100.0))
     assert len(rows) == 16
     assert max(row["layers_opt"] for row in rows) == 33
 

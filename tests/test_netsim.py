@@ -103,27 +103,32 @@ def test_throughput_gain_of_multiplexing():
     assert gain == pytest.approx(20.0, rel=0.15)
 
 
+def event_log(*args, **kwargs):
+    """run_link_sim's result and the event log it streams."""
+    lines = []
+    return run_link_sim(*args, log_sink=lines.append, **kwargs), lines
+
+
 def test_identical_seeds_identical_logs():
     link = slow_rep_link()
-    r1 = run_link_sim(link, *default_elus(), 300, seed=5, collect_log=True)
-    r2 = run_link_sim(link, *default_elus(), 300, seed=5, collect_log=True)
-    assert r1["event_log"] == r2["event_log"]
-    r3 = run_link_sim(link, *default_elus(), 300, seed=6, collect_log=True)
-    assert r1["event_log"] != r3["event_log"]
+    _, log1 = event_log(link, *default_elus(), 300, seed=5)
+    _, log2 = event_log(link, *default_elus(), 300, seed=5)
+    assert log1 == log2
+    _, log3 = event_log(link, *default_elus(), 300, seed=6)
+    assert log1 != log3
 
 
 def test_event_log_format_and_causality():
-    result = run_link_sim(slow_rep_link(), *default_elus(), 40, seed=5,
-                          collect_log=True)
+    result, log = event_log(slow_rep_link(), *default_elus(), 40, seed=5)
     times = []
-    for line in result["event_log"]:
+    for line in log:
         fields = line.split(",")
         assert len(fields) == 5
         assert fields[1] in ("AttemptStart", "Herald(ok)", "Herald(fail)")
         times.append(float(fields[0]))
     assert times == sorted(times)
     # one AttemptStart and one Herald line per attempt, nothing else
-    assert len(result["event_log"]) == 2 * result["attempts"]
+    assert len(log) == 2 * result["attempts"]
 
 
 def test_conservation_pairs_and_circuits():
@@ -131,47 +136,44 @@ def test_conservation_pairs_and_circuits():
     assert result["successes"] <= result["attempts"]
 
 
-def test_batched_path_matches_event_engine():
-    # collect_log=True forces the event engine; without it the batched
-    # closed-form path runs.  Same seed, same draws, identical results.
+def test_batched_path_matches_event_engine(on_engine):
+    # the event engine, swapped in for the closed form, is its oracle: same
+    # seed, same draws, identical results and event logs
     keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes",
             "heralded_successes", "latencies_s")
     for p, m_p, m_t, seed in [(0.05, 1, 1, 3), (0.05, 2, 10, 7),
                               (0.01, 2, 3, 11), (0.002, 2, 10, 13)]:
         link = slow_rep_link(p)
-        engine = run_link_sim(link, *default_elus(), 300, seed=seed,
-                              m_p=m_p, m_t=m_t, collect_log=True)
-        batched = run_link_sim(link, *default_elus(), 300, seed=seed,
-                               m_p=m_p, m_t=m_t, collect_log=False)
+        engine, engine_log = on_engine(event_log, link, *default_elus(), 300,
+                                       seed=seed, m_p=m_p, m_t=m_t)
+        batched, batched_log = event_log(link, *default_elus(), 300,
+                                         seed=seed, m_p=m_p, m_t=m_t)
         for key in keys:
             assert engine[key] == batched[key], (p, m_p, m_t, key)
+        assert engine_log == batched_log, (p, m_p, m_t)
 
 
 def test_link_sim_outputs_pinned():
     # recorded before each request got its own stream: run_link_sim's single
-    # request stays on stream 0, so both paths keep every output bit
+    # request stays on stream 0, and a log sink changes no output bit
     pins = {3: (5880, 0.00058601, 300), 21: (5709, 0.00056801, 301)}
     for seed, (attempts, makespan, heralded) in pins.items():
-        for collect_log in (True, False):
+        for log_sink in ([].append, None):
             result = run_link_sim(slow_rep_link(0.05), *default_elus(), 300,
                                   seed=seed, m_p=2, m_t=10,
-                                  collect_log=collect_log)
+                                  log_sink=log_sink)
             assert (result["attempts"], result["makespan_s"],
                     result["heralded_successes"]) == (attempts, makespan,
                                                       heralded)
 
 
-def test_log_sink_receives_the_collected_lines():
-    lines = []
-    streamed = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4,
-                            log_sink=lines.append)
-    collected = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4,
-                             collect_log=True)
-    assert lines == collected["event_log"]
-    assert summary_json(streamed) == summary_json(collected)
-    with pytest.raises(ValidationError):
-        run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4,
-                     collect_log=True, log_sink=lines.append)
+def test_log_sink_receives_the_collected_lines(on_engine):
+    streamed, lines = event_log(slow_rep_link(), *default_elus(), 30, seed=4)
+    _, collected = on_engine(event_log, slow_rep_link(), *default_elus(), 30,
+                             seed=4)
+    assert lines == collected
+    plain = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4)
+    assert summary_json(streamed) == summary_json(plain)
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
@@ -190,6 +192,23 @@ def test_invalid_herald_latency_rejected(latency):
         run_link_sim(link, *default_elus(), 10, seed=1, herald_latency=latency)
     with pytest.raises(ValidationError):
         run_toffoli_pipeline(1, table, link, seed=1, herald_latency=latency)
+
+
+def test_herald_latency_reaching_the_attempt_spacing_rejected():
+    # 10 ns + 1e-30 s of re-initialization rounds to 10 ns, so the herald
+    # would not arrive before the ion's next attempt, as the closed form needs
+    params = DeviceParams(repetition_rate=1e9, reinit_time=1e-30)
+    link = LinkModel(LinkType.TYPE_I, params)
+    table = level1_costs(params, MusiqcLayout())
+    with pytest.raises(ValidationError, match="attempt spacing"):
+        run_link_sim(link, *default_elus(), 3, seed=1, herald_latency=10e-9)
+    with pytest.raises(ValidationError, match="attempt spacing"):
+        run_toffoli_pipeline(1, table, link, seed=1, herald_latency=10e-9)
+    # a picosecond of re-initialization separates them again
+    link = LinkModel(LinkType.TYPE_I,
+                     DeviceParams(repetition_rate=1e9, reinit_time=1e-12))
+    assert run_link_sim(link, *default_elus(), 3, seed=1,
+                        herald_latency=10e-9)["successes"] == 3
 
 
 def test_zero_probability_rejected():
@@ -220,9 +239,9 @@ def pipeline_fixture(p=0.01, rate=0.5e6):
     return link, table
 
 
-def test_batched_pipeline_matches_event_engine():
-    # collect_log=True runs the event engine, one request group per gate;
-    # without it each gate is three closed-form runs on streams 3*gate + op
+def test_batched_pipeline_matches_event_engine(on_engine):
+    # each gate is three closed-form runs on streams 3*gate + op; the event
+    # engine, swapped in for the closed form, serves the same requests
     keys = ("makespan_s", "gate_times_s", "attempts", "link_wait_fraction")
     cases = [(0.01, 0.5e6, 2, 10, 9, 3, 10e-9), (0.05, 0.5e6, 1, 1, 3, 4, 0.0),
              (1.0, 0.5e6, 2, 10, 5, 2, 10e-9),
@@ -234,8 +253,8 @@ def test_batched_pipeline_matches_event_engine():
     for p, rate, m_p, m_t, seed, n, latency in cases:
         link, table = pipeline_fixture(min(p, 0.25), rate)
         kwargs = dict(m_p=m_p, m_t=m_t, p_override=p, herald_latency=latency)
-        engine = run_toffoli_pipeline(n, table, link, seed, collect_log=True,
-                                      **kwargs)
+        engine = on_engine(run_toffoli_pipeline, n, table, link, seed,
+                           **kwargs)
         batched = run_toffoli_pipeline(n, table, link, seed, **kwargs)
         for key in keys:
             assert engine[key] == batched[key], (p, rate, m_p, m_t, key)
@@ -243,7 +262,7 @@ def test_batched_pipeline_matches_event_engine():
     params = DeviceParams()
     link = LinkModel(LinkType.TYPE_I, params)
     table = level1_costs(params, MusiqcLayout())
-    engine = run_toffoli_pipeline(2, table, link, 3, collect_log=True)
+    engine = on_engine(run_toffoli_pipeline, 2, table, link, 3)
     batched = run_toffoli_pipeline(2, table, link, 3)
     for key in keys:
         assert engine[key] == batched[key], key
@@ -286,7 +305,6 @@ def test_pipeline_makespan_monotone_in_tdm():
 
 def test_pipeline_determinism():
     link, table = pipeline_fixture()
-    a = run_toffoli_pipeline(3, table, link, seed=7, collect_log=True)
-    b = run_toffoli_pipeline(3, table, link, seed=7, collect_log=True)
-    assert a["event_log"] == b["event_log"]
-    assert a["makespan_s"] == b["makespan_s"]
+    a = run_toffoli_pipeline(3, table, link, seed=7)
+    b = run_toffoli_pipeline(3, table, link, seed=7)
+    assert a == b
