@@ -2,20 +2,34 @@
 
 Each layout carries its published resource-count formulas plus the calibration
 constants of the execution-time model (see :mod:`ionarch.steane` for how the
-per-step gate costs are built).  The ``ec_rounds_per_step`` field is the one
-calibrated quantity: the number of syndrome-extraction rounds folded into each
-logical time step of an adder.
+per-step gate costs are built).  The constants are class constants, the one
+source every module reads; a layout takes no arguments.  The
+``ec_rounds_per_step`` constant is the one calibrated quantity: the number of
+syndrome-extraction rounds folded into each logical time step of an adder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ValidationError
 
 
 @dataclass(frozen=True)
-class MusiqcLayout:
+class _Layout:
+    """Link constants every layout answers; a layout overrides what differs."""
+
+    #: Ports per remote peer: an encoded teleport's seven Bell pairs are
+    #: pipelined over ``m_p`` channels, each ``m_t``-fold time multiplexed.
+    m_p: ClassVar[int] = 2
+    m_t: ClassVar[int] = 10
+    #: Swap-chain depth behind a Bell pair of a lifted level (0: none).
+    lift_pair_swap_depth: ClassVar[int] = 0
+
+
+@dataclass(frozen=True)
+class MusiqcLayout(_Layout):
     """Photonically linked registers behind a reconfigurable optical switch.
 
     One 100-ion register hosts 3 logical qubits (with 4 shared-ancilla ions
@@ -23,10 +37,8 @@ class MusiqcLayout:
     remote peer (``m_p``) with 10-fold time-division multiplexing (``m_t``).
     """
 
-    kind: str = "musiqc"
-    m_p: int = 2
-    m_t: int = 10
-    ec_rounds_per_step: int = 2
+    kind: ClassVar[str] = "musiqc"
+    ec_rounds_per_step: ClassVar[int] = 2
 
     def qubits(self, n: int) -> int:
         return 150 * n
@@ -36,7 +48,7 @@ class MusiqcLayout:
 
 
 @dataclass(frozen=True)
-class QlaLayout:
+class QlaLayout(_Layout):
     """Nearest-neighbor grid of logic units embedded in repeater comm units.
 
     A logic unit is a 7x7 patch holding 4 logical qubits; six of them form a
@@ -46,11 +58,11 @@ class QlaLayout:
     are exposed because they disagree.
     """
 
-    kind: str = "qla"
-    ec_rounds_per_step: int = 3
+    kind: ClassVar[str] = "qla"
+    ec_rounds_per_step: ClassVar[int] = 3
     #: Swap-chain depth assumed when a lifted level consumes a distributed
     #: Bell pair through the comm units (typical nested-swapping depth).
-    lift_pair_swap_depth: int = 5
+    lift_pair_swap_depth: ClassVar[int] = 5
 
     def qubits(self, n: int) -> int:
         return 1176 * n
@@ -65,11 +77,11 @@ class QlaLayout:
 
 
 @dataclass(frozen=True)
-class NnLayout:
+class NnLayout(_Layout):
     """Strictly nearest-neighbor hardware running a ripple-carry adder."""
 
-    kind: str = "nn"
-    ec_rounds_per_step: int = 1
+    kind: ClassVar[str] = "nn"
+    ec_rounds_per_step: ClassVar[int] = 1
 
     def qubits(self, n: int) -> int:
         return 20 * (n + 1)

@@ -2,8 +2,9 @@
 
 Subcommands: ``estimate-adder``, ``estimate-shor``, ``threshold``,
 ``mc-cluster``, ``netsim``, ``hypercell``.  Exit codes: 0 success, 2
-validation error, 3 infeasible result.  Machine output goes to stdout as JSON
-with ``--json``; table-like results are CSV (stdout or ``--out``).
+validation error, 3 infeasible result.  Machine output is JSON, or CSV for
+table-like results unless ``--json`` is given; it goes to stdout, or to the
+``--out`` file instead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import cluster, config, estimator, hypercell, netsim
-from .arch import layout_from_name
+from .arch import MusiqcLayout, layout_from_name
 from .device import LinkModel, LinkType
 from .errors import InsufficientConcatenation, ValidationError
 
@@ -23,7 +24,8 @@ def _add_common(parser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--json", action="store_true",
                         help="emit JSON on stdout")
-    parser.add_argument("--out", help="write CSV output to this path")
+    parser.add_argument("--out",
+                        help="write the output to this path, not stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("netsim", help="photonic link simulation")
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--m-p", type=int, default=2)
-    p.add_argument("--m-t", type=int, default=10)
+    p.add_argument("--m-p", type=int, default=MusiqcLayout.m_p)
+    p.add_argument("--m-t", type=int, default=MusiqcLayout.m_t)
     p.add_argument("--link", choices=["type1", "type2"], default="type1")
     p.add_argument("--p-excite", type=float, default=None)
     p.add_argument("--repetition-rate-hz", type=float, default=None)
@@ -101,14 +103,18 @@ def _grid(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-def _emit(args, payload: dict | None = None, csv_text: str | None = None) -> None:
-    if csv_text is not None and args.out:
+def _emit(args, payload: dict, csv_text: str | None = None) -> None:
+    """Write the CSV, or the JSON payload when there is none or with
+    ``--json``, to ``--out`` if given and to stdout otherwise."""
+    if csv_text is None or args.json:
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    else:
+        text = csv_text
+    if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    if payload is not None and (args.json or csv_text is None):
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    elif csv_text is not None and not args.out:
-        sys.stdout.write(csv_text)
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_estimate_adder(args, cfg) -> int:
@@ -151,8 +157,7 @@ def _cmd_threshold(args, cfg) -> int:
             lines.append(f"{row['eps']:.9g},{row['r']:.9g},{row['margin']:.9g},"
                          f"{int(row['below_threshold'])},"
                          f"{row['expectation_first_order']:.9g}")
-        _emit(args, payload={"rows": rows} if args.json else None,
-              csv_text="\n".join(lines) + "\n")
+        _emit(args, payload={"rows": rows}, csv_text="\n".join(lines) + "\n")
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
@@ -187,7 +192,7 @@ def _cmd_mc_cluster(args, cfg) -> int:
                "analytic_product": analytic["product"],
                "mc_estimate": mc["estimate"], "mc_stderr": mc["stderr"],
                "samples": samples, "seed": seed}
-    _emit(args, payload=payload if args.json else None,
+    _emit(args, payload=payload,
           csv_text=CLUSTER_CSV_HEADER + "\n" + row + "\n")
     return 0
 
@@ -209,27 +214,29 @@ def _cmd_netsim(args, cfg) -> int:
                 log_sink=lambda line: fh.write(line + "\n"))
     else:
         result = netsim.run_link_sim(link, elu_a, elu_b, pairs, seed)
-    sys.stdout.write(netsim.summary_json(result) + "\n")
+    _emit(args, payload=netsim.summary(result))
     return 0
 
 
 def _cmd_hypercell(args, cfg) -> int:
+    if args.scan and args.trials:
+        raise ValidationError("--trials is for point mode only")
+    if args.seed is not None and not args.trials:
+        raise ValidationError("--seed seeds the Monte Carlo; give --trials")
     if args.scan:
-        if args.trials:
-            raise ValidationError("--trials is for point mode only")
         rows = hypercell.boundary_scan(_grid(args.eps_grid),
                                        _grid(args.ratio_grid))
-        _emit(args, payload={"rows": rows} if args.json else None,
+        _emit(args, payload={"rows": rows},
               csv_text=hypercell.boundary_rows_to_csv(rows))
         return 0
     tau_d = 1.0
     tau_e = args.ratio * tau_d
-    shape = hypercell.TreeConfig()
-    t = args.t if args.t is not None else min(tau_e, shape.c * tau_e / 2.0) / 100.0
+    c = hypercell.HypercellBudget.c
+    t = args.t if args.t is not None else min(tau_e, c * tau_e / 2.0) / 100.0
     budget = hypercell.HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
                                        eps=args.eps)
     layers = (args.layers if args.layers is not None
-              else hypercell.design_layers(budget.p, shape.arity, shape.c))
+              else hypercell.design_layers(budget.p, budget.c))
     cfg_tree = hypercell.TreeConfig(layers=layers)
     payload = {
         "p": budget.p,
@@ -238,7 +245,7 @@ def _cmd_hypercell(args, cfg) -> int:
         "memory_error": hypercell.memory_error(budget),
         "total_error": hypercell.total_error(budget),
         "ft_bounds": hypercell.ft_bounds(budget),
-        "cost": hypercell.hypercell_cost(budget.p, cfg_tree.c)["log_cost"],
+        "cost": hypercell.hypercell_cost(budget.p, budget.c)["log_cost"],
     }
     if args.trials:
         seed = config.resolve(args.seed, cfg, "run.seed", 1)

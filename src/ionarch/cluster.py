@@ -201,14 +201,6 @@ def _odd_axes(c: Coord) -> list[int]:
     return [i for i in range(3) if c[i] % 2 == 1]
 
 
-def is_face(c: Coord) -> bool:
-    return len(_odd_axes(c)) == 2
-
-
-def is_edge(c: Coord) -> bool:
-    return len(_odd_axes(c)) == 1
-
-
 def _shift(c: Coord, axis: int, delta: int) -> Coord:
     out = list(c)
     out[axis] += delta
@@ -548,7 +540,7 @@ def _gadget_mode_probabilities(budget: ErrorBudget) -> list[float]:
     outcomes = [(_gadget_outcome(faults), weight)
                 for faults, weight in _gadget_faults()]
     probs: list[float] = []
-    for link in lattice.links + lattice.shell_links:
+    for link in lattice.links:      # no shell link flips the check
         if link.position == 1:
             continue
         flipping = {key for key in lattice.link_classes

@@ -16,11 +16,11 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arch import ArchLayout, MusiqcLayout, NnLayout, layout_from_name
+from .arch import ArchLayout, MusiqcLayout, NnLayout, QlaLayout
 from .device import DeviceParams
 from .errors import NTooSmall, ValidationError
-from .steane import (LogicalCostTable, Primitive, required_concat_level,
-                     table_at_level)
+from .steane import (LogicalCostTable, Primitive, local_teleport_time,
+                     required_concat_level, table_at_level)
 
 CSV_COLUMNS = ["n", "layout", "circuit", "level", "depth_total",
                "toffoli_steps", "time_s", "qubits", "parallel_ops"]
@@ -59,6 +59,19 @@ def qcla_depth(n: int) -> DepthProfile:
     total = (floor_log2(n) + floor_log2(n - 1)
              + floor_log2(n // 3) + floor_log2((n - 1) // 3) + 14)
     return DepthProfile(x_steps=2, cnot_steps=4, toffoli_steps=total - 6)
+
+
+def adder_depth(n: int, layout: ArchLayout) -> DepthProfile:
+    """Circuit depth of the n-bit adder the layout runs.
+
+    Ripple-carry on the nearest-neighbor layout: 2n+3 Toffoli-dominated
+    steps.  Carry-lookahead on the others (``qcla_depth``).
+    """
+    if isinstance(layout, NnLayout):
+        if n < 1:
+            raise ValidationError("n must be at least 1")
+        return DepthProfile(x_steps=0, cnot_steps=0, toffoli_steps=2 * n + 3)
+    return qcla_depth(n)
 
 
 def qla_comm_steps(n: int) -> Fraction:
@@ -100,56 +113,28 @@ def adder_resources(n: int, layout: ArchLayout) -> dict:
     return {"qubits": layout.qubits(n), "parallel_ops": layout.parallel_ops(n)}
 
 
-def _musiqc_step_times(table: LogicalCostTable, ec_rounds: int) -> dict:
-    """Per-step costs on the switched architecture (no distance dependence)."""
-    ec = ec_rounds * table.time(Primitive.ERROR_CORRECT_ROUND)
-    return {
-        "toffoli": table.time(Primitive.TOFFOLI) + ec,
-        "cnot": table.time(Primitive.REMOTE_CNOT) + ec,
-        "x": table.time(Primitive.TRANSVERSAL_SINGLE) + ec,
-    }
-
-
-def _local_step_times(table: LogicalCostTable, ec_rounds: int) -> dict:
-    ec = ec_rounds * table.time(Primitive.ERROR_CORRECT_ROUND)
-    local_teleport = (table.time(Primitive.TRANSVERSAL_CNOT)
-                      + table.time(Primitive.LOGICAL_MEASURE)
-                      + table.time(Primitive.TRANSVERSAL_SINGLE))
-    return {
-        "toffoli": table.time(Primitive.TOFFOLI) + ec,
-        "cnot": local_teleport + ec,
-        "x": table.time(Primitive.TRANSVERSAL_SINGLE) + ec,
-    }
-
-
 def adder_execution_time(n: int, layout: ArchLayout,
                          table: LogicalCostTable) -> float:
     """Wall-clock execution time (seconds) of one n-bit addition.
 
-    Carry-lookahead on the switched and grid layouts (one folded error
-    correction round per time step, per the layout calibration); ripple-carry
-    on the nearest-neighbor layout with 2n+3 Toffoli-dominated steps.  The
-    grid additionally pays the swap-step count for entanglement distribution.
+    Every step of ``adder_depth`` costs its gate plus the layout's folded
+    error-correction rounds.  A CNOT step is the distance-independent remote
+    CNOT on the switched layout and a local teleport elsewhere; the grid
+    additionally pays the swap-step count for entanglement distribution.
     """
-    k = layout.ec_rounds_per_step
-    if isinstance(layout, NnLayout):
-        if n < 1:
-            raise ValidationError("n must be at least 1")
-        step = (table.time(Primitive.TOFFOLI)
-                + k * table.time(Primitive.ERROR_CORRECT_ROUND))
-        return (2 * n + 3) * step
-    profile = qcla_depth(n)
+    profile = adder_depth(n, layout)
+    ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
     if isinstance(layout, MusiqcLayout):
-        steps = _musiqc_step_times(table, k)
-        return (profile.toffoli_steps * steps["toffoli"]
-                + profile.cnot_steps * steps["cnot"]
-                + profile.x_steps * steps["x"])
-    steps = _local_step_times(table, k)
-    comm = float(qla_comm_steps(n)) * table.swap_step_time
-    return (profile.toffoli_steps * steps["toffoli"]
-            + profile.cnot_steps * steps["cnot"]
-            + profile.x_steps * steps["x"]
-            + comm)
+        cnot = table.time(Primitive.REMOTE_CNOT)
+    else:
+        cnot = local_teleport_time(table)
+    single = table.time(Primitive.TRANSVERSAL_SINGLE)
+    time = (profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
+            + profile.cnot_steps * (cnot + ec)
+            + profile.x_steps * (single + ec))
+    if isinstance(layout, QlaLayout):
+        time += float(qla_comm_steps(n)) * table.swap_step_time
+    return time
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not
@@ -211,32 +196,23 @@ def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
         table = table_at_level(params, layout, level,
                                stabilizer_reps=stabilizer_reps)
     resources = adder_resources(n, layout)
-    if isinstance(layout, NnLayout):
-        depth_total = 2 * n + 3
-        toffoli_steps = 2 * n + 3
-        circuit = "qrca"
-    else:
-        profile = qcla_depth(n)
-        depth_total = profile.total
-        toffoli_steps = profile.toffoli_steps
-        circuit = "qcla"
+    profile = adder_depth(n, layout)
     return {
         "n": n,
         "layout": layout.kind,
-        "circuit": circuit,
+        "circuit": "qrca" if isinstance(layout, NnLayout) else "qcla",
         "level": level,
-        "depth_total": depth_total,
-        "toffoli_steps": toffoli_steps,
+        "depth_total": profile.total,
+        "toffoli_steps": profile.toffoli_steps,
         "time_s": adder_execution_time(n, layout, table),
         "qubits": resources["qubits"],
         "parallel_ops": resources["parallel_ops"],
     }
 
 
-def crossover_scan(n_values, layouts=("musiqc", "qla", "nn"),
-                   params: DeviceParams | None = None,
+def crossover_scan(n_values, params: DeviceParams | None = None,
                    level: int = 1) -> dict:
-    """Sweep adder times over ``n_values`` for the requested layouts.
+    """Sweep adder times over ``n_values`` on the three layouts.
 
     Returns the rows (sorted by n then layout) and the smallest scanned n at
     which the switched-layout lookahead adder beats the nearest-neighbor
@@ -246,8 +222,7 @@ def crossover_scan(n_values, layouts=("musiqc", "qla", "nn"),
     if not n_values:
         raise ValidationError("n_range must be non-empty")
     params = params or DeviceParams()
-    layout_objs = [layout_from_name(name) if isinstance(name, str) else name
-                   for name in layouts]
+    layout_objs = [MusiqcLayout(), QlaLayout(), NnLayout()]
     tables = [table_at_level(params, layout, level) for layout in layout_objs]
     rows = []
     for n in n_values:

@@ -2,7 +2,9 @@
 
 A hypercell exposes many optical ports through layered branching so that two
 neighboring cells entangle near-deterministically even when a single heralded
-attempt succeeds with small probability p = t / tau_E.  The analytics cover
+attempt succeeds with small probability p = t / tau_E.  The trees are binary
+(each register has one link down and two up), so every depth, port and path
+formula is in base 2.  The analytics cover
 the failure probability of an m-port connection attempt, the root-to-root
 path length, the accumulated memory and swap errors, the feasibility window
 for the attempt time t, and the operational cost scaling; the Monte Carlo
@@ -17,9 +19,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
+from .cluster import THRESHOLD_EPS
 from .errors import DomainError, ValidationError
 from .rng import philox_stream
 
@@ -28,38 +32,28 @@ MAX_PORTS = 2**62
 
 @dataclass(frozen=True)
 class TreeConfig:
-    """Shape of the branching trees making up a hypercell."""
+    """Shape of the binary trees making up a hypercell."""
 
-    elu_coordination: int = 3    # register valency: 1 link down, rest up
+    arity: ClassVar[int] = 2     # register valency 3: 1 link down, 2 up
     layers: int = 4
-    c: float = 3.0               # -ln of the tolerated connection failure
 
     def __post_init__(self):
-        if self.elu_coordination not in (3, 4, 5):
-            raise ValidationError("coordination must be 3, 4, or 5")
         if self.layers < 1:
             raise ValidationError("layers must be at least 1")
-        if self.c <= 0:
-            raise ValidationError("c must be positive")
         if self.ports > MAX_PORTS:
             raise ValidationError(
                 f"{self.layers} layers give more than 2**62 ports")
 
     @property
-    def arity(self) -> int:
-        return self.elu_coordination - 1
-
-    @property
     def ports(self) -> int:
         # one extra branching at the top layer: twice the top-layer registers
-        # for binary trees, arity times for wider ones
         return self.arity * self.arity**self.layers
 
 
-def design_layers(p: float, arity: int, c: float) -> int:
-    """Smallest tree depth (at least 1) whose ports reach the target c/p."""
+def design_layers(p: float, c: float) -> int:
+    """Smallest binary-tree depth (at least 1) whose ports reach c/p."""
     m = c / p
-    return max(1, math.ceil(math.log(max(m, 2.0), arity)) - 1)
+    return max(1, math.ceil(math.log(max(m, 2.0), 2)) - 1)
 
 
 @dataclass(frozen=True)
@@ -68,13 +62,15 @@ class HypercellBudget:
 
     ``c`` is the port-provisioning target, minus the log of the tolerated
     connection-failure probability (default 3, roughly a 5% failure budget).
+    ``eps_crit`` is the cluster-state threshold the root pair must stay under.
     """
+
+    eps_crit: ClassVar[float] = float(THRESHOLD_EPS)
 
     t: float                 # attempt window
     tau_e: float             # mean heralded connection time
     tau_d: float             # decoherence time
     eps: float               # gate error per swap operation
-    eps_crit: float = 2.9e-3
     c: float = 3.0
 
     def __post_init__(self):
@@ -84,8 +80,8 @@ class HypercellBudget:
             raise ValidationError("t must not exceed tau_e (p = t/tau_e <= 1)")
         if self.eps < 0:
             raise ValidationError("eps must be non-negative")
-        if self.eps_crit <= 0 or self.c <= 0:
-            raise ValidationError("eps_crit and c must be positive")
+        if self.c <= 0:
+            raise ValidationError("c must be positive")
 
     @property
     def p(self) -> float:
@@ -229,7 +225,7 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     n_path_pairs = int(round(path_length(m)))
     n_tree_pairs = n_path_pairs - 1          # split across the two trees
     n_swaps = n_path_pairs - 1
-    tree_edges = sum(config.arity**k for k in range(1, config.layers + 1))
+    tree_edges = m - 2      # 2 + 4 + ... + 2**layers links per tree
     # ages at 2t: a tree pair born at u in [0, t) has age 2t - u, the
     # connecting pair born at t + u has age t - u
     age_sum_at_zero = (2 * n_tree_pairs + 1) * budget.t
@@ -300,20 +296,20 @@ BOUNDARY_CSV_COLUMNS = ["eps", "ratio", "t_opt", "layers_opt", "eps_total",
                         "p_fail", "feasible"]
 
 
-def boundary_scan(eps_grid, ratio_grid, config: TreeConfig | None = None,
-                  t_points: int = 120, eps_crit: float = 2.9e-3) -> list[dict]:
+def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
     """Feasibility map over gate error and tau_E/tau_D.
 
     For each grid point the attempt time is swept logarithmically over the
-    valid domain of the error formulas (tree depth follows from the port
-    target c/p); a point is feasible when some t keeps the total error below
-    eps_crit.
+    valid domain of the error formulas in 120 steps (tree depth follows from
+    the port target c/p); a point is feasible when some t keeps the total
+    error below ``HypercellBudget.eps_crit``.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid))
     ratio_grid = sorted(set(float(x) for x in ratio_grid))
     if not eps_grid or not ratio_grid:
         raise ValidationError("grids must be non-empty")
-    config = config or TreeConfig()
+    c = HypercellBudget.c
+    t_points = 120
     tau_d = 1.0
     rows = []
     for eps in eps_grid:
@@ -321,25 +317,24 @@ def boundary_scan(eps_grid, ratio_grid, config: TreeConfig | None = None,
             tau_e = ratio * tau_d
             best = None
             # t must satisfy c tau_E / t >= 2 and t <= tau_E
-            t_hi = min(tau_e, config.c * tau_e / 2.0)
+            t_hi = min(tau_e, c * tau_e / 2.0)
             t_lo = t_hi / 2.0**40
             for k in range(t_points):
                 t = t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
                 budget = HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
-                                         eps=eps, eps_crit=eps_crit)
+                                         eps=eps)
                 err = total_error(budget)
                 if best is None or err < best["eps_total"]:
-                    m = config.c / budget.p
+                    m = c / budget.p
                     best = {"t_opt": t, "eps_total": err,
-                            "layers_opt": design_layers(budget.p, config.arity,
-                                                        config.c),
+                            "layers_opt": design_layers(budget.p, c),
                             "p_fail": fail_prob(min(budget.p, 1.0),
                                                 max(int(m), 1))["exact"]}
             rows.append({
                 "eps": eps, "ratio": ratio,
                 "t_opt": best["t_opt"], "layers_opt": best["layers_opt"],
                 "eps_total": best["eps_total"], "p_fail": best["p_fail"],
-                "feasible": best["eps_total"] < eps_crit,
+                "feasible": best["eps_total"] < HypercellBudget.eps_crit,
             })
     return rows
 

@@ -18,17 +18,17 @@ logs.  The engine itself is kept as the closed form's oracle for tests.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .arch import MusiqcLayout
 from .device import DeviceParams, LinkModel, link_success_probability
 from .errors import ValidationError, ZeroSuccessProbability
 from .rng import philox_stream
-from .steane import LogicalCostTable
+from .steane import PAIRS_PER_OPERAND, LogicalCostTable
 
 
 class EventKind(Enum):
@@ -97,8 +97,8 @@ class EluState:
 
     elu_id: int
     n_qubits: int = 100
-    ports: int = 2
-    m_t: int = 10
+    ports: int = MusiqcLayout.m_p
+    m_t: int = MusiqcLayout.m_t
     memory_qubits: int = 0
 
     def __post_init__(self):
@@ -130,10 +130,6 @@ class EntanglementRequest:
 
 
 # ---------------------------------------------------------------------------
-
-#: Heralded pairs a teleported Toffoli needs to each of its three operands.
-PAIRS_PER_OPERAND = 7
-
 
 @dataclass
 class _Ion:
@@ -221,15 +217,6 @@ class _LinkEngine:
                         request.register(event.time)
                     if not request.done:
                         schedule_attempt(ion)
-
-
-def _effective_multiplexity(m_p: int | None, m_t: int | None,
-                            default_ports: int, default_tdm: int) -> tuple[int, int]:
-    ports = m_p if m_p is not None else default_ports
-    tdm = m_t if m_t is not None else default_tdm
-    if ports < 1 or tdm < 1:
-        raise ValidationError("multiplexities must be at least 1")
-    return ports, tdm
 
 
 def _link_probability(link: LinkModel, p_override: float | None) -> float:
@@ -352,12 +339,12 @@ def _run_requests(streams, registers, n_pairs: int, ports: int, tdm: int,
 
 
 def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
-                 n_pairs: int, seed: int, m_p: int | None = None,
-                 m_t: int | None = None, herald_latency: float = 10e-9,
+                 n_pairs: int, seed: int, herald_latency: float = 10e-9,
                  p_override: float | None = None,
                  log_sink=None) -> dict:
     """Generate ``n_pairs`` heralded pairs between two registers.
 
+    The link runs over the ports and TDM depth that both registers offer.
     Returns the makespan, per-pair inter-completion latencies, attempt count
     and success count.  The callable ``log_sink`` receives the event log line
     by line.  ``p_override`` replaces the physical success probability (for
@@ -366,9 +353,8 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
     """
     if n_pairs < 1:
         raise ValidationError("n_pairs must be at least 1")
-    ports, tdm = _effective_multiplexity(m_p, m_t,
-                                         min(elu_a.ports, elu_b.ports),
-                                         min(elu_a.m_t, elu_b.m_t))
+    ports = min(elu_a.ports, elu_b.ports)
+    tdm = min(elu_a.m_t, elu_b.m_t)
     p = _link_probability(link, p_override)
     tick = _attempt_tick(link.params, herald_latency)
     (times,), attempts, heralds_ok = _run_requests(
@@ -388,15 +374,11 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
     }
 
 
-def summary_json(result: dict) -> str:
-    payload = {
-        "makespan_s": result["makespan_s"],
-        "mean_pair_latency_s": result["mean_pair_latency_s"],
-        "attempts": result["attempts"],
-        "successes": result["successes"],
-        "link_wait_fraction": result["link_wait_fraction"],
-    }
-    return json.dumps(payload, sort_keys=True)
+def summary(result: dict) -> dict:
+    """The scalar results of ``run_link_sim``, as ``netsim`` prints them."""
+    keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes",
+            "link_wait_fraction")
+    return {key: result[key] for key in keys}
 
 
 def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
@@ -412,13 +394,15 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     ports; the gate completes after the slower of the two phases plus the
     teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
     from stream ``3*g + op`` of ``seed``; being independent and uncontended,
-    the three requests run as three closed-form link runs.
+    the three requests run as three closed-form link runs.  ``m_p`` and
+    ``m_t`` default to the table's layout.
     """
     if n_toffolis < 1:
         raise ValidationError("n_toffolis must be at least 1")
     layout = table.layout
-    ports, tdm = _effective_multiplexity(m_p, m_t, getattr(layout, "m_p", 2),
-                                         getattr(layout, "m_t", 10))
+    operand = EluState(0, ports=layout.m_p if m_p is None else m_p,
+                       m_t=layout.m_t if m_t is None else m_t)
+    ports, tdm = operand.ports, operand.m_t
     p = _link_probability(link, p_override)
     tick = _attempt_tick(link.params, herald_latency)
 

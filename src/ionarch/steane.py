@@ -19,7 +19,8 @@ Circuit construction, in brief:
 * The non-Clifford Toffoli teleports the three operands into a freshly
   prepared three-qubit resource state; on photonically linked hardware the
   teleport consumes ceil(7 / m_p) sequential Bell-pair slots per operand
-  register at the TDM-multiplexed pair time.
+  register at the TDM-multiplexed pair time, with ``m_p`` read from the
+  layout.
 
 Calibration: the only free knob of the execution-time model is the number of
 error-correction rounds folded into each logical circuit step; it lives on the
@@ -37,11 +38,16 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
-from .arch import ArchLayout, MusiqcLayout, QlaLayout
+from .arch import ArchLayout, MusiqcLayout
 from .device import DeviceParams
 from .errors import InsufficientConcatenation, ValidationError
+
+
+#: Bell pairs an encoded teleport consumes per operand: one per code qubit.
+PAIRS_PER_OPERAND = 7
 
 
 class Primitive(Enum):
@@ -73,7 +79,7 @@ class CostEntry:
     qubits: int
     parallel_ops: int
 
-    @property
+    @cached_property
     def time(self) -> float:
         return sum(s.total for s in self.steps)
 
@@ -148,11 +154,16 @@ def _stabilizer_steps(basis: _GateBasis, cat_size: int, coupling: str,
     ]
 
 
+def _pair_slots(ports: int) -> int:
+    """Sequential Bell-pair slots of one encoded teleport over ``ports``."""
+    return math.ceil(PAIRS_PER_OPERAND / ports)
+
+
 def _link_steps(basis: _GateBasis, m_p: int) -> list[Step]:
     if basis.pair <= 0.0:
         return []
-    slots = math.ceil(7 / m_p)
-    return [Step(f"bell-pair slot ({basis.tag})", basis.pair, slots)]
+    return [Step(f"bell-pair slot ({basis.tag})", basis.pair,
+                 _pair_slots(m_p))]
 
 
 def _teleport_cnot_steps(basis: _GateBasis) -> list[Step]:
@@ -168,7 +179,7 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
                  stabilizer_reps: int, footprint_below: int,
                  swap_step_time: float) -> LogicalCostTable:
     reps = stabilizer_reps
-    m_p = layout.m_p if isinstance(layout, MusiqcLayout) else 2
+    m_p = layout.m_p
 
     prep_zero_steps = tuple(
         _stabilizer_steps(basis, 4, "cnot", count=6 * reps)
@@ -235,7 +246,7 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
     # Bell-pair slot one level up: seven pairs consumed per encoded pair,
     # pipelined over m_p channels, plus a transversal consolidation step.
     if basis.pair > 0.0:
-        pair_up = (math.ceil(7 / m_p) * basis.pair
+        pair_up = (_pair_slots(m_p) * basis.pair
                    + basis.cnot + measure.time + basis.single)
     else:
         pair_up = 0.0
@@ -283,7 +294,7 @@ def lift_level(table: LogicalCostTable) -> LogicalCostTable:
     """
     layout = table.layout
     pair = table.pair_time
-    if pair <= 0.0 and isinstance(layout, QlaLayout):
+    if pair <= 0.0:
         pair = layout.lift_pair_swap_depth * table.swap_step_time
     basis = _GateBasis(
         single=table.time(Primitive.TRANSVERSAL_SINGLE),
@@ -307,9 +318,19 @@ def toffoli_cost(table: LogicalCostTable) -> dict:
     entry = table.entry(Primitive.TOFFOLI)
     return {
         "time": entry.time,
-        "qubits": 3 * table.footprint + 7,
+        "qubits": entry.qubits,
         "parallel_ops": entry.parallel_ops,
     }
+
+
+def local_teleport_time(table: LogicalCostTable) -> float:
+    """Teleported CNOT between co-located logical qubits.
+
+    A transversal CNOT, the logical readout and one single-qubit fix-up.
+    """
+    return (table.time(Primitive.TRANSVERSAL_CNOT)
+            + table.time(Primitive.LOGICAL_MEASURE)
+            + table.time(Primitive.TRANSVERSAL_SINGLE))
 
 
 def remote_cnot_cost(table: LogicalCostTable, link_time: float,
@@ -324,16 +345,12 @@ def remote_cnot_cost(table: LogicalCostTable, link_time: float,
     if link_time < 0:
         raise ValidationError("link_time must be non-negative")
     if ports is None:
-        layout = table.layout
-        ports = layout.m_p if isinstance(layout, MusiqcLayout) else 2
+        ports = table.layout.m_p
     if ports < 1:
         raise ValidationError("ports must be at least 1")
-    slots = math.ceil(7 / ports)
-    local = (table.time(Primitive.TRANSVERSAL_CNOT)
-             + table.time(Primitive.LOGICAL_MEASURE)
-             + table.time(Primitive.TRANSVERSAL_SINGLE))
+    slots = _pair_slots(ports)
     return {
-        "time": slots * link_time + local,
+        "time": slots * link_time + local_teleport_time(table),
         "qubits": 2 * table.footprint + 14,
         "link_slots": slots,
     }

@@ -194,14 +194,15 @@ def test_criterion_09_netsim():
     params = DeviceParams(p_excite=p, solid_angle_fraction=1.0,
                           detector_efficiency=1.0, repetition_rate=rate)
     link = LinkModel(LinkType.TYPE_I, params)
-    elus = (EluState(0, ports=2, m_t=10), EluState(1, ports=2, m_t=10))
-    result = run_link_sim(link, *elus, n, seed=3, m_p=1, m_t=1)
+    elus = (EluState(0), EluState(1))
+    single = (EluState(0, ports=1, m_t=1), EluState(1, ports=1, m_t=1))
+    result = run_link_sim(link, *single, n, seed=3)
     tau = 1.0 / (rate * p)
     stderr = tau * math.sqrt(1 - p) / math.sqrt(n)
     assert abs(result["mean_pair_latency_s"] - tau) <= 3 * stderr
 
-    base = run_link_sim(link, *elus, 1500, seed=11, m_p=1, m_t=1)
-    tdm = run_link_sim(link, *elus, 1500, seed=12, m_p=2, m_t=10)
+    base = run_link_sim(link, *single, 1500, seed=11)
+    tdm = run_link_sim(link, *elus, 1500, seed=12)
     gain = base["makespan_s"] / tdm["makespan_s"]
     assert abs(gain - 20.0) / 20.0 <= 0.15
 
@@ -229,7 +230,7 @@ def test_criterion_10_hypercell():
             assert row["ratio"] < bounds["ratio_bound"]
 
     example = ft_bounds(HypercellBudget(t=1e-6, tau_e=1.0, tau_d=1.0,
-                                        eps=2.9e-4, eps_crit=2.9e-3, c=3.0))
+                                        eps=2.9e-4, c=3.0))
     assert abs(example["ratio_bound"] / 8.25e-3 - 1) <= 0.01
     # connection failure budget behaves: exact never exceeds the exponential
     assert fail_prob(p, config.ports)["exact"] <= fail_prob(p, config.ports)["approx"]

@@ -192,6 +192,16 @@ def test_hypercell_scan_rejects_trials(capsys):
     assert out == run_cli(capsys, "hypercell", "--scan")[1]
 
 
+@pytest.mark.parametrize("argv", [("hypercell", "--scan"), ("hypercell",),
+                                  ("hypercell", "--trials", "0")])
+def test_hypercell_seed_needs_trials(capsys, argv):
+    # a seed that selects no Monte Carlo is an error, not silently ignored
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --seed seeds the Monte Carlo; give --trials\n"
+
+
 def test_hypercell_point(capsys):
     code, out, _ = run_cli(capsys, "hypercell", "--eps", "2.9e-4",
                            "--ratio", "1.0", "--json")
@@ -221,6 +231,21 @@ def test_hypercell_port_ceiling_exit(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate-shor", "--n", "64"),
+    ("threshold", "--eps", "1e-4", "--ratio", "1e-4"),
+    ("netsim", "--pairs", "5", "--seed", "1"),
+    ("hypercell", "--layers", "4"),
+    ("estimate-adder", "--n", "128", "--arch", "musiqc", "--json"),
+])
+def test_out_receives_what_stdout_shows(tmp_path, capsys, argv):
+    code, shown, _ = run_cli(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == shown
 
 
 def test_config_precedence_triple_override(tmp_path, capsys):

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import NTooSmall, ValidationError
-from ionarch.estimator import (CSV_COLUMNS, adder_execution_time, adder_resources,
+from ionarch.estimator import (CSV_COLUMNS, DepthProfile, adder_depth,
+                               adder_execution_time, adder_resources,
                                adder_row, crossover_scan, floor_log2, qcla_depth,
                                qla_comm_steps, qla_teleport_distance,
                                rows_to_csv, shor_estimate)
-from ionarch.steane import table_at_level
+from ionarch.steane import Primitive, table_at_level
 
 
 # --- independent brute-force oracles ---------------------------------------
@@ -167,11 +168,21 @@ def test_adder_time_monotone_in_durations(n, scale):
         assert time >= base - 1e-15
 
 
-def test_musiqc_path_has_no_distance_parameter():
-    from ionarch.estimator import _musiqc_step_times
-    names = inspect.signature(_musiqc_step_times).parameters
-    assert "distance" not in names
-    assert "d" not in names
+def test_musiqc_path_has_no_distance_parameter(params):
+    # one step-cost formula serves every layout; on the switched layout a
+    # CNOT step is the remote CNOT, which takes no distance
+    assert list(inspect.signature(adder_execution_time).parameters) == [
+        "n", "layout", "table"]
+    layout = MusiqcLayout()
+    table = table_at_level(params, layout, 1)
+    profile = adder_depth(128, layout)
+    assert profile == qcla_depth(128)
+    assert adder_depth(128, NnLayout()) == DepthProfile(0, 0, 2 * 128 + 3)
+    ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
+    assert adder_execution_time(128, layout, table) == (
+        profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
+        + profile.cnot_steps * (table.time(Primitive.REMOTE_CNOT) + ec)
+        + profile.x_steps * (table.time(Primitive.TRANSVERSAL_SINGLE) + ec))
 
 
 def test_shor_levels_and_tolerances(params):

@@ -85,8 +85,7 @@ def test_total_error():
 
 
 def test_ft_bounds_example():
-    budget = HypercellBudget(t=1e-6, tau_e=1.0, tau_d=1.0, eps=2.9e-4,
-                             eps_crit=2.9e-3, c=3.0)
+    budget = HypercellBudget(t=1e-6, tau_e=1.0, tau_d=1.0, eps=2.9e-4, c=3.0)
     bounds = ft_bounds(budget)
     expected = (2.9e-3 - 5.8e-4) / 9.0 * 2**5
     assert bounds["ratio_bound"] == pytest.approx(expected, rel=1e-9)
@@ -97,7 +96,7 @@ def test_ft_bounds_limits():
     free = ft_bounds(HypercellBudget(t=1e-6, tau_e=1.0, tau_d=1.0, eps=0.0))
     assert free["ratio_bound"] == math.inf and free["feasible"]
     half = ft_bounds(HypercellBudget(t=1e-6, tau_e=1.0, tau_d=1.0,
-                                     eps=2.9e-3 / 2, eps_crit=2.9e-3))
+                                     eps=2.9e-3 / 2))
     assert half["ratio_bound"] == 0.0
 
 

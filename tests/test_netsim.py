@@ -7,7 +7,7 @@ from ionarch.device import DeviceParams, LinkModel, LinkType
 from ionarch.errors import ValidationError, ZeroSuccessProbability
 from ionarch.netsim import (EluState, EntanglementRequest, EventKind,
                             EventQueue, SimEvent, run_link_sim,
-                            run_toffoli_pipeline, summary_json)
+                            run_toffoli_pipeline, summary)
 from ionarch.steane import level1_costs, toffoli_cost
 from ionarch.arch import MusiqcLayout
 
@@ -19,9 +19,8 @@ def slow_rep_link(p_success=0.05, rep_rate=0.5e6):
     return LinkModel(LinkType.TYPE_I, params)
 
 
-def default_elus(ports=2, m_t=10):
-    return (EluState(0, ports=ports, m_t=m_t),
-            EluState(1, ports=ports, m_t=m_t))
+def default_elus(m_p=MusiqcLayout.m_p, m_t=MusiqcLayout.m_t):
+    return (EluState(0, ports=m_p, m_t=m_t), EluState(1, ports=m_p, m_t=m_t))
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +64,7 @@ def test_mean_latency_matches_geometric_oracle():
     # geometric-distribution oracle: mean completion spacing is 1/(R p)
     p, rate, n = 0.05, 0.5e6, 10000
     link = slow_rep_link(p, rate)
-    a, b = default_elus()
-    result = run_link_sim(link, a, b, n, seed=3, m_p=1, m_t=1)
+    result = run_link_sim(link, *default_elus(1, 1), n, seed=3)
     tau = 1.0 / (rate * p)
     stderr = tau * math.sqrt(1.0 - p) / math.sqrt(n)
     assert abs(result["mean_pair_latency_s"] - tau) <= 3 * stderr
@@ -75,8 +73,7 @@ def test_mean_latency_matches_geometric_oracle():
 
 def test_attempt_success_fraction_binomial():
     p = 0.05
-    result = run_link_sim(slow_rep_link(p), *default_elus(), 2000, seed=17,
-                          m_p=1, m_t=1)
+    result = run_link_sim(slow_rep_link(p), *default_elus(1, 1), 2000, seed=17)
     k, n = result["heralded_successes"], result["attempts"]
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(k / n - p) <= 3 * sigma
@@ -87,7 +84,7 @@ def test_deterministic_link_p_one():
     # period, no re-initialization stalls
     rate = 0.5e6
     link = slow_rep_link(0.25, rate)
-    result = run_link_sim(link, *default_elus(), 50, seed=1, m_p=1, m_t=1,
+    result = run_link_sim(link, *default_elus(1, 1), 50, seed=1,
                           p_override=1.0, herald_latency=10e-9)
     assert result["attempts"] == 50
     assert result["makespan_s"] == pytest.approx(49 / rate + 10e-9)
@@ -97,8 +94,8 @@ def test_throughput_gain_of_multiplexing():
     # pipelined-server oracle: saturated throughput scales with m_p * m_t
     link = slow_rep_link(0.05, 0.5e6)
     n = 1500
-    base = run_link_sim(link, *default_elus(), n, seed=11, m_p=1, m_t=1)
-    tdm = run_link_sim(link, *default_elus(), n, seed=12, m_p=2, m_t=10)
+    base = run_link_sim(link, *default_elus(1, 1), n, seed=11)
+    tdm = run_link_sim(link, *default_elus(2, 10), n, seed=12)
     gain = base["makespan_s"] / tdm["makespan_s"]
     assert gain == pytest.approx(20.0, rel=0.15)
 
@@ -144,10 +141,9 @@ def test_batched_path_matches_event_engine(on_engine):
     for p, m_p, m_t, seed in [(0.05, 1, 1, 3), (0.05, 2, 10, 7),
                               (0.01, 2, 3, 11), (0.002, 2, 10, 13)]:
         link = slow_rep_link(p)
-        engine, engine_log = on_engine(event_log, link, *default_elus(), 300,
-                                       seed=seed, m_p=m_p, m_t=m_t)
-        batched, batched_log = event_log(link, *default_elus(), 300,
-                                         seed=seed, m_p=m_p, m_t=m_t)
+        elus = default_elus(m_p, m_t)
+        engine, engine_log = on_engine(event_log, link, *elus, 300, seed=seed)
+        batched, batched_log = event_log(link, *elus, 300, seed=seed)
         for key in keys:
             assert engine[key] == batched[key], (p, m_p, m_t, key)
         assert engine_log == batched_log, (p, m_p, m_t)
@@ -160,8 +156,7 @@ def test_link_sim_outputs_pinned():
     for seed, (attempts, makespan, heralded) in pins.items():
         for log_sink in ([].append, None):
             result = run_link_sim(slow_rep_link(0.05), *default_elus(), 300,
-                                  seed=seed, m_p=2, m_t=10,
-                                  log_sink=log_sink)
+                                  seed=seed, log_sink=log_sink)
             assert (result["attempts"], result["makespan_s"],
                     result["heralded_successes"]) == (attempts, makespan,
                                                       heralded)
@@ -173,7 +168,7 @@ def test_log_sink_receives_the_collected_lines(on_engine):
                              seed=4)
     assert lines == collected
     plain = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4)
-    assert summary_json(streamed) == summary_json(plain)
+    assert summary(streamed) == summary(plain)
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
@@ -220,10 +215,9 @@ def test_zero_probability_rejected():
 
 def test_summary_json_schema():
     result = run_link_sim(slow_rep_link(), *default_elus(), 20, seed=2)
-    import json
-    payload = json.loads(summary_json(result))
-    assert set(payload) == {"makespan_s", "mean_pair_latency_s", "attempts",
-                            "successes", "link_wait_fraction"}
+    assert set(summary(result)) == {"makespan_s", "mean_pair_latency_s",
+                                    "attempts", "successes",
+                                    "link_wait_fraction"}
 
 
 # ---------------------------------------------------------------------------
