@@ -8,11 +8,14 @@ their entanglement into memory and re-enter the rotation on the same
 schedule.  Every link request draws from its own counter-based stream,
 ``philox_stream(seed, request_id)``: ``run_link_sim``'s single request is
 stream 0, and in a Toffoli pipeline the request of gate ``g`` to operand
-``op`` (0, 1, 2) is stream ``3*g + op``.  One request runner serves both
-simulators.  It draws each request in bulk by a closed form and writes the
-event log from the same draws, in the (time, sequence) order of the
-discrete-event engine, so identical seeds give bit-identical results and
-logs.  The engine itself is kept as the closed form's oracle for tests.
+``op`` (0, 1, 2) is stream ``3*g + op``.  Read in the discrete-event
+engine's (tick, ion) order, a request's successes form a renewal process, so
+the stream yields one Geometric(p) gap per heralded success, not one draw
+per attempt.  One request runner serves both simulators.  It draws each
+request's gaps in bulk by a closed form and writes the event log from the
+same draws, in the (time, sequence) order of the engine, so identical seeds
+give bit-identical results and logs.  The engine itself is kept as the
+closed form's oracle for tests.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .arch import MusiqcLayout
 from .device import DeviceParams, LinkModel, link_success_probability
-from .errors import ValidationError, ZeroSuccessProbability
+from .errors import DomainError, ValidationError, ZeroSuccessProbability
 from .rng import philox_stream
 from .steane import PAIRS_PER_OPERAND, LogicalCostTable
 
@@ -171,9 +174,11 @@ def _attempt_tick(params: DeviceParams, herald_latency: float) -> float:
 class _LinkEngine:
     """Event-driven attempt/herald machinery: the exact oracle of the closed form.
 
-    Drives one request at a time on its own queue, one uniform per attempt;
-    log lines go to ``emit`` one at a time.  No simulator runs it: tests
-    compare the closed form with it through ``_engine_link_run``.
+    Drives one request at a time on its own queue.  The request draws one
+    Geometric(p) gap when it starts and counts it down by one at every
+    ``AttemptStart``; the attempt that reaches zero succeeds and draws the
+    next gap.  Log lines go to ``emit`` one at a time.  No simulator runs it:
+    tests compare the closed form with it through ``_engine_link_run``.
     """
 
     def __init__(self, p_success: float, tick: float, herald_latency: float,
@@ -198,13 +203,17 @@ class _LinkEngine:
 
         for ion in ions:
             schedule_attempt(ion)
+        countdown = int(rng.geometric(self.p))     # attempts to the next success
         while len(queue):
             event, ion = queue.pop()
             if self.emit is not None:
                 self.emit(event.log_line())
             if event.kind is EventKind.ATTEMPT_START:
                 self.attempts += 1
-                ok = bool(rng.random() < self.p)
+                countdown -= 1
+                ok = countdown == 0
+                if ok:
+                    countdown = int(rng.geometric(self.p))
                 queue.push(SimEvent(event.time + w, EventKind.HERALD, ion.elu,
                                     ion.port, request.request_id, success=ok),
                            ion)
@@ -228,15 +237,16 @@ def _link_probability(link: LinkModel, p_override: float | None) -> float:
     return p
 
 
-def _log_ticks(emit, outcomes: list, first_tick: int, ports: list, tick: float,
-               w: float, start: float, elu: int, request: int):
-    """Write the event log of consecutive attempts, one tick at a time.
+def _log_ticks(emit, successes: list, attempts: int, ports: list,
+               tick: float, w: float, start: float, elu: int, request: int):
+    """Write the event log of a request's attempts, one tick at a time.
 
-    ``outcomes`` are the attempts from tick ``first_tick`` on, in (tick, ion)
-    order, and ion ``i`` sits on port ``ports[i]``.  Tick k logs its
-    AttemptStart lines at ``start + k * tick`` in ion order, then their Herald
-    lines at ``+ w``; a short last tick holds the drained attempts of the
-    ions ranked first and is logged the same way.
+    The request makes ``attempts`` attempts in (tick, ion) order, of which
+    those at the ascending indices ``successes`` succeed, and ion ``i`` sits
+    on port ``ports[i]``.  Tick k logs its AttemptStart lines at
+    ``start + k * tick`` in ion order, then their Herald lines at ``+ w``; a
+    short last tick holds the drained attempts of the ions ranked first and
+    is logged the same way.  Memory stays O(successes), not O(attempts).
     """
     attempt = [_log_fields(EventKind.ATTEMPT_START.value, elu, port, request)
                for port in ports]
@@ -244,15 +254,27 @@ def _log_ticks(emit, outcomes: list, first_tick: int, ports: list, tick: float,
                _log_fields(_herald_kind(True), elu, port, request))
               for port in ports]
     n_ions = len(ports)
-    for j in range(0, len(outcomes), n_ions):
-        t = start + (first_tick + j // n_ions) * tick
-        heralds = outcomes[j:j + n_ions]
+    hits = iter(successes)
+    hit = next(hits, None)
+    for j in range(0, attempts, n_ions):
+        t = start + (j // n_ions) * tick
+        width = min(n_ions, attempts - j)
         stamp = _log_stamp(t)
-        for fields in attempt[:len(heralds)]:
+        for fields in attempt[:width]:
             emit(stamp + fields)
         stamp = _log_stamp(t + w)
-        for fields, ok in zip(herald, heralds):
+        for index, fields in enumerate(herald[:width], j):
+            ok = index == hit
+            if ok:
+                hit = next(hits, None)
             emit(stamp + fields[ok])
+
+
+#: Largest expected attempt count, n_pairs / p, of one request; the gap sum
+#: must stay clear of the int64 range, where numpy's geometric saturates.
+_MAX_EXPECTED_ATTEMPTS = 2**60
+#: Attempt index that the last success of a request must stay below.
+_MAX_ATTEMPT_INDEX = 2**62
 
 
 def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
@@ -263,47 +285,46 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     The request draws from ``philox_stream(seed, stream)`` over
     ``ports * tdm`` ions; ion ``i`` sits on port ``i // tdm``.  With a common
     start and a uniform per-ion cadence, the event engine processes attempts
-    tick by tick in ion order and consumes one uniform per attempt, so
-    outcomes can be drawn in bulk in the same stream order; attempt k
-    heralds at ``(start + k * tick) + w``, the engine's own float
+    tick by tick in ion order, and its successes are a renewal process with
+    Geometric(p) gaps drawn one per success, so the gaps of all ``n_pairs``
+    successes are drawn at once: success j falls on attempt index a_j, the
+    sum of the first j gaps minus 1, and heralds at
+    ``(start + (a_j // n_ions) * tick) + w``, the engine's own float
     arithmetic.  After the pair completing the request heralds, the engine
     drains the already scheduled attempts of the next tick (the ions whose
-    heralds preceded the completing one), which is reproduced exactly here.
-    ``emit`` receives the engine's event log line by line.
+    heralds preceded the completing one); one further gap per drained
+    success counts them, as the engine does.  ``emit`` receives the engine's
+    event log line by line, rebuilt from the success indices.
     """
+    if n_pairs / p > _MAX_EXPECTED_ATTEMPTS:
+        raise DomainError(
+            f"{n_pairs} pairs at p = {p:.3g} need about {n_pairs / p:.3g} "
+            "attempts, beyond the sampler's range of 2**60")
     rng = philox_stream(seed, stream)
     n_ions = ports * tdm
-    port_of = [i // tdm for i in range(n_ions)]
-    hit_ticks: list[np.ndarray] = []
-    needed = n_pairs
-    attempts = heralds_ok = tick_base = 0
-    # about twice the expected attempts, at most 2**16 uniforms per chunk;
-    # the chunking does not change which draw decides which attempt
-    chunk_ticks = max(1, math.ceil(min((1 << 16) // n_ions,
-                                       2 * n_pairs / (p * n_ions))))
-    while needed:
-        draws = rng.random(chunk_ticks * n_ions) < p
-        hits = draws.nonzero()[0][:needed]
-        if hits.size == needed:
-            # the completing pair heralds on the ion of rank `rank`; the ions
-            # ranked before it have already started their next attempt
-            k_done, rank = divmod(int(hits[-1]), n_ions)
-            drawn = (k_done + 1) * n_ions + rank
-            if drawn > draws.size:      # drained tick spills into the next chunk
-                draws = np.concatenate([draws,
-                                        rng.random(drawn - draws.size) < p])
-            draws = draws[:drawn]
-        if emit is not None:
-            _log_ticks(emit, draws.tolist(), tick_base, port_of, tick, w,
-                       start, elu, stream)
-        attempts += draws.size
-        heralds_ok += int(draws.sum())
-        hit_ticks.append(tick_base + hits // n_ions)
-        needed -= hits.size
-        tick_base += chunk_ticks
-    completions = (start + np.concatenate(hit_ticks) * tick) + w
+    gaps = rng.geometric(p, n_pairs)
+    if gaps.sum(dtype=np.float64) >= _MAX_ATTEMPT_INDEX:   # before cumsum wraps
+        raise DomainError(
+            f"the last of {n_pairs} pairs at p = {p:.3g} falls past attempt "
+            "2**62")
+    hits = np.cumsum(gaps) - 1
+    last = int(hits[-1])
+    # the completing pair heralds on the ion of rank `rank`; the ions ranked
+    # before it have already started their next attempt
+    k_done, rank = divmod(last, n_ions)
+    attempts = (k_done + 1) * n_ions + rank
+    drained = []
+    hit = last + int(rng.geometric(p))
+    while hit < attempts:
+        drained.append(hit)
+        hit += int(rng.geometric(p))
+    if emit is not None:
+        _log_ticks(emit, hits.tolist() + drained, attempts,
+                   [i // tdm for i in range(n_ions)], tick, w, start, elu,
+                   stream)
+    completions = (start + (hits // n_ions) * tick) + w
     return {"completions": completions.tolist(), "attempts": attempts,
-            "heralds_ok": heralds_ok}
+            "heralds_ok": n_pairs + len(drained)}
 
 
 def _engine_link_run(p: float, n_pairs: int, ports: int, tdm: int,
@@ -338,6 +359,11 @@ def _run_requests(streams, registers, n_pairs: int, ports: int, tdm: int,
             sum(run["heralds_ok"] for run in runs))
 
 
+#: Most pairs one ``run_link_sim`` call generates: the run holds an int64
+#: gap and two floats per pair.
+MAX_PAIRS = 2**20
+
+
 def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
                  n_pairs: int, seed: int, herald_latency: float = 10e-9,
                  p_override: float | None = None,
@@ -351,8 +377,8 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
     degenerate-link studies).  The single request draws from stream 0 of
     ``seed``.
     """
-    if n_pairs < 1:
-        raise ValidationError("n_pairs must be at least 1")
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValidationError(f"n_pairs must lie in [1, {MAX_PAIRS}]")
     ports = min(elu_a.ports, elu_b.ports)
     tdm = min(elu_a.m_t, elu_b.m_t)
     p = _link_probability(link, p_override)
@@ -395,11 +421,15 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
     from stream ``3*g + op`` of ``seed``; being independent and uncontended,
     the three requests run as three closed-form link runs.  ``m_p`` and
-    ``m_t`` default to the table's layout.
+    ``m_t`` default to the table's layout, which must be the photonically
+    linked MUSIQC one: the other layouts have no heralded links.
     """
     if n_toffolis < 1:
         raise ValidationError("n_toffolis must be at least 1")
     layout = table.layout
+    if not isinstance(layout, MusiqcLayout):
+        raise ValidationError(
+            f"the Toffoli pipeline runs on MUSIQC tables, not {layout.kind}")
     operand = EluState(0, ports=layout.m_p if m_p is None else m_p,
                        m_t=layout.m_t if m_t is None else m_t)
     ports, tdm = operand.ports, operand.m_t

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from ionarch.cli import main
 from ionarch.config import parse_config_text
 from ionarch.errors import ValidationError
+from ionarch.netsim import MAX_PAIRS
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +95,32 @@ def test_netsim_zero_probability_exit(capsys):
     code, _, err = run_cli(capsys, "netsim", "--pairs", "5", "--seed", "1",
                            "--p-excite", "0")
     assert code == 2
+
+
+def test_netsim_type2_link(capsys):
+    # the default type II link succeeds with p = 5e-9: about 2e8 attempts a
+    # pair, drawn as one geometric gap each
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "netsim", "--link", "type2", "--pairs", "4",
+                           "--seed", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["successes"] == 4
+    assert payload["attempts"] > 10**8
+
+
+@pytest.mark.parametrize("argv", [
+    # p = 2e-20: 100 pairs expect 5e21 attempts, past the int64 gap sum
+    ("--pairs", "100", "--seed", "1", "--link", "type2", "--p-excite", "1e-7"),
+    ("--pairs", "0", "--seed", "1"),
+    ("--pairs", str(MAX_PAIRS + 1), "--seed", "1"),
+])
+def test_netsim_out_of_range_exit(capsys, argv):
+    code, out, err = run_cli(capsys, "netsim", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -3,13 +3,15 @@ import statistics
 
 import pytest
 
-from ionarch.device import DeviceParams, LinkModel, LinkType
-from ionarch.errors import ValidationError, ZeroSuccessProbability
+from ionarch import netsim
+from ionarch.device import (DeviceParams, LinkModel, LinkType,
+                            link_success_probability)
+from ionarch.errors import DomainError, ValidationError, ZeroSuccessProbability
 from ionarch.netsim import (EluState, EntanglementRequest, EventKind,
                             EventQueue, SimEvent, run_link_sim,
                             run_toffoli_pipeline, summary)
-from ionarch.steane import level1_costs, toffoli_cost
-from ionarch.arch import MusiqcLayout
+from ionarch.steane import level1_costs, table_at_level, toffoli_cost
+from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 
 
 def slow_rep_link(p_success=0.05, rep_rate=0.5e6):
@@ -150,9 +152,10 @@ def test_batched_path_matches_event_engine(on_engine):
 
 
 def test_link_sim_outputs_pinned():
-    # recorded before each request got its own stream: run_link_sim's single
-    # request stays on stream 0, and a log sink changes no output bit
-    pins = {3: (5880, 0.00058601, 300), 21: (5709, 0.00056801, 301)}
+    # recorded when the link began drawing one geometric gap per success:
+    # run_link_sim's single request stays on stream 0, and a log sink changes
+    # no output bit
+    pins = {3: (5857, 0.00058201, 301), 21: (6367, 0.0006340100000000001, 304)}
     for seed, (attempts, makespan, heralded) in pins.items():
         for log_sink in ([].append, None):
             result = run_link_sim(slow_rep_link(0.05), *default_elus(), 300,
@@ -160,6 +163,60 @@ def test_link_sim_outputs_pinned():
             assert (result["attempts"], result["makespan_s"],
                     result["heralded_successes"]) == (attempts, makespan,
                                                       heralded)
+
+
+def test_closed_form_draws_one_gap_per_success(monkeypatch):
+    # 10k pairs at p = 1e-4 take about 1e8 attempts, yet the request draws
+    # one gap per heralded success plus the gap that ends the drain
+    draws = []
+
+    class CountingStream:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def geometric(self, p, size=None):
+            draws.append(1 if size is None else size)
+            return self.rng.geometric(p, size)
+
+    stream = netsim.philox_stream
+    monkeypatch.setattr(netsim, "philox_stream",
+                        lambda *args: CountingStream(stream(*args)))
+    n, ions = 10_000, MusiqcLayout.m_p * MusiqcLayout.m_t
+    result = run_link_sim(slow_rep_link(1e-4), *default_elus(), n, seed=2)
+    drained = result["heralded_successes"] - n
+    assert 0 <= drained < 2 * ions
+    assert sum(draws) == n + drained + 1
+    assert result["attempts"] > 1000 * sum(draws)
+
+
+def test_type2_mean_latency_matches_geometric_oracle():
+    # the default type II link (p = 5e-9): the mean pair latency is
+    # tick / (ions * p) within 6 sigma over 1000 pairs
+    n, ions = 1000, MusiqcLayout.m_p * MusiqcLayout.m_t
+    link = LinkModel(LinkType.TYPE_II, DeviceParams())
+    p = link_success_probability(link)
+    result = run_link_sim(link, *default_elus(), n, seed=5)
+    tick = netsim._attempt_tick(link.params, 10e-9)
+    per_pair = tick / (ions * p)
+    sigma = per_pair * math.sqrt((1.0 - p) / n)
+    assert result["successes"] == n
+    assert abs(result["mean_pair_latency_s"] - per_pair) <= 6 * sigma
+
+
+def test_attempt_count_past_int64_range_rejected():
+    # numpy's geometric saturates at 2**63 - 1 and a cumulative sum wraps:
+    # 2 pairs at p = 1e-18 expect 2e18 attempts, past 2**60
+    link = slow_rep_link()
+    with pytest.raises(DomainError, match=r"2\*\*60"):
+        run_link_sim(link, *default_elus(), 2, seed=1, p_override=1e-18)
+    # one pair at p = 2**-60 expects 2**60 attempts; seed 82 draws a gap of
+    # at least 2**62 (probability about e**-4), which is rejected after the
+    # draw, while seed 0 stays in range
+    with pytest.raises(DomainError, match=r"2\*\*62"):
+        run_link_sim(link, *default_elus(), 1, seed=82, p_override=2.0**-60)
+    result = run_link_sim(link, *default_elus(), 1, seed=0,
+                          p_override=2.0**-60)
+    assert 0 < result["attempts"] < 2**62 and result["makespan_s"] > 0
 
 
 def test_log_sink_receives_the_collected_lines(on_engine):
@@ -260,6 +317,18 @@ def test_batched_pipeline_matches_event_engine(on_engine):
     batched = run_toffoli_pipeline(2, table, link, 3)
     for key in keys:
         assert engine[key] == batched[key], key
+
+
+@pytest.mark.parametrize("layout", [QlaLayout(), NnLayout()])
+def test_pipeline_rejects_tables_without_photonic_links(layout):
+    # the repeater grid and the bare nearest-neighbor machine have no
+    # heralded links to simulate
+    params = DeviceParams()
+    link = LinkModel(LinkType.TYPE_I, params)
+    for table in (level1_costs(params, layout),
+                  table_at_level(params, layout, 2)):
+        with pytest.raises(ValidationError, match=layout.kind):
+            run_toffoli_pipeline(2, table, link, 3)
 
 
 @pytest.mark.parametrize("multiplexity", [dict(m_t=0), dict(m_p=-1),
