@@ -39,6 +39,8 @@ class MusiqcLayout(_Layout):
 
     kind: ClassVar[str] = "musiqc"
     ec_rounds_per_step: ClassVar[int] = 2
+    #: Ions of one register; its ``m_p * m_t`` communication ions share them.
+    register_ions: ClassVar[int] = 100
 
     def qubits(self, n: int) -> int:
         return 150 * n

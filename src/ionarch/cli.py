@@ -94,13 +94,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_number(text: str) -> Fraction | float:
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"{text!r} is not a number") from None
 
 
 def _grid(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ValidationError(
+            f"{text!r} is not a comma-separated list of numbers") from None
+    if not values:
+        raise ValidationError(f"grid {text!r} is empty")
+    return values
 
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
@@ -152,12 +160,8 @@ def _cmd_threshold(args, cfg) -> int:
                 rows.append({"eps": eps, "r": ratio, "margin": margin,
                              "below_threshold": margin > 0,
                              "expectation_first_order": analytic["first_order"]})
-        lines = ["eps,r,margin,below_threshold,expectation_first_order"]
-        for row in rows:
-            lines.append(f"{row['eps']:.9g},{row['r']:.9g},{row['margin']:.9g},"
-                         f"{int(row['below_threshold'])},"
-                         f"{row['expectation_first_order']:.9g}")
-        _emit(args, payload={"rows": rows}, csv_text="\n".join(lines) + "\n")
+        _emit(args, payload={"rows": rows},
+              csv_text=estimator.rows_to_csv(rows))
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
@@ -174,26 +178,18 @@ def _cmd_threshold(args, cfg) -> int:
     return 0
 
 
-CLUSTER_CSV_HEADER = ("eps,r,analytic_first_order,analytic_product,"
-                      "mc_estimate,mc_stderr,samples,seed")
-
-
 def _cmd_mc_cluster(args, cfg) -> int:
     samples = config.resolve(args.samples, cfg, "run.samples", 100000)
     seed = config.resolve(args.seed, cfg, "run.seed", 1)
     budget = cluster.ErrorBudget(eps=args.eps, r=args.ratio)
     analytic = cluster.stabilizer_expectation_analytic(budget)
     mc = cluster.mc_stabilizer_expectation(budget, samples, seed)
-    row = (f"{args.eps:.9g},{args.ratio:.9g},{analytic['first_order']:.9g},"
-           f"{analytic['product']:.9g},{mc['estimate']:.9g},"
-           f"{mc['stderr']:.9g},{samples},{seed}")
-    payload = {"eps": args.eps, "r": args.ratio,
-               "analytic_first_order": analytic["first_order"],
-               "analytic_product": analytic["product"],
-               "mc_estimate": mc["estimate"], "mc_stderr": mc["stderr"],
-               "samples": samples, "seed": seed}
-    _emit(args, payload=payload,
-          csv_text=CLUSTER_CSV_HEADER + "\n" + row + "\n")
+    row = {"eps": args.eps, "r": args.ratio,
+           "analytic_first_order": analytic["first_order"],
+           "analytic_product": analytic["product"],
+           "mc_estimate": mc["estimate"], "mc_stderr": mc["stderr"],
+           "samples": samples, "seed": seed}
+    _emit(args, payload=row, csv_text=estimator.rows_to_csv([row]))
     return 0
 
 
@@ -205,15 +201,14 @@ def _cmd_netsim(args, cfg) -> int:
         repetition_rate=args.repetition_rate_hz)
     kind = LinkType.TYPE_I if args.link == "type1" else LinkType.TYPE_II
     link = LinkModel(kind=kind, params=params)
-    elu_a = netsim.EluState(elu_id=0, ports=args.m_p, m_t=args.m_t)
-    elu_b = netsim.EluState(elu_id=1, ports=args.m_p, m_t=args.m_t)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             result = netsim.run_link_sim(
-                link, elu_a, elu_b, pairs, seed,
+                link, pairs, seed, ports=args.m_p, m_t=args.m_t,
                 log_sink=lambda line: fh.write(line + "\n"))
     else:
-        result = netsim.run_link_sim(link, elu_a, elu_b, pairs, seed)
+        result = netsim.run_link_sim(link, pairs, seed, ports=args.m_p,
+                                     m_t=args.m_t)
     _emit(args, payload=netsim.summary(result))
     return 0
 
@@ -227,7 +222,7 @@ def _cmd_hypercell(args, cfg) -> int:
         rows = hypercell.boundary_scan(_grid(args.eps_grid),
                                        _grid(args.ratio_grid))
         _emit(args, payload={"rows": rows},
-              csv_text=hypercell.boundary_rows_to_csv(rows))
+              csv_text=estimator.rows_to_csv(rows))
         return 0
     tau_d = 1.0
     tau_e = args.ratio * tau_d

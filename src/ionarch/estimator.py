@@ -9,8 +9,6 @@ folded-error-correction count, one round per circuit time step.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -21,9 +19,6 @@ from .device import DeviceParams
 from .errors import NTooSmall, ValidationError
 from .steane import (LogicalCostTable, Primitive, local_teleport_time,
                      required_concat_level, table_at_level)
-
-CSV_COLUMNS = ["n", "layout", "circuit", "level", "depth_total",
-               "toffoli_steps", "time_s", "qubits", "parallel_ops"]
 
 
 def floor_log2(x: int) -> int:
@@ -156,8 +151,7 @@ def shor_k_q(n: int) -> tuple[int, int]:
 
 
 def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
-                  eps_phys: float = 1e-7, eps_threshold: float = 1e-4,
-                  stabilizer_reps: int = 3) -> dict:
+                  eps_phys: float = 1e-7, eps_threshold: float = 1e-4) -> dict:
     """Execution time, qubit count and code level for factoring an n-bit number."""
     if n < 8:
         raise ValidationError("modular-exponentiation roll-up requires n >= 8")
@@ -166,8 +160,7 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
             "the factoring roll-up is defined for the musiqc and qla layouts")
     k_ops, q_logical = shor_k_q(n)
     selection = required_concat_level(k_ops, q_logical, eps_phys, eps_threshold)
-    table = table_at_level(params, layout, selection.level,
-                           stabilizer_reps=stabilizer_reps)
+    table = table_at_level(params, layout, selection.level)
     adder_time = adder_execution_time(n, layout, table)
     time_s = n * n * adder_time
     units = math.ceil(2.0 * math.sqrt(n))
@@ -185,16 +178,14 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
 
 
 def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
-              level: int = 1, stabilizer_reps: int = 3,
-              table: LogicalCostTable | None = None) -> dict:
-    """One report row in the canonical CSV schema.
+              level: int = 1, table: LogicalCostTable | None = None) -> dict:
+    """One report row, its keys in CSV column order.
 
     ``table`` is the layout's cost table at ``level`` when the caller has
     already built it; otherwise it is built here.
     """
     if table is None:
-        table = table_at_level(params, layout, level,
-                               stabilizer_reps=stabilizer_reps)
+        table = table_at_level(params, layout, level)
     resources = adder_resources(n, layout)
     profile = adder_depth(n, layout)
     return {
@@ -210,9 +201,8 @@ def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
     }
 
 
-def crossover_scan(n_values, params: DeviceParams | None = None,
-                   level: int = 1) -> dict:
-    """Sweep adder times over ``n_values`` on the three layouts.
+def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
+    """Sweep level-1 adder times over ``n_values`` on the three layouts.
 
     Returns the rows (sorted by n then layout) and the smallest scanned n at
     which the switched-layout lookahead adder beats the nearest-neighbor
@@ -223,13 +213,12 @@ def crossover_scan(n_values, params: DeviceParams | None = None,
         raise ValidationError("n_range must be non-empty")
     params = params or DeviceParams()
     layout_objs = [MusiqcLayout(), QlaLayout(), NnLayout()]
-    tables = [table_at_level(params, layout, level) for layout in layout_objs]
+    tables = [table_at_level(params, layout, 1) for layout in layout_objs]
     rows = []
     for n in n_values:
         for layout, table in zip(layout_objs, tables):
             try:
-                rows.append(adder_row(n, layout, params, level=level,
-                                      table=table))
+                rows.append(adder_row(n, layout, params, table=table))
             except NTooSmall:
                 continue
     crossover_n = None
@@ -244,12 +233,23 @@ def crossover_scan(n_values, params: DeviceParams | None = None,
     return {"rows": rows, "crossover_n": crossover_n}
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
 def rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        out["time_s"] = f"{row['time_s']:.9g}"
-        writer.writerow(out)
-    return buf.getvalue()
+    """The rows as CSV text, with the first row's keys as the header.
+
+    Floats print as ``%.9g`` and booleans as 0/1.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValidationError("no rows to write")
+    columns = list(rows[0])
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(row[key]) for key in columns) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -15,8 +15,6 @@ analytic total.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -74,14 +72,17 @@ class HypercellBudget:
     c: float = 3.0
 
     def __post_init__(self):
-        if self.t <= 0 or self.tau_e <= 0 or self.tau_d <= 0:
-            raise ValidationError("t, tau_e, tau_d must be positive")
+        # comparisons that NaN fails
+        if not (0 < self.t < math.inf and 0 < self.tau_e < math.inf
+                and 0 < self.tau_d < math.inf):
+            raise ValidationError(
+                "t, tau_e, tau_d must be positive and finite")
         if self.t > self.tau_e:
             raise ValidationError("t must not exceed tau_e (p = t/tau_e <= 1)")
-        if self.eps < 0:
-            raise ValidationError("eps must be non-negative")
-        if self.c <= 0:
-            raise ValidationError("c must be positive")
+        if not 0 <= self.eps < math.inf:
+            raise ValidationError("eps must be finite and non-negative")
+        if not 0 < self.c < math.inf:
+            raise ValidationError("c must be positive and finite")
 
     @property
     def p(self) -> float:
@@ -292,22 +293,21 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     }
 
 
-BOUNDARY_CSV_COLUMNS = ["eps", "ratio", "t_opt", "layers_opt", "eps_total",
-                        "p_fail", "feasible"]
-
-
 def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
     """Feasibility map over gate error and tau_E/tau_D.
 
     For each grid point the attempt time is swept logarithmically over the
     valid domain of the error formulas in 120 steps (tree depth follows from
     the port target c/p); a point is feasible when some t keeps the total
-    error below ``HypercellBudget.eps_crit``.
+    error below ``HypercellBudget.eps_crit``.  Row keys are in CSV column
+    order.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid))
     ratio_grid = sorted(set(float(x) for x in ratio_grid))
     if not eps_grid or not ratio_grid:
         raise ValidationError("grids must be non-empty")
+    if not all(0 < ratio < math.inf for ratio in ratio_grid):
+        raise ValidationError("ratios tau_E/tau_D must be positive and finite")
     c = HypercellBudget.c
     t_points = 120
     tau_d = 1.0
@@ -337,17 +337,3 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
                 "feasible": best["eps_total"] < HypercellBudget.eps_crit,
             })
     return rows
-
-
-def boundary_rows_to_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=BOUNDARY_CSV_COLUMNS,
-                            lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        for key in ("eps", "ratio", "t_opt", "eps_total", "p_fail"):
-            out[key] = f"{row[key]:.9g}"
-        out["feasible"] = "1" if row["feasible"] else "0"
-        writer.writerow(out)
-    return buf.getvalue()

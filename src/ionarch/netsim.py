@@ -11,11 +11,11 @@ stream 0, and in a Toffoli pipeline the request of gate ``g`` to operand
 ``op`` (0, 1, 2) is stream ``3*g + op``.  Read in the discrete-event
 engine's (tick, ion) order, a request's successes form a renewal process, so
 the stream yields one Geometric(p) gap per heralded success, not one draw
-per attempt.  One request runner serves both simulators.  It draws each
-request's gaps in bulk by a closed form and writes the event log from the
-same draws, in the (time, sequence) order of the engine, so identical seeds
-give bit-identical results and logs.  The engine itself is kept as the
-closed form's oracle for tests.
+per attempt.  One closed form serves both simulators.  It draws each
+request's gaps in bulk and writes the event log from the same draws, in the
+(time, sequence) order of the engine, so identical seeds give bit-identical
+results and logs.  The engine itself is kept as the closed form's oracle for
+tests.
 """
 
 from __future__ import annotations
@@ -95,26 +95,6 @@ class EventQueue:
 
 
 @dataclass
-class EluState:
-    """Register capacity relevant to the network: ports and TDM depth."""
-
-    elu_id: int
-    n_qubits: int = 100
-    ports: int = MusiqcLayout.m_p
-    m_t: int = MusiqcLayout.m_t
-    memory_qubits: int = 0
-
-    def __post_init__(self):
-        comm = self.ports * self.m_t
-        if comm + self.memory_qubits > self.n_qubits:
-            raise ValidationError(
-                f"register {self.elu_id}: {comm} communication + "
-                f"{self.memory_qubits} memory qubits exceed {self.n_qubits}")
-        if self.ports < 1 or self.m_t < 1:
-            raise ValidationError("ports and m_t must be at least 1")
-
-
-@dataclass
 class EntanglementRequest:
     pairs_needed: int
     request_id: int = 0
@@ -150,6 +130,16 @@ class _Ion:
 
     def next_allowed(self, tick: float) -> float:
         return self.start + self.ticks * tick
+
+
+def _check_multiplexity(ports: int, m_t: int):
+    """Reject ports and TDM depth that a register cannot host."""
+    if ports < 1 or m_t < 1:
+        raise ValidationError("ports and m_t must be at least 1")
+    if ports * m_t > MusiqcLayout.register_ions:
+        raise ValidationError(
+            f"{ports} ports x {m_t} TDM slots exceed the "
+            f"{MusiqcLayout.register_ions} ions of a register")
 
 
 def _attempt_tick(params: DeviceParams, herald_latency: float) -> float:
@@ -238,7 +228,7 @@ def _link_probability(link: LinkModel, p_override: float | None) -> float:
 
 
 def _log_ticks(emit, successes: list, attempts: int, ports: list,
-               tick: float, w: float, start: float, elu: int, request: int):
+               tick: float, w: float, start: float, request: int):
     """Write the event log of a request's attempts, one tick at a time.
 
     The request makes ``attempts`` attempts in (tick, ion) order, of which
@@ -246,12 +236,13 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
     on port ``ports[i]``.  Tick k logs its AttemptStart lines at
     ``start + k * tick`` in ion order, then their Herald lines at ``+ w``; a
     short last tick holds the drained attempts of the ions ranked first and
-    is logged the same way.  Memory stays O(successes), not O(attempts).
+    is logged the same way.  Every line names register 0.  Memory stays
+    O(successes), not O(attempts).
     """
-    attempt = [_log_fields(EventKind.ATTEMPT_START.value, elu, port, request)
+    attempt = [_log_fields(EventKind.ATTEMPT_START.value, 0, port, request)
                for port in ports]
-    herald = [(_log_fields(_herald_kind(False), elu, port, request),
-               _log_fields(_herald_kind(True), elu, port, request))
+    herald = [(_log_fields(_herald_kind(False), 0, port, request),
+               _log_fields(_herald_kind(True), 0, port, request))
               for port in ports]
     n_ions = len(ports)
     hits = iter(successes)
@@ -275,12 +266,15 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
 _MAX_EXPECTED_ATTEMPTS = 2**60
 #: Attempt index that the last success of a request must stay below.
 _MAX_ATTEMPT_INDEX = 2**62
+#: Most attempts of a logged request: a log takes about 70 bytes an attempt,
+#: so it stays near 1.2 GB.
+MAX_LOG_ATTEMPTS = 2**24
 
 
 def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
                           tick: float, w: float, seed: int, stream: int = 0,
-                          start: float = 0.0, elu: int = 0, emit=None) -> dict:
-    """One uncontended request on register ``elu``, drawn in bulk.
+                          start: float = 0.0, emit=None) -> dict:
+    """One uncontended request, drawn in bulk.
 
     The request draws from ``philox_stream(seed, stream)`` over
     ``ports * tdm`` ions; ion ``i`` sits on port ``i // tdm``.  With a common
@@ -294,7 +288,8 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     drains the already scheduled attempts of the next tick (the ions whose
     heralds preceded the completing one); one further gap per drained
     success counts them, as the engine does.  ``emit`` receives the engine's
-    event log line by line, rebuilt from the success indices.
+    event log line by line, rebuilt from the success indices; a request of
+    more than ``MAX_LOG_ATTEMPTS`` attempts is rejected instead of logged.
     """
     if n_pairs / p > _MAX_EXPECTED_ATTEMPTS:
         raise DomainError(
@@ -313,6 +308,10 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     # before it have already started their next attempt
     k_done, rank = divmod(last, n_ions)
     attempts = (k_done + 1) * n_ions + rank
+    if emit is not None and attempts > MAX_LOG_ATTEMPTS:
+        raise DomainError(
+            f"{n_pairs} pairs take {attempts} attempts; a log holds at most "
+            f"2**24 = {MAX_LOG_ATTEMPTS}")
     drained = []
     hit = last + int(rng.geometric(p))
     while hit < attempts:
@@ -320,8 +319,7 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
         hit += int(rng.geometric(p))
     if emit is not None:
         _log_ticks(emit, hits.tolist() + drained, attempts,
-                   [i // tdm for i in range(n_ions)], tick, w, start, elu,
-                   stream)
+                   [i // tdm for i in range(n_ions)], tick, w, start, stream)
     completions = (start + (hits // n_ions) * tick) + w
     return {"completions": completions.tolist(), "attempts": attempts,
             "heralds_ok": n_pairs + len(drained)}
@@ -329,34 +327,14 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
 
 def _engine_link_run(p: float, n_pairs: int, ports: int, tdm: int,
                      tick: float, w: float, seed: int, stream: int = 0,
-                     start: float = 0.0, elu: int = 0, emit=None) -> dict:
+                     start: float = 0.0, emit=None) -> dict:
     """``_closed_form_link_run`` run by the event engine: the test oracle."""
     engine = _LinkEngine(p, tick, w, emit)
     request = EntanglementRequest(n_pairs, request_id=stream)
-    ions = [_Ion(elu, i // tdm, start) for i in range(ports * tdm)]
+    ions = [_Ion(0, i // tdm, start) for i in range(ports * tdm)]
     engine.run_request(request, ions, philox_stream(seed, stream))
     return {"completions": request.completion_times,
             "attempts": engine.attempts, "heralds_ok": engine.heralds_ok}
-
-
-def _run_requests(streams, registers, n_pairs: int, ports: int, tdm: int,
-                  p: float, tick: float, w: float, seed: int, start: float,
-                  emit=None) -> tuple[list, int, int]:
-    """Serve a group of concurrent, uncontended link requests.
-
-    Request ``streams[i]`` draws from ``philox_stream(seed, streams[i])``,
-    logs register ``registers[i]`` and needs ``n_pairs`` heralded pairs over
-    ``ports * tdm`` ions that start attempting at ``start``.  Returns each
-    request's completion times, the attempt count and the heralded successes.
-    Each request is one closed-form run; ``emit`` takes their log lines
-    request by request.
-    """
-    runs = [_closed_form_link_run(p, n_pairs, ports, tdm, tick, w, seed,
-                                  stream=s, start=start, elu=elu, emit=emit)
-            for s, elu in zip(streams, registers)]
-    return ([run["completions"] for run in runs],
-            sum(run["attempts"] for run in runs),
-            sum(run["heralds_ok"] for run in runs))
 
 
 #: Most pairs one ``run_link_sim`` call generates: the run holds an int64
@@ -364,28 +342,28 @@ def _run_requests(streams, registers, n_pairs: int, ports: int, tdm: int,
 MAX_PAIRS = 2**20
 
 
-def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
-                 n_pairs: int, seed: int, herald_latency: float = 10e-9,
+def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
+                 ports: int = MusiqcLayout.m_p, m_t: int = MusiqcLayout.m_t,
+                 herald_latency: float = 10e-9,
                  p_override: float | None = None,
                  log_sink=None) -> dict:
     """Generate ``n_pairs`` heralded pairs between two registers.
 
-    The link runs over the ports and TDM depth that both registers offer.
-    Returns the makespan, per-pair inter-completion latencies, attempt count
-    and success count.  The callable ``log_sink`` receives the event log line
-    by line.  ``p_override`` replaces the physical success probability (for
-    degenerate-link studies).  The single request draws from stream 0 of
-    ``seed``.
+    The link runs over ``ports`` optical ports, each ``m_t``-fold time
+    multiplexed.  Returns the makespan, per-pair inter-completion latencies,
+    attempt count and success count.  The callable ``log_sink`` receives the
+    event log line by line.  ``p_override`` replaces the physical success
+    probability (for degenerate-link studies).  The single request draws from
+    stream 0 of ``seed``.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must lie in [1, {MAX_PAIRS}]")
-    ports = min(elu_a.ports, elu_b.ports)
-    tdm = min(elu_a.m_t, elu_b.m_t)
+    _check_multiplexity(ports, m_t)
     p = _link_probability(link, p_override)
     tick = _attempt_tick(link.params, herald_latency)
-    (times,), attempts, heralds_ok = _run_requests(
-        [0], [elu_a.elu_id], n_pairs, ports, tdm, p, tick, herald_latency,
-        seed, start=0.0, emit=log_sink)
+    run = _closed_form_link_run(p, n_pairs, ports, m_t, tick, herald_latency,
+                                seed, emit=log_sink)
+    times = run["completions"]
     makespan = times[-1]
     latencies = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
     busy = n_pairs * herald_latency
@@ -393,9 +371,9 @@ def run_link_sim(link: LinkModel, elu_a: EluState, elu_b: EluState,
         "makespan_s": makespan,
         "latencies_s": latencies,
         "mean_pair_latency_s": makespan / n_pairs,
-        "attempts": attempts,
+        "attempts": run["attempts"],
         "successes": len(times),
-        "heralded_successes": heralds_ok,
+        "heralded_successes": run["heralds_ok"],
         "link_wait_fraction": max(0.0, 1.0 - busy / makespan) if makespan else 0.0,
     }
 
@@ -409,7 +387,8 @@ def summary(result: dict) -> dict:
 
 def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
                          link: LinkModel, seed: int,
-                         m_p: int | None = None, m_t: int | None = None,
+                         m_p: int = MusiqcLayout.m_p,
+                         m_t: int = MusiqcLayout.m_t,
                          herald_latency: float = 10e-9,
                          p_override: float | None = None) -> dict:
     """Simulate sequential teleported Toffoli gates on fresh registers.
@@ -420,9 +399,9 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     ports; the gate completes after the slower of the two phases plus the
     teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
     from stream ``3*g + op`` of ``seed``; being independent and uncontended,
-    the three requests run as three closed-form link runs.  ``m_p`` and
-    ``m_t`` default to the table's layout, which must be the photonically
-    linked MUSIQC one: the other layouts have no heralded links.
+    the three requests run as three closed-form link runs.  The table's
+    layout must be the photonically linked MUSIQC one, whose ``m_p`` and
+    ``m_t`` are the defaults: the other layouts have no heralded links.
     """
     if n_toffolis < 1:
         raise ValidationError("n_toffolis must be at least 1")
@@ -430,9 +409,7 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     if not isinstance(layout, MusiqcLayout):
         raise ValidationError(
             f"the Toffoli pipeline runs on MUSIQC tables, not {layout.kind}")
-    operand = EluState(0, ports=layout.m_p if m_p is None else m_p,
-                       m_t=layout.m_t if m_t is None else m_t)
-    ports, tdm = operand.ports, operand.m_t
+    _check_multiplexity(m_p, m_t)
     p = _link_probability(link, p_override)
     tick = _attempt_tick(link.params, herald_latency)
 
@@ -443,12 +420,12 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     attempts = 0
     t = 0.0
     for k in range(n_toffolis):
-        streams = range(3 * k, 3 * k + 3)      # one per operand register
-        completions, gate_attempts, _ = _run_requests(
-            streams, streams, PAIRS_PER_OPERAND, ports, tdm, p, tick,
-            herald_latency, seed, start=t)
-        links_end = max(times[-1] for times in completions)
-        attempts += gate_attempts
+        runs = [_closed_form_link_run(p, PAIRS_PER_OPERAND, m_p, m_t, tick,
+                                      herald_latency, seed, stream=stream,
+                                      start=t)
+                for stream in range(3 * k, 3 * k + 3)]   # one per operand
+        links_end = max(run["completions"][-1] for run in runs)
+        attempts += sum(run["attempts"] for run in runs)
         prep_end = t + prep
         gate_end = max(prep_end, links_end) + teleport
         link_wait += max(0.0, links_end - prep_end)

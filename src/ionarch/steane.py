@@ -370,9 +370,12 @@ def logical_error_at_level(level: int, eps_phys: float,
     return eps_threshold * (eps_phys / eps_threshold) ** (2 ** level)
 
 
+#: Highest concatenation level the factoring roll-up selects.
+MAX_CONCAT_LEVEL = 3
+
+
 def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
-                          eps_threshold: float = 1e-4,
-                          max_level: int = 3) -> ConcatSelection:
+                          eps_threshold: float = 1e-4) -> ConcatSelection:
     """Smallest concatenation level whose logical error meets 1 / (K Q).
 
     ``eps_threshold`` is a model input (the code's concatenation threshold),
@@ -380,26 +383,28 @@ def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
     """
     if k_ops < 1 or q_logical < 1:
         raise ValidationError("K and Q must be at least 1")
-    if eps_phys < 0:
-        raise ValidationError("eps_phys must be non-negative")
+    if not 0 <= eps_phys < math.inf:       # also rejects NaN
+        raise ValidationError("eps_phys must be finite and non-negative")
+    if not 0 < eps_threshold < math.inf:
+        raise ValidationError("eps_threshold must be finite and positive")
     if eps_phys >= eps_threshold:
         raise ValidationError("eps_phys must be below eps_threshold")
     target = 1.0 / (k_ops * q_logical)
-    for level in range(1, max_level + 1):
+    for level in range(1, MAX_CONCAT_LEVEL + 1):
         err = logical_error_at_level(level, eps_phys, eps_threshold)
         if err <= target:
             return ConcatSelection(level=level, logical_error_per_op=err)
     raise InsufficientConcatenation(
-        f"no level up to {max_level} reaches a logical error of {target:.3g} "
-        f"(K={k_ops}, Q={q_logical}, eps={eps_phys:g})")
+        f"no level up to {MAX_CONCAT_LEVEL} reaches a logical error of "
+        f"{target:.3g} (K={k_ops}, Q={q_logical}, eps={eps_phys:g})")
 
 
-def table_at_level(params: DeviceParams, layout: ArchLayout, level: int,
-                   stabilizer_reps: int = 3) -> LogicalCostTable:
+def table_at_level(params: DeviceParams, layout: ArchLayout,
+                   level: int) -> LogicalCostTable:
     """Build the level-1 table and lift it to ``level``."""
     if level < 1:
         raise ValidationError("level must be at least 1")
-    table = level1_costs(params, layout, stabilizer_reps=stabilizer_reps)
+    table = level1_costs(params, layout)
     for _ in range(level - 1):
         table = lift_level(table)
     return table

@@ -24,7 +24,7 @@ from ionarch.estimator import (adder_execution_time, adder_resources,
                                shor_estimate)
 from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
                                ft_bounds, mc_tree_build, total_error)
-from ionarch.netsim import EluState, run_link_sim
+from ionarch.netsim import run_link_sim
 from ionarch.steane import table_at_level
 from ionarch.hypercell import fail_prob
 
@@ -194,21 +194,19 @@ def test_criterion_09_netsim():
     params = DeviceParams(p_excite=p, solid_angle_fraction=1.0,
                           detector_efficiency=1.0, repetition_rate=rate)
     link = LinkModel(LinkType.TYPE_I, params)
-    elus = (EluState(0), EluState(1))
-    single = (EluState(0, ports=1, m_t=1), EluState(1, ports=1, m_t=1))
-    result = run_link_sim(link, *single, n, seed=3)
+    result = run_link_sim(link, n, seed=3, ports=1, m_t=1)
     tau = 1.0 / (rate * p)
     stderr = tau * math.sqrt(1 - p) / math.sqrt(n)
     assert abs(result["mean_pair_latency_s"] - tau) <= 3 * stderr
 
-    base = run_link_sim(link, *single, 1500, seed=11)
-    tdm = run_link_sim(link, *elus, 1500, seed=12)
+    base = run_link_sim(link, 1500, seed=11, ports=1, m_t=1)
+    tdm = run_link_sim(link, 1500, seed=12)
     gain = base["makespan_s"] / tdm["makespan_s"]
     assert abs(gain - 20.0) / 20.0 <= 0.15
 
     log1, log2 = [], []
-    run_link_sim(link, *elus, 200, seed=5, log_sink=log1.append)
-    run_link_sim(link, *elus, 200, seed=5, log_sink=log2.append)
+    run_link_sim(link, 200, seed=5, log_sink=log1.append)
+    run_link_sim(link, 200, seed=5, log_sink=log2.append)
     assert log1 == log2
 
 

@@ -82,6 +82,21 @@ def test_mc_cluster_deterministic_bytes(capsys):
                       "mc_estimate,mc_stderr,samples,seed")
 
 
+def test_cli_outputs_pinned(capsys):
+    # byte-for-byte pins of two outputs that no golden digest covers
+    _, out, _ = run_cli(capsys, "mc-cluster", "--samples", "1000", "--seed",
+                        "3", "--eps", "1e-4", "--ratio", "0")
+    assert out == ("eps,r,analytic_first_order,analytic_product,mc_estimate,"
+                   "mc_stderr,samples,seed\n"
+                   "0.0001,0,0.98976,0.989810299,0.988,0.0048867044,1000,3\n")
+    _, out, _ = run_cli(capsys, "threshold", "--eps", "29/10000", "--ratio",
+                        "0", "--json")
+    assert out == ('{"below_threshold": false, "eps": 0.0029, '
+                   '"expectation_first_order": 0.70304, '
+                   '"expectation_product": 0.7418325145711535, '
+                   '"margin": 0.0, "r": 0.0}\n')
+
+
 def test_netsim_summary_schema(capsys):
     code, out, _ = run_cli(capsys, "netsim", "--pairs", "40", "--seed", "1",
                            "--repetition-rate-hz", "500000")
@@ -123,18 +138,31 @@ def test_netsim_out_of_range_exit(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_netsim_log_bound_exit(tmp_path, capsys):
+    # the default type II link takes about 8.7e8 attempts for 4 pairs, so
+    # their log would pass MAX_LOG_ATTEMPTS; the run stops before a line
+    path = tmp_path / "big.log"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "netsim", "--link", "type2", "--pairs",
+                             "4", "--seed", "3", "--log", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_bytes() == b""
+
+
 @pytest.fixture(scope="module")
 def engine_log(on_engine):
     """The event engine's log of `netsim --pairs 30 --seed 9
     --repetition-rate-hz 500000`, as the bytes of a log file."""
     from ionarch.config import device_from_config
     from ionarch.device import LinkModel, LinkType
-    from ionarch.netsim import EluState, run_link_sim
+    from ionarch.netsim import run_link_sim
     link = LinkModel(LinkType.TYPE_I,
                      device_from_config({}, repetition_rate=500000.0))
     lines = []
-    on_engine(run_link_sim, link, EluState(0), EluState(1), 30, 9,
-              log_sink=lines.append)
+    on_engine(run_link_sim, link, 30, 9, log_sink=lines.append)
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -179,6 +207,21 @@ def test_netsim_herald_latency_reaching_spacing_exit(tmp_path, capsys):
     ("netsim", "--pairs", "5", "--repetition-rate-hz", "inf"),
     ("threshold", "--eps", "1e-4", "--ratio", "nan", "--json"),
     ("threshold", "--eps", "1e-4", "--ratio", "inf", "--json"),
+    ("threshold", "--eps", "abc"),
+    ("threshold", "--eps", "1/0"),
+    ("threshold", "--scan", "--eps-grid", "abc"),
+    ("threshold", "--scan", "--eps-grid", ","),
+    ("hypercell", "--scan", "--eps-grid", "x"),
+    ("hypercell", "--ratio", "nan"),
+    ("hypercell", "--ratio", "inf"),
+    ("hypercell", "--t", "nan"),
+    ("hypercell", "--scan", "--ratio-grid", "nan"),
+    ("hypercell", "--scan", "--ratio-grid", "0"),
+    ("hypercell", "--eps", "nan"),
+    ("hypercell", "--eps", "inf"),
+    ("hypercell", "--scan", "--eps-grid", "inf"),
+    ("estimate-shor", "--n", "64", "--eps-phys", "nan"),
+    ("estimate-shor", "--n", "64", "--eps-threshold", "nan"),
 ])
 def test_non_finite_input_exit(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

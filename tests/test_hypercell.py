@@ -5,8 +5,8 @@ import time
 import pytest
 
 from ionarch.errors import DomainError, ValidationError
-from ionarch.hypercell import (BOUNDARY_CSV_COLUMNS, HypercellBudget,
-                               TreeConfig, boundary_rows_to_csv, boundary_scan,
+from ionarch.estimator import rows_to_csv
+from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
                                construction2_error, fail_prob, ft_bounds,
                                hypercell_cost, mc_tree_build, memory_error,
                                path_length, total_error)
@@ -190,8 +190,7 @@ def test_boundary_scan_properties():
 
 def test_boundary_csv_schema():
     rows = boundary_scan((1e-5,), (1.0,))
-    text = boundary_rows_to_csv(rows)
-    assert text.splitlines()[0] == ",".join(BOUNDARY_CSV_COLUMNS)
+    text = rows_to_csv(rows)
     assert text.splitlines()[0] == "eps,ratio,t_opt,layers_opt,eps_total,p_fail,feasible"
 
 

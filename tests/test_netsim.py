@@ -7,9 +7,9 @@ from ionarch import netsim
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
                             link_success_probability)
 from ionarch.errors import DomainError, ValidationError, ZeroSuccessProbability
-from ionarch.netsim import (EluState, EntanglementRequest, EventKind,
-                            EventQueue, SimEvent, run_link_sim,
-                            run_toffoli_pipeline, summary)
+from ionarch.netsim import (EntanglementRequest, EventKind, EventQueue,
+                            SimEvent, run_link_sim, run_toffoli_pipeline,
+                            summary)
 from ionarch.steane import level1_costs, table_at_level, toffoli_cost
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 
@@ -19,10 +19,6 @@ def slow_rep_link(p_success=0.05, rep_rate=0.5e6):
     params = DeviceParams(p_excite=p_success, solid_angle_fraction=1.0,
                           detector_efficiency=1.0, repetition_rate=rep_rate)
     return LinkModel(LinkType.TYPE_I, params)
-
-
-def default_elus(m_p=MusiqcLayout.m_p, m_t=MusiqcLayout.m_t):
-    return (EluState(0, ports=m_p, m_t=m_t), EluState(1, ports=m_p, m_t=m_t))
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +42,15 @@ def test_event_queue_fifo_within_timestamp():
     assert q.pop()[0].elu == 2
 
 
-def test_elu_state_capacity_guard():
-    with pytest.raises(ValidationError):
-        EluState(0, n_qubits=10, ports=2, m_t=10)
-    EluState(0, n_qubits=100, ports=6, m_t=10, memory_qubits=40)
+def test_register_capacity_guard(capsys):
+    # m_p * m_t communication ions must fit in the 100 ions of a register
+    from ionarch.cli import main
+    assert main(["netsim", "--pairs", "2", "--m-t", "1000"]) == 2
+    assert "exceed the 100 ions" in capsys.readouterr().err
+    link, table = pipeline_fixture()
+    with pytest.raises(ValidationError, match="exceed the 100 ions"):
+        run_toffoli_pipeline(1, table, link, seed=1, m_p=10, m_t=11)
+    assert run_link_sim(link, 1, seed=1, ports=10, m_t=10)["successes"] == 1
 
 
 def test_request_over_completion_guard():
@@ -66,7 +67,7 @@ def test_mean_latency_matches_geometric_oracle():
     # geometric-distribution oracle: mean completion spacing is 1/(R p)
     p, rate, n = 0.05, 0.5e6, 10000
     link = slow_rep_link(p, rate)
-    result = run_link_sim(link, *default_elus(1, 1), n, seed=3)
+    result = run_link_sim(link, n, seed=3, ports=1, m_t=1)
     tau = 1.0 / (rate * p)
     stderr = tau * math.sqrt(1.0 - p) / math.sqrt(n)
     assert abs(result["mean_pair_latency_s"] - tau) <= 3 * stderr
@@ -75,7 +76,7 @@ def test_mean_latency_matches_geometric_oracle():
 
 def test_attempt_success_fraction_binomial():
     p = 0.05
-    result = run_link_sim(slow_rep_link(p), *default_elus(1, 1), 2000, seed=17)
+    result = run_link_sim(slow_rep_link(p), 2000, seed=17, ports=1, m_t=1)
     k, n = result["heralded_successes"], result["attempts"]
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(k / n - p) <= 3 * sigma
@@ -86,7 +87,7 @@ def test_deterministic_link_p_one():
     # period, no re-initialization stalls
     rate = 0.5e6
     link = slow_rep_link(0.25, rate)
-    result = run_link_sim(link, *default_elus(1, 1), 50, seed=1,
+    result = run_link_sim(link, 50, seed=1, ports=1, m_t=1,
                           p_override=1.0, herald_latency=10e-9)
     assert result["attempts"] == 50
     assert result["makespan_s"] == pytest.approx(49 / rate + 10e-9)
@@ -96,8 +97,8 @@ def test_throughput_gain_of_multiplexing():
     # pipelined-server oracle: saturated throughput scales with m_p * m_t
     link = slow_rep_link(0.05, 0.5e6)
     n = 1500
-    base = run_link_sim(link, *default_elus(1, 1), n, seed=11)
-    tdm = run_link_sim(link, *default_elus(2, 10), n, seed=12)
+    base = run_link_sim(link, n, seed=11, ports=1, m_t=1)
+    tdm = run_link_sim(link, n, seed=12, ports=2, m_t=10)
     gain = base["makespan_s"] / tdm["makespan_s"]
     assert gain == pytest.approx(20.0, rel=0.15)
 
@@ -110,15 +111,15 @@ def event_log(*args, **kwargs):
 
 def test_identical_seeds_identical_logs():
     link = slow_rep_link()
-    _, log1 = event_log(link, *default_elus(), 300, seed=5)
-    _, log2 = event_log(link, *default_elus(), 300, seed=5)
+    _, log1 = event_log(link, 300, seed=5)
+    _, log2 = event_log(link, 300, seed=5)
     assert log1 == log2
-    _, log3 = event_log(link, *default_elus(), 300, seed=6)
+    _, log3 = event_log(link, 300, seed=6)
     assert log1 != log3
 
 
 def test_event_log_format_and_causality():
-    result, log = event_log(slow_rep_link(), *default_elus(), 40, seed=5)
+    result, log = event_log(slow_rep_link(), 40, seed=5)
     times = []
     for line in log:
         fields = line.split(",")
@@ -131,7 +132,7 @@ def test_event_log_format_and_causality():
 
 
 def test_conservation_pairs_and_circuits():
-    result = run_link_sim(slow_rep_link(), *default_elus(), 200, seed=9)
+    result = run_link_sim(slow_rep_link(), 200, seed=9)
     assert result["successes"] <= result["attempts"]
 
 
@@ -143,9 +144,9 @@ def test_batched_path_matches_event_engine(on_engine):
     for p, m_p, m_t, seed in [(0.05, 1, 1, 3), (0.05, 2, 10, 7),
                               (0.01, 2, 3, 11), (0.002, 2, 10, 13)]:
         link = slow_rep_link(p)
-        elus = default_elus(m_p, m_t)
-        engine, engine_log = on_engine(event_log, link, *elus, 300, seed=seed)
-        batched, batched_log = event_log(link, *elus, 300, seed=seed)
+        kwargs = dict(seed=seed, ports=m_p, m_t=m_t)
+        engine, engine_log = on_engine(event_log, link, 300, **kwargs)
+        batched, batched_log = event_log(link, 300, **kwargs)
         for key in keys:
             assert engine[key] == batched[key], (p, m_p, m_t, key)
         assert engine_log == batched_log, (p, m_p, m_t)
@@ -158,8 +159,8 @@ def test_link_sim_outputs_pinned():
     pins = {3: (5857, 0.00058201, 301), 21: (6367, 0.0006340100000000001, 304)}
     for seed, (attempts, makespan, heralded) in pins.items():
         for log_sink in ([].append, None):
-            result = run_link_sim(slow_rep_link(0.05), *default_elus(), 300,
-                                  seed=seed, log_sink=log_sink)
+            result = run_link_sim(slow_rep_link(0.05), 300, seed=seed,
+                                  log_sink=log_sink)
             assert (result["attempts"], result["makespan_s"],
                     result["heralded_successes"]) == (attempts, makespan,
                                                       heralded)
@@ -182,7 +183,7 @@ def test_closed_form_draws_one_gap_per_success(monkeypatch):
     monkeypatch.setattr(netsim, "philox_stream",
                         lambda *args: CountingStream(stream(*args)))
     n, ions = 10_000, MusiqcLayout.m_p * MusiqcLayout.m_t
-    result = run_link_sim(slow_rep_link(1e-4), *default_elus(), n, seed=2)
+    result = run_link_sim(slow_rep_link(1e-4), n, seed=2)
     drained = result["heralded_successes"] - n
     assert 0 <= drained < 2 * ions
     assert sum(draws) == n + drained + 1
@@ -195,7 +196,7 @@ def test_type2_mean_latency_matches_geometric_oracle():
     n, ions = 1000, MusiqcLayout.m_p * MusiqcLayout.m_t
     link = LinkModel(LinkType.TYPE_II, DeviceParams())
     p = link_success_probability(link)
-    result = run_link_sim(link, *default_elus(), n, seed=5)
+    result = run_link_sim(link, n, seed=5)
     tick = netsim._attempt_tick(link.params, 10e-9)
     per_pair = tick / (ions * p)
     sigma = per_pair * math.sqrt((1.0 - p) / n)
@@ -208,23 +209,21 @@ def test_attempt_count_past_int64_range_rejected():
     # 2 pairs at p = 1e-18 expect 2e18 attempts, past 2**60
     link = slow_rep_link()
     with pytest.raises(DomainError, match=r"2\*\*60"):
-        run_link_sim(link, *default_elus(), 2, seed=1, p_override=1e-18)
+        run_link_sim(link, 2, seed=1, p_override=1e-18)
     # one pair at p = 2**-60 expects 2**60 attempts; seed 82 draws a gap of
     # at least 2**62 (probability about e**-4), which is rejected after the
     # draw, while seed 0 stays in range
     with pytest.raises(DomainError, match=r"2\*\*62"):
-        run_link_sim(link, *default_elus(), 1, seed=82, p_override=2.0**-60)
-    result = run_link_sim(link, *default_elus(), 1, seed=0,
-                          p_override=2.0**-60)
+        run_link_sim(link, 1, seed=82, p_override=2.0**-60)
+    result = run_link_sim(link, 1, seed=0, p_override=2.0**-60)
     assert 0 < result["attempts"] < 2**62 and result["makespan_s"] > 0
 
 
 def test_log_sink_receives_the_collected_lines(on_engine):
-    streamed, lines = event_log(slow_rep_link(), *default_elus(), 30, seed=4)
-    _, collected = on_engine(event_log, slow_rep_link(), *default_elus(), 30,
-                             seed=4)
+    streamed, lines = event_log(slow_rep_link(), 30, seed=4)
+    _, collected = on_engine(event_log, slow_rep_link(), 30, seed=4)
     assert lines == collected
-    plain = run_link_sim(slow_rep_link(), *default_elus(), 30, seed=4)
+    plain = run_link_sim(slow_rep_link(), 30, seed=4)
     assert summary(streamed) == summary(plain)
 
 
@@ -232,7 +231,7 @@ def test_log_sink_receives_the_collected_lines(on_engine):
 def test_invalid_probability_rejected(p):
     link, table = pipeline_fixture()
     with pytest.raises(ValidationError):
-        run_link_sim(link, *default_elus(), 10, seed=1, p_override=p)
+        run_link_sim(link, 10, seed=1, p_override=p)
     with pytest.raises(ValidationError):
         run_toffoli_pipeline(1, table, link, seed=1, p_override=p)
 
@@ -241,7 +240,7 @@ def test_invalid_probability_rejected(p):
 def test_invalid_herald_latency_rejected(latency):
     link, table = pipeline_fixture()
     with pytest.raises(ValidationError):
-        run_link_sim(link, *default_elus(), 10, seed=1, herald_latency=latency)
+        run_link_sim(link, 10, seed=1, herald_latency=latency)
     with pytest.raises(ValidationError):
         run_toffoli_pipeline(1, table, link, seed=1, herald_latency=latency)
 
@@ -253,13 +252,13 @@ def test_herald_latency_reaching_the_attempt_spacing_rejected():
     link = LinkModel(LinkType.TYPE_I, params)
     table = level1_costs(params, MusiqcLayout())
     with pytest.raises(ValidationError, match="attempt spacing"):
-        run_link_sim(link, *default_elus(), 3, seed=1, herald_latency=10e-9)
+        run_link_sim(link, 3, seed=1, herald_latency=10e-9)
     with pytest.raises(ValidationError, match="attempt spacing"):
         run_toffoli_pipeline(1, table, link, seed=1, herald_latency=10e-9)
     # a picosecond of re-initialization separates them again
     link = LinkModel(LinkType.TYPE_I,
                      DeviceParams(repetition_rate=1e9, reinit_time=1e-12))
-    assert run_link_sim(link, *default_elus(), 3, seed=1,
+    assert run_link_sim(link, 3, seed=1,
                         herald_latency=10e-9)["successes"] == 3
 
 
@@ -267,11 +266,11 @@ def test_zero_probability_rejected():
     params = DeviceParams(p_excite=0.0)
     link = LinkModel(LinkType.TYPE_I, params)
     with pytest.raises(ZeroSuccessProbability):
-        run_link_sim(link, *default_elus(), 10, seed=1)
+        run_link_sim(link, 10, seed=1)
 
 
 def test_summary_json_schema():
-    result = run_link_sim(slow_rep_link(), *default_elus(), 20, seed=2)
+    result = run_link_sim(slow_rep_link(), 20, seed=2)
     assert set(summary(result)) == {"makespan_s", "mean_pair_latency_s",
                                     "attempts", "successes",
                                     "link_wait_fraction"}
