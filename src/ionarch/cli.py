@@ -10,6 +10,7 @@ table-like results unless ``--json`` is given; it goes to stdout, or to the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -149,32 +150,29 @@ def _cmd_estimate_shor(args, cfg) -> int:
     return 0
 
 
+def _threshold_row(eps, ratio) -> dict:
+    budget = cluster.ErrorBudget(eps=eps, r=ratio)
+    margin = float(cluster.threshold_margin(budget))
+    analytic = cluster.stabilizer_expectation_analytic(budget)
+    return {"eps": float(eps), "r": float(ratio), "margin": margin,
+            "below_threshold": margin > 0,
+            "expectation_first_order": float(analytic["first_order"]),
+            "expectation_product": float(analytic["product"])}
+
+
 def _cmd_threshold(args, cfg) -> int:
     if args.scan:
-        rows = []
-        for eps in _grid(args.eps_grid):
-            for ratio in _grid(args.ratio_grid):
-                budget = cluster.ErrorBudget(eps=eps, r=ratio)
-                margin = float(cluster.threshold_margin(budget))
-                analytic = cluster.stabilizer_expectation_analytic(budget)
-                rows.append({"eps": eps, "r": ratio, "margin": margin,
-                             "below_threshold": margin > 0,
-                             "expectation_first_order": analytic["first_order"]})
+        rows = [_threshold_row(eps, ratio)
+                for eps in _grid(args.eps_grid)
+                for ratio in _grid(args.ratio_grid)]
+        for row in rows:        # the scan's columns leave out the product
+            del row["expectation_product"]
         _emit(args, payload={"rows": rows},
               csv_text=estimator.rows_to_csv(rows))
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
-    budget = cluster.ErrorBudget(eps=eps, r=ratio)
-    margin = cluster.threshold_margin(budget)
-    analytic = cluster.stabilizer_expectation_analytic(budget)
-    payload = {
-        "eps": float(eps), "r": float(ratio), "margin": float(margin),
-        "below_threshold": float(margin) > 0,
-        "expectation_first_order": float(analytic["first_order"]),
-        "expectation_product": float(analytic["product"]),
-    }
-    _emit(args, payload=payload)
+    _emit(args, payload=_threshold_row(eps, ratio))
     return 0
 
 
@@ -201,14 +199,21 @@ def _cmd_netsim(args, cfg) -> int:
         repetition_rate=args.repetition_rate_hz)
     kind = LinkType.TYPE_I if args.link == "type1" else LinkType.TYPE_II
     link = LinkModel(kind=kind, params=params)
-    if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            result = netsim.run_link_sim(
-                link, pairs, seed, ports=args.m_p, m_t=args.m_t,
-                log_sink=lambda line: fh.write(line + "\n"))
-    else:
+    # the log file opens at its first line, so a rejected run, which stops
+    # before any line, leaves an existing file as it was
+    with contextlib.ExitStack() as stack:
+        log = None
+
+        def write_line(line):
+            nonlocal log
+            if log is None:
+                log = stack.enter_context(
+                    open(args.log, "w", encoding="utf-8"))
+            log.write(line + "\n")
+
         result = netsim.run_link_sim(link, pairs, seed, ports=args.m_p,
-                                     m_t=args.m_t)
+                                     m_t=args.m_t,
+                                     log_sink=write_line if args.log else None)
     _emit(args, payload=netsim.summary(result))
     return 0
 
@@ -226,8 +231,8 @@ def _cmd_hypercell(args, cfg) -> int:
         return 0
     tau_d = 1.0
     tau_e = args.ratio * tau_d
-    c = hypercell.HypercellBudget.c
-    t = args.t if args.t is not None else min(tau_e, c * tau_e / 2.0) / 100.0
+    t = (args.t if args.t is not None
+         else hypercell.max_attempt_window(tau_e) / 100.0)
     budget = hypercell.HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
                                        eps=args.eps)
     layers = (args.layers if args.layers is not None

@@ -252,9 +252,11 @@ class Link:
 
 @dataclass(frozen=True)
 class ErrorSource:
-    name: str
     kind: str                    # "birth_pair" | "cnot_link" | "readout"
     flip: LinearError            # probability of flipping the cell check
+    # the link residual classes (z on face, z on edge) that flip the check,
+    # whose weights ``flip`` sums; empty for the other kinds
+    classes: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -306,13 +308,8 @@ class CellLattice:
         self.shell_links = self._shell_links()
         self.link_classes = teleported_cnot_classes()
         self.birth_class = matched_pair_class()
-        self.sources = self._census(self.link_classes, self.birth_class)
-        self.shell_sources = [
-            ErrorSource(name=f"shell link {lk.face}->{lk.edge}",
-                        kind="cnot_link",
-                        flip=self._link_flip(lk, self.link_classes))
-            for lk in self.shell_links
-        ]
+        self.sources = self._census()
+        self.shell_sources = [self._link_source(lk) for lk in self.shell_links]
         self.flipping_sources = [src for src in self.sources
                                  if not src.flip.is_zero()]
         self.linear = sum((src.flip for src in self.flipping_sources),
@@ -367,51 +364,34 @@ class CellLattice:
     def _flip_parity(self, z_faces: list[Coord]) -> int:
         return sum(1 for f in z_faces if f in self._in_cell) % 2
 
-    def _residual_flips(self, link: Link, z_c: int, z_t: int) -> bool:
-        """Whether a link residual (z on face, z on edge) flips the check."""
-        z_faces = [link.face] if z_c else []
-        if z_t:
-            z_faces += self._propagated_faces(link.edge, link.position)
-        return bool(self._flip_parity(z_faces))
+    def _link_source(self, link: Link) -> ErrorSource:
+        """A teleported-CNOT link and the residual classes that flip the check."""
+        later = self._propagated_faces(link.edge, link.position)
+        classes = frozenset(
+            (z_c, z_t) for z_c, z_t in self.link_classes
+            if self._flip_parity(([link.face] if z_c else [])
+                                 + (later if z_t else [])))
+        flip = sum((self.link_classes[key] for key in classes), LinearError())
+        return ErrorSource(kind="cnot_link", flip=flip, classes=classes)
 
-    def _link_flip(self, link: Link, classes) -> LinearError:
-        total = LinearError()
-        for (z_c, z_t), weight in classes.items():
-            if self._residual_flips(link, z_c, z_t):
-                total = total + weight
-        return total
-
-    def _birth_flip(self, link: Link, birth: LinearError) -> LinearError:
-        # The two placements of the equivalent-Z error (on the face, or on
-        # the edge at birth with forward propagation) differ by a stabilizer
-        # of the final state and agree on the check parity; the face placement
-        # is used, with the edge placement asserted equal in the test suite.
-        z_faces = [link.face]
-        if self._flip_parity(z_faces):
-            return birth
-        # face outside the cell: evaluate via the edge placement
-        z_faces = self._propagated_faces(link.edge, link.position)
-        if self._flip_parity(z_faces):
-            return birth
-        return LinearError()
-
-    def _census(self, classes, birth) -> list[ErrorSource]:
+    def _census(self) -> list[ErrorSource]:
         sources = []
         for link in self.links:
             if link.position == 1:
-                sources.append(ErrorSource(
-                    name=f"birth pair {link.face}~{link.edge}",
-                    kind="birth_pair", flip=self._birth_flip(link, birth)))
+                # The two placements of the equivalent-Z error (on the face,
+                # or on the edge at birth with forward propagation) differ by
+                # a stabilizer of the final state and agree on the check
+                # parity; the face placement is used, with the edge placement
+                # asserted equal in the test suite.
+                flip = (self.birth_class if link.face in self._in_cell
+                        else LinearError())
+                sources.append(ErrorSource(kind="birth_pair", flip=flip))
             else:
-                sources.append(ErrorSource(
-                    name=f"link {link.face}->{link.edge}@{link.cnot_step}",
-                    kind="cnot_link", flip=self._link_flip(link, classes)))
-        for face in self.cell_faces:
-            sources.append(ErrorSource(
-                name=f"readout {face}", kind="readout", flip=MEASUREMENT_FLIP))
-        for face in self.collar_faces:
-            sources.append(ErrorSource(
-                name=f"readout {face}", kind="readout", flip=LinearError()))
+                sources.append(self._link_source(link))
+        sources += [ErrorSource(kind="readout", flip=MEASUREMENT_FLIP)
+                    ] * len(self.cell_faces)
+        sources += [ErrorSource(kind="readout", flip=LinearError())
+                    ] * len(self.collar_faces)
         return sources
 
     # -- schedule export ---------------------------------------------------
@@ -540,14 +520,10 @@ def _gadget_mode_probabilities(budget: ErrorBudget) -> list[float]:
     outcomes = [(_gadget_outcome(faults), weight)
                 for faults, weight in _gadget_faults()]
     probs: list[float] = []
-    for link in lattice.links:      # no shell link flips the check
-        if link.position == 1:
-            continue
-        flipping = {key for key in lattice.link_classes
-                    if lattice._residual_flips(link, *key)}
-        for key, weight in outcomes:
-            if key in flipping:
-                probs.append(weight.evaluate(eps, r))
+    for src in lattice.flipping_sources:    # no shell link flips the check
+        if src.kind == "cnot_link":
+            probs.extend(weight.evaluate(eps, r) for key, weight in outcomes
+                         if key in src.classes)
     for src in lattice.flipping_sources:
         if src.kind != "cnot_link":
             probs.append(float(src.flip.evaluate(budget.eps, budget.r)))

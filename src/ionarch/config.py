@@ -25,7 +25,6 @@ _DEVICE_KEYS = {
     "device.p_excite": ("p_excite", 1.0),
     "device.solid_angle_fraction": ("solid_angle_fraction", 1.0),
     "device.detector_efficiency": ("detector_efficiency", 1.0),
-    "device.tau_decoherence_s": ("tau_decoherence", 1.0),
     "device.reinit_time_us": ("reinit_time", _MICRO),
 }
 

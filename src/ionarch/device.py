@@ -53,14 +53,12 @@ class DeviceParams:
     solid_angle_fraction: float = 0.01
     detector_efficiency: float = 0.2
 
-    tau_decoherence: float = 1.0
     reinit_time: float = 1.0 * _MICRO
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
         for name in ("t_single_gate", "t_two_gate", "t_toffoli", "t_measure",
-                     "t_remote_entangle", "tau_decoherence", "reinit_time",
-                     "gamma"):
+                     "t_remote_entangle", "reinit_time", "gamma"):
             value = getattr(self, name)
             if not value > 0:
                 raise ValidationError(f"{name} must be positive, got {value}")

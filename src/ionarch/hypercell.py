@@ -89,6 +89,11 @@ class HypercellBudget:
         return self.t / self.tau_e
 
 
+def max_attempt_window(tau_e: float) -> float:
+    """Largest attempt time t: p = t/tau_E <= 1 and c tau_E / t >= 2 ports."""
+    return min(tau_e, HypercellBudget.c * tau_e / 2.0)
+
+
 def fail_prob(p: float, m: int) -> dict:
     """Probability that all m port pairs fail, exact and exponential forms."""
     if m < 1:
@@ -224,8 +229,8 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     p = budget.p
     m = config.ports
     n_path_pairs = int(round(path_length(m)))
-    n_tree_pairs = n_path_pairs - 1          # split across the two trees
-    n_swaps = n_path_pairs - 1
+    # split across the two trees; one swap per intermediate register
+    n_tree_pairs = n_path_pairs - 1
     tree_edges = m - 2      # 2 + 4 + ... + 2**layers links per tree
     # ages at 2t: a tree pair born at u in [0, t) has age 2t - u, the
     # connecting pair born at t + u has age t - u
@@ -279,7 +284,7 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
         successes += connected
         offsets = budget.t * float(rng.random((connected, n_path_pairs)).sum())
         err_sum += ((connected * age_sum_at_zero - offsets) / budget.tau_d
-                    + connected * budget.eps * n_swaps)
+                    + connected * budget.eps * n_tree_pairs)
         done += take
         chunk_index += 1
 
@@ -316,8 +321,7 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
         for ratio in ratio_grid:
             tau_e = ratio * tau_d
             best = None
-            # t must satisfy c tau_E / t >= 2 and t <= tau_E
-            t_hi = min(tau_e, c * tau_e / 2.0)
+            t_hi = max_attempt_window(tau_e)
             t_lo = t_hi / 2.0**40
             for k in range(t_points):
                 t = t_lo * (t_hi / t_lo) ** (k / (t_points - 1))

@@ -340,11 +340,13 @@ def _engine_link_run(p: float, n_pairs: int, ports: int, tdm: int,
 #: Most pairs one ``run_link_sim`` call generates: the run holds an int64
 #: gap and two floats per pair.
 MAX_PAIRS = 2**20
+#: Flight time of a herald's classical outcome back to the ion (s).
+HERALD_LATENCY = 10e-9
 
 
 def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
                  ports: int = MusiqcLayout.m_p, m_t: int = MusiqcLayout.m_t,
-                 herald_latency: float = 10e-9,
+                 herald_latency: float = HERALD_LATENCY,
                  p_override: float | None = None,
                  log_sink=None) -> dict:
     """Generate ``n_pairs`` heralded pairs between two registers.
@@ -389,7 +391,7 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
                          link: LinkModel, seed: int,
                          m_p: int = MusiqcLayout.m_p,
                          m_t: int = MusiqcLayout.m_t,
-                         herald_latency: float = 10e-9,
+                         herald_latency: float = HERALD_LATENCY,
                          p_override: float | None = None) -> dict:
     """Simulate sequential teleported Toffoli gates on fresh registers.
 

@@ -118,7 +118,7 @@ class LogicalCostTable:
     def time(self, primitive: Primitive) -> float:
         return self.entries[primitive].time
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "level": self.level,
             "layout": self.layout.kind,
@@ -138,7 +138,7 @@ class LogicalCostTable:
                 for prim, entry in self.entries.items()
             },
         }
-        return json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _stabilizer_steps(basis: _GateBasis, cat_size: int, coupling: str,
@@ -401,9 +401,11 @@ def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
 
 def table_at_level(params: DeviceParams, layout: ArchLayout,
                    level: int) -> LogicalCostTable:
-    """Build the level-1 table and lift it to ``level``."""
-    if level < 1:
-        raise ValidationError("level must be at least 1")
+    """Build the level-1 table and lift it to ``level``, at most
+    ``MAX_CONCAT_LEVEL``."""
+    if not 1 <= level <= MAX_CONCAT_LEVEL:
+        raise ValidationError(
+            f"level {level} outside [1, {MAX_CONCAT_LEVEL}]")
     table = level1_costs(params, layout)
     for _ in range(level - 1):
         table = lift_level(table)

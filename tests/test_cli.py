@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -39,6 +40,19 @@ def test_estimate_adder_domain_error(capsys):
     code, _, err = run_cli(capsys, "estimate-adder", "--n", "4", "--arch", "musiqc")
     assert code == 2
     assert "n > 6" in err
+
+
+@pytest.mark.parametrize("level", ["4", "1000", str(10**9)])
+def test_estimate_adder_level_out_of_range_exit(capsys, level):
+    # levels run from 1 to MAX_CONCAT_LEVEL = 3; a higher one would overflow
+    # the time or take a lift per level, and is refused at once
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "estimate-adder", "--n", "128",
+                             "--arch", "musiqc", "--level", level)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: level {level} outside [1, 3]\n"
 
 
 def test_estimate_shor_levels(capsys):
@@ -149,7 +163,27 @@ def test_netsim_log_bound_exit(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert path.read_bytes() == b""
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m-t", "1000"),
+    ("--link", "type2", "--pairs", "4", "--seed", "3"),
+    ("--p-excite", "0"),
+    ("--pairs", "3", "--seed", "1", "--repetition-rate-hz", "1e9",
+     "--config", "herald.cfg"),
+])
+def test_netsim_rejected_run_keeps_log(tmp_path, monkeypatch, capsys, argv):
+    # every rejection comes before the first log line, so the file stays;
+    # herald.cfg is the configuration of the herald-spacing exit above
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "herald.cfg").write_text("device.reinit_time_us = 1e-24\n",
+                                         encoding="utf-8")
+    (tmp_path / "keep.log").write_bytes(b"keep\n")
+    code, out, _ = run_cli(capsys, "netsim", *argv, "--log", "keep.log")
+    assert code == 2
+    assert out == ""
+    assert (tmp_path / "keep.log").read_bytes() == b"keep\n"
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +327,21 @@ def test_hypercell_point_depth_follows_p(capsys):
     assert json.loads(out)["ports"] == 32
 
 
+def test_hypercell_point_output_pinned(capsys):
+    # the default attempt window, t = min(tau_E, c tau_E / 2) / 100, and
+    # every analytic the point mode prints, byte for byte
+    _, out, _ = run_cli(capsys, "hypercell", "--json")
+    assert out == (
+        '{"cost": 6216.979751083924, "ft_bounds": {"feasible": false, '
+        '"ratio_bound": 0.008248888888888892, "t_max": 0.0007733333333333333, '
+        '"t_min": 0.09375}, "memory_error": 0.25186456071487645, "p": 0.01, '
+        '"path_length": 19.0, "ports": 512, "total_error": 0.2566372755553641}'
+        '\n')
+    _, out, _ = run_cli(capsys, "hypercell", "--ratio", "0.1", "--json")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "94f53ac0256ef0b7399ddcfe715ebef5d327f0f4e3e520805d7f547aa4599bf8")
+
+
 @pytest.mark.parametrize("argv", [
     ("hypercell", "--layers", "3000", "--trials", "1"),
     ("hypercell", "--layers", "100"),
@@ -337,10 +386,11 @@ def test_config_precedence_triple_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the layout.* keys were once accepted and then ignored
+    # the layout.* keys and device.tau_decoherence_s were once accepted and
+    # then ignored
     cfg = tmp_path / "bad.cfg"
     for line in ("device.bogus = 1", "layout.arch = qla", "layout.m_p = 1",
-                 "layout.m_t = 1"):
+                 "layout.m_t = 1", "device.tau_decoherence_s = 1"):
         cfg.write_text(line + "\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "netsim", "--config", str(cfg))
         assert code == 2, line

@@ -175,8 +175,8 @@ def test_creation_overhead():
 def test_single_error_locality():
     lat = cell_lattice()
     assert len(lat.shell_sources) > 0
-    for src in lat.shell_sources:
-        assert src.flip.is_zero(), src.name
+    for link, src in zip(lat.shell_links, lat.shell_sources):
+        assert src.flip.is_zero(), link
     # exactly the six cell readouts carry error weight; the 24 collar
     # readouts are in the census with zero flip
     readouts = [s for s in lat.sources if s.kind == "readout"]
@@ -252,6 +252,14 @@ def test_mc_gadget_mode_cross_validation():
     product = float(stabilizer_expectation_analytic(budget)["product"])
     slack = 3 * mc["stderr"] + 50 * (budget.eps + budget.r) ** 2
     assert abs(mc["estimate"] - product) <= slack
+
+
+def test_mc_gadget_mode_pinned():
+    # the per-fault sources, their order and the sampler, pinned by one run
+    mc = mc_stabilizer_expectation(ErrorBudget(eps=1e-4, r=1e-4), 100000, 5,
+                                   mode="gadget")
+    assert mc["flipped"] == 1391
+    assert mc["estimate"] == 0.97218
 
 
 def test_mc_vs_product_grid():

@@ -166,8 +166,9 @@ def test_required_concat_level_monotone():
 
 def test_table_at_level(params):
     assert table_at_level(params, MusiqcLayout(), 3).level == 3
-    with pytest.raises(ValidationError):
-        table_at_level(params, MusiqcLayout(), 0)
+    for level in (0, 4):
+        with pytest.raises(ValidationError):
+            table_at_level(params, MusiqcLayout(), level)
 
 
 def test_stabilizer_reps_switch(params):
