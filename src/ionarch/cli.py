@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -265,9 +266,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process; a parse keeps no state between calls, so each starts from
+    the defaults.
+    """
+    args = _parser().parse_args(argv)
     try:
         cfg = config.load_config(getattr(args, "config", None))
         return _COMMANDS[args.command](args, cfg)

@@ -42,6 +42,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +69,20 @@ class LinearError:
     def __add__(self, other: "LinearError") -> "LinearError":
         return LinearError(self.eps + other.eps, self.r + other.r)
 
+    @cached_property
+    def _float_coefficients(self) -> tuple[float, float]:
+        return float(self.eps), float(self.r)
+
     def evaluate(self, eps, r):
+        """a*eps + b*r: exact for int and Fraction inputs.
+
+        On two floats it computes what ``Fraction * float`` does, the float
+        of the coefficient times the input, from coefficients converted once
+        per form; every other input takes the Fraction operators.
+        """
+        if type(eps) is float and type(r) is float:
+            eps_coef, r_coef = self._float_coefficients
+            return eps_coef * eps + r_coef * r
         return self.eps * eps + self.r * r
 
     def is_zero(self) -> bool:
@@ -90,9 +104,11 @@ class ErrorBudget:
             raise ValidationError(
                 f"memory error ratio {self.r} must be finite and non-negative")
         if float(self.r) > 0.05:
+            # level 3 skips this method and the generated __init__, so the
+            # warning names the line that built the budget
             warnings.warn(
                 f"memory error ratio {self.r} is large; first-order "
-                "bookkeeping is unreliable here", stacklevel=2)
+                "bookkeeping is unreliable here", stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +309,8 @@ class CellLattice:
     faces, with its exact first-order flip probability; ``shell_sources``
     lists the two-hop links kept for locality checks (none of them flip).
     The census is built once: ``flipping_sources`` keeps the sources with a
-    non-zero flip, in census order, and ``linear`` is the sum of their flips.
+    non-zero flip, in census order, ``flips_by_kind`` their flips grouped by
+    source kind, and ``linear`` is the sum of their flips.
     """
 
     def __init__(self):
@@ -312,6 +329,10 @@ class CellLattice:
         self.shell_sources = [self._link_source(lk) for lk in self.shell_links]
         self.flipping_sources = [src for src in self.sources
                                  if not src.flip.is_zero()]
+        self.flips_by_kind = {
+            kind: [src.flip for src in self.flipping_sources
+                   if src.kind == kind]
+            for kind in ("birth_pair", "cnot_link", "readout")}
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
 
@@ -449,10 +470,12 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     """
     eps, r = budget.eps, budget.r
     lattice = cell_lattice()
-    factors = {"birth_pair": 1, "cnot_link": 1, "readout": 1}
-    for src in lattice.flipping_sources:
-        p = src.flip.evaluate(eps, r)
-        factors[src.kind] = factors[src.kind] * (1 - 2 * p)
+    factors = {}
+    for kind, flips in lattice.flips_by_kind.items():
+        factor = 1
+        for flip in flips:
+            factor *= 1 - 2 * flip.evaluate(eps, r)
+        factors[kind] = factor
     linear = lattice.linear
     product = factors["birth_pair"] * factors["cnot_link"] * factors["readout"]
     return {

@@ -27,7 +27,8 @@ def floor_log2(x: int) -> int:
     For n >= 3, floor(log2(n/3)) is ``floor_log2(n // 3)``: 2**e <= n/3 holds
     exactly when 2**e <= n // 3.
     """
-    if not isinstance(x, numbers.Integral) or x <= 0:
+    # the exact type test first: it spares ints the abstract-class check
+    if (type(x) is not int and not isinstance(x, numbers.Integral)) or x <= 0:
         raise ValidationError("floor_log2 requires a positive integer")
     return int(x).bit_length() - 1
 
@@ -78,11 +79,11 @@ def qla_comm_steps(n: int) -> Fraction:
     """
     if n <= 6:
         raise NTooSmall(f"communication-step formula requires n > 6, got {n}")
-    total = Fraction(0)
+    quarters = 0
     for x in (n, n - 1, n // 3, (n - 1) // 3):
         t = floor_log2(x)
-        total += Fraction(t * (t + 17), 4)
-    return total
+        quarters += t * (t + 17)
+    return Fraction(quarters, 4)
 
 
 def qla_teleport_distance(t: int) -> dict:
@@ -108,6 +109,44 @@ def adder_resources(n: int, layout: ArchLayout) -> dict:
     return {"qubits": layout.qubits(n), "parallel_ops": layout.parallel_ops(n)}
 
 
+#: Step durations of recently priced tables, keyed by the ids of the layout
+#: and the table.  A scan prices every row with the same few tables.  Both are
+#: frozen, and each entry holds them, so neither id is reused while it lives.
+_STEP_TIMES: dict[tuple[int, int], tuple] = {}
+_STEP_TIMES_KEPT = 8
+
+
+def _step_times(layout: ArchLayout,
+                table: LogicalCostTable) -> tuple[float, float, float]:
+    """Durations of a Toffoli, a CNOT and an X step, each with the layout's
+    folded error-correction rounds."""
+    key = (id(layout), id(table))
+    hit = _STEP_TIMES.get(key)
+    if hit is None:
+        ec = layout.ec_rounds_per_step * table.time(
+            Primitive.ERROR_CORRECT_ROUND)
+        if isinstance(layout, MusiqcLayout):
+            cnot = table.time(Primitive.REMOTE_CNOT)
+        else:
+            cnot = local_teleport_time(table)
+        times = (table.time(Primitive.TOFFOLI) + ec, cnot + ec,
+                 table.time(Primitive.TRANSVERSAL_SINGLE) + ec)
+        if len(_STEP_TIMES) >= _STEP_TIMES_KEPT:
+            del _STEP_TIMES[next(iter(_STEP_TIMES))]
+        hit = _STEP_TIMES[key] = (layout, table, times)
+    return hit[2]
+
+
+def _adder_time(n: int, layout: ArchLayout, table: LogicalCostTable,
+                profile: DepthProfile) -> float:
+    toffoli, cnot, single = _step_times(layout, table)
+    time = (profile.toffoli_steps * toffoli + profile.cnot_steps * cnot
+            + profile.x_steps * single)
+    if isinstance(layout, QlaLayout):
+        time += float(qla_comm_steps(n)) * table.swap_step_time
+    return time
+
+
 def adder_execution_time(n: int, layout: ArchLayout,
                          table: LogicalCostTable) -> float:
     """Wall-clock execution time (seconds) of one n-bit addition.
@@ -117,19 +156,7 @@ def adder_execution_time(n: int, layout: ArchLayout,
     CNOT on the switched layout and a local teleport elsewhere; the grid
     additionally pays the swap-step count for entanglement distribution.
     """
-    profile = adder_depth(n, layout)
-    ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
-    if isinstance(layout, MusiqcLayout):
-        cnot = table.time(Primitive.REMOTE_CNOT)
-    else:
-        cnot = local_teleport_time(table)
-    single = table.time(Primitive.TRANSVERSAL_SINGLE)
-    time = (profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
-            + profile.cnot_steps * (cnot + ec)
-            + profile.x_steps * (single + ec))
-    if isinstance(layout, QlaLayout):
-        time += float(qla_comm_steps(n)) * table.swap_step_time
-    return time
+    return _adder_time(n, layout, table, adder_depth(n, layout))
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not
@@ -195,7 +222,7 @@ def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
         "level": level,
         "depth_total": profile.total,
         "toffoli_steps": profile.toffoli_steps,
-        "time_s": adder_execution_time(n, layout, table),
+        "time_s": _adder_time(n, layout, table, profile),
         "qubits": resources["qubits"],
         "parallel_ops": resources["parallel_ops"],
     }

@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from ionarch.cli import main
+from ionarch import cli
+from ionarch.cli import build_parser, main
 from ionarch.config import parse_config_text
 from ionarch.errors import ValidationError
 from ionarch.netsim import MAX_PAIRS
@@ -109,6 +110,43 @@ def test_cli_outputs_pinned(capsys):
                    '"expectation_first_order": 0.70304, '
                    '"expectation_product": 0.7418325145711535, '
                    '"margin": 0.0, "r": 0.0}\n')
+
+
+def test_parser_reuse_keeps_calls_apart(tmp_path, capsys):
+    # main builds its parser once per process; each call still parses from
+    # the defaults, whatever the calls before it set or failed on
+    plain = ("estimate-adder", "--n", "128", "--arch", "qla")
+    first = run_cli(capsys, *plain)
+    assert first[0] == 0 and first[1].startswith("n,layout,")
+    assert run_cli(capsys, *plain) == first
+    path = tmp_path / "row.json"
+    assert run_cli(capsys, *plain, "--json", "--out", str(path)) == (0, "", "")
+    assert json.loads(path.read_text(encoding="utf-8"))["n"] == 128
+    assert run_cli(capsys, *plain) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-adder", "--n", "x", "--arch", "qla", "--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run_cli(capsys, *plain) == first
+    point = ("threshold", "--eps", "29/10000", "--ratio", "1/1000", "--json")
+    assert run_cli(capsys, *point) == run_cli(capsys, *point)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        run_cli(capsys, "estimate-adder", "--n", "128", "--arch", "nn")
+    assert built == [1]
+    first, second = build_parser(), build_parser()
+    assert first is not second and first is not cli._parser()
+    assert first.parse_args(["threshold"]).eps_grid == "0,1e-4,3e-4,1e-3"
 
 
 def test_netsim_summary_schema(capsys):

@@ -163,10 +163,53 @@ def test_budget_guards():
         ErrorBudget(eps=0.0, r=0.06)
 
 
+def test_budget_warning_names_the_caller():
+    # the large-ratio warning points at the line that built the budget, not
+    # at the dataclass-generated __init__ ("<string>")
+    with pytest.warns(UserWarning) as record:
+        ErrorBudget(eps=0.0, r=0.06)
+    assert record[0].filename == __file__
+
+
 def test_creation_overhead():
     assert creation_overhead("standard") == 24
     assert creation_overhead("musiqc") == 54
     assert creation_overhead("musiqc") / creation_overhead("standard") == 2.25
+
+
+def _evaluation_forms():
+    lat = cell_lattice()
+    return (list(teleported_cnot_classes().values()) + [matched_pair_class(),
+            lat.linear] + [src.flip for src in lat.flipping_sources])
+
+
+def test_evaluate_float_path_is_the_fraction_product():
+    # on two floats evaluate multiplies by the float of each coefficient,
+    # which is what Fraction * float computes: equal bit for bit
+    rng = random.Random(11)
+    values = [0.0, 1e-300, 5e-324, 1e-3, 3.9e-3, 1.95e-3, 1 / 15, 0.05]
+    values += [rng.uniform(0.0, 1 / 15) for _ in range(40)]
+    values += [10.0 ** rng.uniform(-12, 0) for _ in range(40)]
+    pairs = list(zip(values, values[::-1]))
+    pairs += [(np.float64(eps), np.float64(r)) for eps, r in pairs[:10]]
+    for form in _evaluation_forms():
+        for eps, r in pairs:
+            want = form.eps * eps + form.r * r
+            got = form.evaluate(eps, r)
+            assert type(got) is type(want), (form, eps, r)
+            assert float(got).hex() == float(want).hex(), (form, eps, r)
+
+
+def test_evaluate_exact_inputs_keep_the_exact_path():
+    mixed = [(F(29, 10000), 1e-4), (1e-4, F(1, 1000)), (3e-4, 0), (0, 2e-4)]
+    exact = [(0, 0), (1, 2), (F(29, 10000), F(1, 1000)), (F(1, 3), 0)]
+    for form in _evaluation_forms():
+        for eps, r in mixed + exact:
+            want = form.eps * eps + form.r * r
+            got = form.evaluate(eps, r)
+            assert type(got) is type(want) and got == want, (form, eps, r)
+        for eps, r in exact:
+            assert type(form.evaluate(eps, r)) is F
 
 
 # ---------------------------------------------------------------------------

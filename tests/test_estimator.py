@@ -13,7 +13,7 @@ from ionarch.estimator import (DepthProfile, adder_depth,
                                adder_row, crossover_scan, floor_log2, qcla_depth,
                                qla_comm_steps, qla_teleport_distance,
                                rows_to_csv, shor_estimate)
-from ionarch.steane import Primitive, table_at_level
+from ionarch.steane import Primitive, local_teleport_time, table_at_level
 
 
 # --- independent brute-force oracles ---------------------------------------
@@ -39,6 +39,24 @@ def comm_oracle(n):
         t = floor_log2_oracle(num, den)
         total += Fraction(t * (t + 17), 4)
     return total
+
+
+def adder_time_oracle(n, layout, table):
+    """The adder time as first written: a table lookup per use, the EC
+    rounds added inside each step's bracket, and the brute-force comm steps."""
+    profile = adder_depth(n, layout)
+    ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
+    if isinstance(layout, MusiqcLayout):
+        cnot = table.time(Primitive.REMOTE_CNOT)
+    else:
+        cnot = local_teleport_time(table)
+    single = table.time(Primitive.TRANSVERSAL_SINGLE)
+    time = (profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
+            + profile.cnot_steps * (cnot + ec)
+            + profile.x_steps * (single + ec))
+    if isinstance(layout, QlaLayout):
+        time += float(comm_oracle(n)) * table.swap_step_time
+    return time
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +261,28 @@ def test_adder_row_fields(params):
     nn_row = adder_row(128, NnLayout(), params)
     assert nn_row["circuit"] == "qrca"
     assert nn_row["depth_total"] == 259
+
+
+def test_adder_time_matches_oracle_bit_for_bit(params):
+    # every n of the crossover scan, at every level the CLI accepts, and two
+    # n far past it; each (layout, level) prices with one table, as a scan does
+    for layout in (MusiqcLayout(), QlaLayout(), NnLayout()):
+        for level in (1, 2, 3):
+            table = table_at_level(params, layout, level)
+            for n in [*range(7, 4097), 2**20 + 1, 2**40]:
+                want = adder_time_oracle(n, layout, table)
+                assert adder_execution_time(n, layout, table) == want, (
+                    layout.kind, level, n)
+                row = adder_row(n, layout, params, level=level, table=table)
+                assert row["time_s"] == want, (layout.kind, level, n)
+
+
+def test_crossover_rows_are_adder_rows(params):
+    layouts = (MusiqcLayout(), QlaLayout(), NnLayout())
+    tables = [table_at_level(params, layout, 1) for layout in layouts]
+    expected = []
+    for n in range(1, 4097):
+        for layout, table in zip(layouts, tables):
+            if n > 6 or isinstance(layout, NnLayout):
+                expected.append(adder_row(n, layout, params, table=table))
+    assert crossover_scan(range(4096, 0, -1), params=params)["rows"] == expected
