@@ -200,21 +200,21 @@ def _cmd_netsim(args, cfg) -> int:
         repetition_rate=args.repetition_rate_hz)
     kind = LinkType.TYPE_I if args.link == "type1" else LinkType.TYPE_II
     link = LinkModel(kind=kind, params=params)
-    # the log file opens at its first line, so a rejected run, which stops
+    # the log file opens at its first chunk, so a rejected run, which stops
     # before any line, leaves an existing file as it was
     with contextlib.ExitStack() as stack:
         log = None
 
-        def write_line(line):
+        def write(text):
             nonlocal log
             if log is None:
                 log = stack.enter_context(
                     open(args.log, "w", encoding="utf-8"))
-            log.write(line + "\n")
+            log.write(text)
 
         result = netsim.run_link_sim(link, pairs, seed, ports=args.m_p,
                                      m_t=args.m_t,
-                                     log_sink=write_line if args.log else None)
+                                     log_sink=write if args.log else None)
     _emit(args, payload=netsim.summary(result))
     return 0
 

@@ -310,7 +310,8 @@ class CellLattice:
     lists the two-hop links kept for locality checks (none of them flip).
     The census is built once: ``flipping_sources`` keeps the sources with a
     non-zero flip, in census order, ``flips_by_kind`` their flips grouped by
-    source kind, and ``linear`` is the sum of their flips.
+    source kind, ``linear`` is the sum of their flips, and
+    ``linear_coefficients`` the eps and r coefficients of 2 * ``linear``.
     """
 
     def __init__(self):
@@ -335,6 +336,7 @@ class CellLattice:
             for kind in ("birth_pair", "cnot_link", "readout")}
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
+        self.linear_coefficients = (2 * self.linear.eps, 2 * self.linear.r)
 
     # -- geometry ---------------------------------------------------------
     @staticmethod
@@ -482,7 +484,7 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
         "first_order": 1 - 2 * linear.evaluate(eps, r),
         "product": product,
         "factors": factors,
-        "linear_coefficients": (2 * linear.eps, 2 * linear.r),
+        "linear_coefficients": lattice.linear_coefficients,
     }
 
 

@@ -304,8 +304,14 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
     For each grid point the attempt time is swept logarithmically over the
     valid domain of the error formulas in 120 steps (tree depth follows from
     the port target c/p); a point is feasible when some t keeps the total
-    error below ``HypercellBudget.eps_crit``.  Row keys are in CSV column
-    order.
+    error below ``HypercellBudget.eps_crit``, and the row reports the first t
+    of least error.  Row keys are in CSV column order.
+
+    The t grid, the log term log2(c tau_E / t) and ``memory_error`` depend
+    on the ratio alone, so they are computed once per ratio and shared by
+    every eps, which adds only its swap error 2 eps log2(c tau_E / t).  A
+    ratio whose shortest attempt time t_hi / 2**40 underflows to 0 is
+    rejected.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid))
     ratio_grid = sorted(set(float(x) for x in ratio_grid))
@@ -316,28 +322,38 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
     c = HypercellBudget.c
     t_points = 120
     tau_d = 1.0
+    sweeps = []
+    for ratio in ratio_grid:
+        tau_e = ratio * tau_d
+        t_hi = max_attempt_window(tau_e)
+        t_lo = t_hi / 2.0**40
+        if not t_lo > 0:
+            raise ValidationError(
+                f"ratio tau_E/tau_D = {ratio:.3g} is too small: the shortest "
+                "attempt time t_hi / 2**40 underflows to 0")
+        ts = [t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
+              for k in range(t_points)]
+        logs = [math.log2((c * tau_e) / t) for t in ts]
+        mems = [t / tau_d * (3.0 * log + 0.5) for t, log in zip(ts, logs)]
+        sweeps.append((tau_e, ts, logs, mems))
     rows = []
     for eps in eps_grid:
-        for ratio in ratio_grid:
-            tau_e = ratio * tau_d
-            best = None
-            t_hi = max_attempt_window(tau_e)
-            t_lo = t_hi / 2.0**40
-            for k in range(t_points):
-                t = t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
-                budget = HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
-                                         eps=eps)
-                err = total_error(budget)
-                if best is None or err < best["eps_total"]:
-                    m = c / budget.p
-                    best = {"t_opt": t, "eps_total": err,
-                            "layers_opt": design_layers(budget.p, c),
-                            "p_fail": fail_prob(min(budget.p, 1.0),
-                                                max(int(m), 1))["exact"]}
+        swap = 2.0 * eps
+        for ratio, (tau_e, ts, logs, mems) in zip(ratio_grid, sweeps):
+            # the inputs the sweep validates at every t; t rises with k, so
+            # its two ends bound the rest
+            for t in (ts[0], ts[-1]):
+                HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d, eps=eps)
+            errs = [mem + swap * log for mem, log in zip(mems, logs)]
+            # first strict minimum, as a running `<` comparison finds it
+            k = min(range(t_points), key=errs.__getitem__)
+            t = ts[k]
+            p = t / tau_e
             rows.append({
                 "eps": eps, "ratio": ratio,
-                "t_opt": best["t_opt"], "layers_opt": best["layers_opt"],
-                "eps_total": best["eps_total"], "p_fail": best["p_fail"],
-                "feasible": best["eps_total"] < HypercellBudget.eps_crit,
+                "t_opt": t, "layers_opt": design_layers(p, c),
+                "eps_total": errs[k],
+                "p_fail": fail_prob(min(p, 1.0), max(int(c / p), 1))["exact"],
+                "feasible": errs[k] < HypercellBudget.eps_crit,
             })
     return rows

@@ -14,8 +14,9 @@ the stream yields one Geometric(p) gap per heralded success, not one draw
 per attempt.  One closed form serves both simulators.  It draws each
 request's gaps in bulk and writes the event log from the same draws, in the
 (time, sequence) order of the engine, so identical seeds give bit-identical
-results and logs.  The engine itself is kept as the closed form's oracle for
-tests.
+results and logs.  A log sink receives the log in chunks of whole
+newline-terminated lines, one chunk per tick of attempts.  The engine itself
+is kept as the closed form's oracle for tests.
 """
 
 from __future__ import annotations
@@ -167,8 +168,9 @@ class _LinkEngine:
     Drives one request at a time on its own queue.  The request draws one
     Geometric(p) gap when it starts and counts it down by one at every
     ``AttemptStart``; the attempt that reaches zero succeeds and draws the
-    next gap.  Log lines go to ``emit`` one at a time.  No simulator runs it:
-    tests compare the closed form with it through ``_engine_link_run``.
+    next gap.  Log lines go to ``emit`` one at a time, each with its
+    newline.  No simulator runs it: tests compare the closed form with it
+    through ``_engine_link_run``.
     """
 
     def __init__(self, p_success: float, tick: float, herald_latency: float,
@@ -197,7 +199,7 @@ class _LinkEngine:
         while len(queue):
             event, ion = queue.pop()
             if self.emit is not None:
-                self.emit(event.log_line())
+                self.emit(event.log_line() + "\n")
             if event.kind is EventKind.ATTEMPT_START:
                 self.attempts += 1
                 countdown -= 1
@@ -229,36 +231,39 @@ def _link_probability(link: LinkModel, p_override: float | None) -> float:
 
 def _log_ticks(emit, successes: list, attempts: int, ports: list,
                tick: float, w: float, start: float, request: int):
-    """Write the event log of a request's attempts, one tick at a time.
+    """Write the event log of a request's attempts, one chunk per tick.
 
     The request makes ``attempts`` attempts in (tick, ion) order, of which
     those at the ascending indices ``successes`` succeed, and ion ``i`` sits
     on port ``ports[i]``.  Tick k logs its AttemptStart lines at
     ``start + k * tick`` in ion order, then their Herald lines at ``+ w``; a
     short last tick holds the drained attempts of the ions ranked first and
-    is logged the same way.  Every line names register 0.  Memory stays
-    O(successes), not O(attempts).
+    is logged the same way.  Every line names register 0 and ends in a
+    newline, and ``emit`` receives each tick's lines as one string.  The
+    lines of an ion differ between ticks only in their stamps, so a tick
+    joins the request's per-ion fields with its two stamps, with the
+    Herald(ok) fields swapped in at its successes.  Memory stays
+    O(successes + ions), not O(attempts).
     """
-    attempt = [_log_fields(EventKind.ATTEMPT_START.value, 0, port, request)
-               for port in ports]
-    herald = [(_log_fields(_herald_kind(False), 0, port, request),
-               _log_fields(_herald_kind(True), 0, port, request))
-              for port in ports]
+    def fields(kind):
+        return [_log_fields(kind, 0, port, request) + "\n" for port in ports]
+
+    # a leading empty field puts a stamp before every line of the join
+    attempt = [""] + fields(EventKind.ATTEMPT_START.value)
+    fail = [""] + fields(_herald_kind(False))
+    ok = [""] + fields(_herald_kind(True))
     n_ions = len(ports)
     hits = iter(successes)
     hit = next(hits, None)
     for j in range(0, attempts, n_ions):
-        t = start + (j // n_ions) * tick
         width = min(n_ions, attempts - j)
-        stamp = _log_stamp(t)
-        for fields in attempt[:width]:
-            emit(stamp + fields)
-        stamp = _log_stamp(t + w)
-        for index, fields in enumerate(herald[:width], j):
-            ok = index == hit
-            if ok:
-                hit = next(hits, None)
-            emit(stamp + fields[ok])
+        heralds = fail[:width + 1]
+        while hit is not None and hit < j + width:
+            heralds[hit - j + 1] = ok[hit - j + 1]
+            hit = next(hits, None)
+        t = start + (j // n_ions) * tick
+        emit(_log_stamp(t).join(attempt[:width + 1])
+             + _log_stamp(t + w).join(heralds))
 
 
 #: Largest expected attempt count, n_pairs / p, of one request; the gap sum
@@ -288,8 +293,9 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     drains the already scheduled attempts of the next tick (the ions whose
     heralds preceded the completing one); one further gap per drained
     success counts them, as the engine does.  ``emit`` receives the engine's
-    event log line by line, rebuilt from the success indices; a request of
-    more than ``MAX_LOG_ATTEMPTS`` attempts is rejected instead of logged.
+    event log, rebuilt from the success indices, as one string of whole
+    lines per tick; a request of more than ``MAX_LOG_ATTEMPTS`` attempts is
+    rejected instead of logged.
     """
     if n_pairs / p > _MAX_EXPECTED_ATTEMPTS:
         raise DomainError(
@@ -354,9 +360,11 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
     The link runs over ``ports`` optical ports, each ``m_t``-fold time
     multiplexed.  Returns the makespan, per-pair inter-completion latencies,
     attempt count and success count.  The callable ``log_sink`` receives the
-    event log line by line.  ``p_override`` replaces the physical success
-    probability (for degenerate-link studies).  The single request draws from
-    stream 0 of ``seed``.
+    event log as text in chunks of whole newline-terminated lines, one chunk
+    per tick of attempts, so the concatenation of its arguments is the log
+    file.  ``p_override`` replaces the physical success probability (for
+    degenerate-link studies).  The single request draws from stream 0 of
+    ``seed``.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must lie in [1, {MAX_PAIRS}]")

@@ -207,7 +207,7 @@ def test_criterion_09_netsim():
     log1, log2 = [], []
     run_link_sim(link, 200, seed=5, log_sink=log1.append)
     run_link_sim(link, 200, seed=5, log_sink=log2.append)
-    assert log1 == log2
+    assert "".join(log1) == "".join(log2)
 
 
 @report(10, "hypercell")

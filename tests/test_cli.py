@@ -233,9 +233,9 @@ def engine_log(on_engine):
     from ionarch.netsim import run_link_sim
     link = LinkModel(LinkType.TYPE_I,
                      device_from_config({}, repetition_rate=500000.0))
-    lines = []
-    on_engine(run_link_sim, link, 30, 9, log_sink=lines.append)
-    return ("\n".join(lines) + "\n").encode()
+    chunks = []
+    on_engine(run_link_sim, link, 30, 9, log_sink=chunks.append)
+    return "".join(chunks).encode()
 
 
 def test_netsim_event_log_deterministic(tmp_path, capsys, engine_log):
@@ -294,6 +294,9 @@ def test_netsim_herald_latency_reaching_spacing_exit(tmp_path, capsys):
     ("hypercell", "--scan", "--eps-grid", "inf"),
     ("estimate-shor", "--n", "64", "--eps-phys", "nan"),
     ("estimate-shor", "--n", "64", "--eps-threshold", "nan"),
+    # t_hi / 2**40 underflows to 0
+    ("hypercell", "--scan", "--ratio-grid", "5e-324"),
+    ("hypercell", "--scan", "--ratio-grid", "1e-322", "--eps-grid", "1e-4"),
 ])
 def test_non_finite_input_exit(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

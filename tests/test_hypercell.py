@@ -7,9 +7,10 @@ import pytest
 from ionarch.errors import DomainError, ValidationError
 from ionarch.estimator import rows_to_csv
 from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
-                               construction2_error, fail_prob, ft_bounds,
-                               hypercell_cost, mc_tree_build, memory_error,
-                               path_length, total_error)
+                               construction2_error, design_layers, fail_prob,
+                               ft_bounds, hypercell_cost, max_attempt_window,
+                               mc_tree_build, memory_error, path_length,
+                               total_error)
 
 
 def test_fail_prob_values():
@@ -274,3 +275,86 @@ def test_mc_tree_build_repeatable(layers, staged):
     first = mc_tree_build(config, budget, trials=700, seed=3, staged=staged)
     assert first == mc_tree_build(config, budget, trials=700, seed=3,
                                   staged=staged)
+
+
+def boundary_scan_oracle(eps_grid, ratio_grid):
+    """The scan as a full sweep: a validated budget and ``total_error`` at
+    every (eps, ratio, t), keeping the first t of least error."""
+    eps_grid = sorted(set(float(e) for e in eps_grid))
+    ratio_grid = sorted(set(float(x) for x in ratio_grid))
+    if not eps_grid or not ratio_grid:
+        raise ValidationError("grids must be non-empty")
+    if not all(0 < ratio < math.inf for ratio in ratio_grid):
+        raise ValidationError("ratios tau_E/tau_D must be positive and finite")
+    c = HypercellBudget.c
+    t_points = 120
+    tau_d = 1.0
+    rows = []
+    for eps in eps_grid:
+        for ratio in ratio_grid:
+            tau_e = ratio * tau_d
+            best = None
+            t_hi = max_attempt_window(tau_e)
+            t_lo = t_hi / 2.0**40
+            for k in range(t_points):
+                t = t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
+                budget = HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
+                                         eps=eps)
+                err = total_error(budget)
+                if best is None or err < best["eps_total"]:
+                    m = c / budget.p
+                    best = {"t_opt": t, "eps_total": err,
+                            "layers_opt": design_layers(budget.p, c),
+                            "p_fail": fail_prob(min(budget.p, 1.0),
+                                                max(int(m), 1))["exact"]}
+            rows.append({
+                "eps": eps, "ratio": ratio,
+                "t_opt": best["t_opt"], "layers_opt": best["layers_opt"],
+                "eps_total": best["eps_total"], "p_fail": best["p_fail"],
+                "feasible": best["eps_total"] < HypercellBudget.eps_crit,
+            })
+    return rows
+
+
+def _outcome(scan, eps_grid, ratio_grid):
+    try:
+        return repr(scan(eps_grid, ratio_grid))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# the top of this ratio's t grid rounds past tau_E
+_OVERSHOOT = 6.467818801247025e-307
+
+
+@pytest.mark.parametrize("eps_grid, ratio_grid", [
+    # the benchmark's grids and the CLI's defaults
+    ([10 ** (-7 + 5 * k / 15) for k in range(16)],
+     [10 ** (-2 + 5 * k / 15) for k in range(16)]),
+    ((1e-6, 1e-5, 1e-4, 1e-3), (0.1, 1.0, 10.0, 100.0)),
+    ((0.0,), (0.1, 1.0, 10.0)),
+    ((1.0,), (0.1, 1.0, 1e300)),                 # every row infeasible
+    ((0.0, 1e-4), (1e300, 1e308, 1.7e308)),     # c tau_E overflows
+    ((1e-4,), (1e-310,)),                       # t_hi / t_lo is not 2**40
+    ((-1.0,), (1e-310,)),
+    ((-1.0,), (0.0, 1e-310)),
+    ((math.inf,), (1e-310,)),
+    ((math.inf,), (0.0, 1e-310)),
+    ((1e-4, math.inf), (1e-310, 1.0)),
+    ((1e-4,), (1.0, _OVERSHOOT)),
+    ((-1.0, 1e-4), (_OVERSHOOT,)),
+    ((1e-4, math.inf), (_OVERSHOOT,)),
+    ((math.nan, 1e-4), (1.0,)),
+    ((), (1.0,)),
+])
+def test_boundary_scan_matches_full_sweep(eps_grid, ratio_grid):
+    # same rows to the last bit, or the same first exception
+    assert (_outcome(boundary_scan, eps_grid, ratio_grid)
+            == _outcome(boundary_scan_oracle, eps_grid, ratio_grid))
+
+
+@pytest.mark.parametrize("ratio", [5e-324, 1e-322])
+def test_boundary_scan_rejects_underflowing_ratio(ratio):
+    # t_hi / 2**40 underflows to 0 below a ratio of about 2.7e-312
+    with pytest.raises(ValidationError, match="underflows"):
+        boundary_scan((1e-4,), (1.0, ratio))

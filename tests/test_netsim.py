@@ -104,9 +104,10 @@ def test_throughput_gain_of_multiplexing():
 
 
 def event_log(*args, **kwargs):
-    """run_link_sim's result and the event log it streams."""
-    lines = []
-    return run_link_sim(*args, log_sink=lines.append, **kwargs), lines
+    """run_link_sim's result and the text of the event log it streams."""
+    chunks = []
+    result = run_link_sim(*args, log_sink=chunks.append, **kwargs)
+    return result, "".join(chunks)
 
 
 def test_identical_seeds_identical_logs():
@@ -120,15 +121,17 @@ def test_identical_seeds_identical_logs():
 
 def test_event_log_format_and_causality():
     result, log = event_log(slow_rep_link(), 40, seed=5)
+    assert log.endswith("\n")
+    lines = log.splitlines()
     times = []
-    for line in log:
+    for line in lines:
         fields = line.split(",")
         assert len(fields) == 5
         assert fields[1] in ("AttemptStart", "Herald(ok)", "Herald(fail)")
         times.append(float(fields[0]))
     assert times == sorted(times)
     # one AttemptStart and one Herald line per attempt, nothing else
-    assert len(log) == 2 * result["attempts"]
+    assert len(lines) == 2 * result["attempts"]
 
 
 def test_conservation_pairs_and_circuits():
@@ -220,11 +223,58 @@ def test_attempt_count_past_int64_range_rejected():
 
 
 def test_log_sink_receives_the_collected_lines(on_engine):
-    streamed, lines = event_log(slow_rep_link(), 30, seed=4)
+    streamed, text = event_log(slow_rep_link(), 30, seed=4)
     _, collected = on_engine(event_log, slow_rep_link(), 30, seed=4)
-    assert lines == collected
+    assert text == collected
     plain = run_link_sim(slow_rep_link(), 30, seed=4)
     assert summary(streamed) == summary(plain)
+
+
+def _logged_run(run, *args, **kwargs):
+    """A link run's result and its event log, as the text and the chunks
+    that its sink received."""
+    chunks = []
+    result = run(*args, emit=chunks.append, **kwargs)
+    return result, "".join(chunks), chunks
+
+
+#: p = 0.3 over 2 x 2 ions: seed 21's completing pair heralds on the last
+#: ion of its tick, so three drained attempts, two of them successes, follow
+#: in a short tick
+_LAST_ION_CASE = (0.3, 5, 2, 2, 21)
+
+
+@pytest.mark.parametrize("p, n_pairs, ports, tdm, seed, start, stream", [
+    (1.0, 25, 2, 10, 1, 0.0, 0),
+    (0.5, 40, 3, 7, 2, 0.0, 0),
+    (0.05, 30, 1, 1, 3, 0.0, 0),
+    _LAST_ION_CASE + (0.0, 0),
+    (0.2, 12, 2, 3, 8, 0.37, 5),
+])
+def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
+                                        stream):
+    # the closed form's log is the engine's, byte for byte, in one chunk of
+    # whole lines per tick of attempts
+    args = (p, n_pairs, ports, tdm, 2e-6, 10e-9, seed)
+    kwargs = dict(start=start, stream=stream)
+    result, text, chunks = _logged_run(netsim._closed_form_link_run, *args,
+                                       **kwargs)
+    engine, engine_text, _ = _logged_run(netsim._engine_link_run, *args,
+                                         **kwargs)
+    assert result == engine
+    assert text == engine_text
+    assert text.startswith(f"{start:.9e},AttemptStart,0,0,{stream}\n")
+    assert len(chunks) == math.ceil(result["attempts"] / (ports * tdm))
+    assert all(chunk.endswith("\n") for chunk in chunks)
+
+
+def test_last_ion_case_completes_on_the_last_ion():
+    p, n_pairs, ports, tdm, seed = _LAST_ION_CASE
+    result = netsim._closed_form_link_run(p, n_pairs, ports, tdm, 2e-6,
+                                          10e-9, seed)
+    n_ions = ports * tdm
+    assert result["attempts"] % n_ions == n_ions - 1
+    assert result["heralds_ok"] == n_pairs + 2
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
