@@ -151,14 +151,17 @@ def _cmd_estimate_shor(args, cfg) -> int:
     return 0
 
 
-def _threshold_row(eps, ratio) -> dict:
+def _threshold_row(eps, ratio, product=False) -> dict:
     budget = cluster.ErrorBudget(eps=eps, r=ratio)
     margin = float(cluster.threshold_margin(budget))
-    analytic = cluster.stabilizer_expectation_analytic(budget)
-    return {"eps": float(eps), "r": float(ratio), "margin": margin,
-            "below_threshold": margin > 0,
-            "expectation_first_order": float(analytic["first_order"]),
-            "expectation_product": float(analytic["product"])}
+    row = {"eps": float(eps), "r": float(ratio), "margin": margin,
+           "below_threshold": margin > 0,
+           "expectation_first_order": float(
+               cluster.first_order_expectation(budget))}
+    if product:     # point mode only; the scan's columns leave it out
+        row["expectation_product"] = float(
+            cluster.stabilizer_expectation_analytic(budget)["product"])
+    return row
 
 
 def _cmd_threshold(args, cfg) -> int:
@@ -166,14 +169,11 @@ def _cmd_threshold(args, cfg) -> int:
         rows = [_threshold_row(eps, ratio)
                 for eps in _grid(args.eps_grid)
                 for ratio in _grid(args.ratio_grid)]
-        for row in rows:        # the scan's columns leave out the product
-            del row["expectation_product"]
-        _emit(args, payload={"rows": rows},
-              csv_text=estimator.rows_to_csv(rows))
+        _emit(args, payload={"rows": rows}, csv_text=estimator.rows_to_csv(rows))
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
-    _emit(args, payload=_threshold_row(eps, ratio))
+    _emit(args, payload=_threshold_row(eps, ratio, product=True))
     return 0
 
 

@@ -461,14 +461,23 @@ def type2_link_probs(budget: ErrorBudget) -> dict:
     }
 
 
+def first_order_expectation(budget: ErrorBudget):
+    """The cell check's expectation truncated to first order,
+    1 - 2 * sum(p_source) = 1 - (512/5) eps - 176 r.
+
+    Exact when called with Fraction inputs.
+    """
+    return 1 - 2 * cell_lattice().linear.evaluate(budget.eps, budget.r)
+
+
 def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     """Expectation of the six-face cell check under the error census.
 
     ``product`` multiplies the independent factors (1 - 2 p_source) exactly;
-    ``first_order`` truncates it to 1 - 2 * sum(p_source), which evaluates to
-    1 - (512/5) eps - 176 r.  The three grouped factors (birth pairs, CNOT
-    links, readouts) are returned alongside.  Sources whose flip is zero
-    contribute a factor of exactly one and are skipped.
+    ``first_order`` is ``first_order_expectation``.  The three grouped
+    factors (birth pairs, CNOT links, readouts) are returned alongside.
+    Sources whose flip is zero contribute a factor of exactly one and are
+    skipped.
     """
     eps, r = budget.eps, budget.r
     lattice = cell_lattice()
@@ -478,10 +487,9 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
         for flip in flips:
             factor *= 1 - 2 * flip.evaluate(eps, r)
         factors[kind] = factor
-    linear = lattice.linear
     product = factors["birth_pair"] * factors["cnot_link"] * factors["readout"]
     return {
-        "first_order": 1 - 2 * linear.evaluate(eps, r),
+        "first_order": first_order_expectation(budget),
         "product": product,
         "factors": factors,
         "linear_coefficients": lattice.linear_coefficients,

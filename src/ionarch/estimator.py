@@ -17,8 +17,8 @@ from fractions import Fraction
 from .arch import ArchLayout, MusiqcLayout, NnLayout, QlaLayout
 from .device import DeviceParams
 from .errors import NTooSmall, ValidationError
-from .steane import (LogicalCostTable, Primitive, local_teleport_time,
-                     required_concat_level, table_at_level)
+from .steane import (LogicalCostTable, required_concat_level,
+                     table_at_level)
 
 
 def floor_log2(x: int) -> int:
@@ -109,40 +109,12 @@ def adder_resources(n: int, layout: ArchLayout) -> dict:
     return {"qubits": layout.qubits(n), "parallel_ops": layout.parallel_ops(n)}
 
 
-#: Step durations of recently priced tables, keyed by the ids of the layout
-#: and the table.  A scan prices every row with the same few tables.  Both are
-#: frozen, and each entry holds them, so neither id is reused while it lives.
-_STEP_TIMES: dict[tuple[int, int], tuple] = {}
-_STEP_TIMES_KEPT = 8
-
-
-def _step_times(layout: ArchLayout,
-                table: LogicalCostTable) -> tuple[float, float, float]:
-    """Durations of a Toffoli, a CNOT and an X step, each with the layout's
-    folded error-correction rounds."""
-    key = (id(layout), id(table))
-    hit = _STEP_TIMES.get(key)
-    if hit is None:
-        ec = layout.ec_rounds_per_step * table.time(
-            Primitive.ERROR_CORRECT_ROUND)
-        if isinstance(layout, MusiqcLayout):
-            cnot = table.time(Primitive.REMOTE_CNOT)
-        else:
-            cnot = local_teleport_time(table)
-        times = (table.time(Primitive.TOFFOLI) + ec, cnot + ec,
-                 table.time(Primitive.TRANSVERSAL_SINGLE) + ec)
-        if len(_STEP_TIMES) >= _STEP_TIMES_KEPT:
-            del _STEP_TIMES[next(iter(_STEP_TIMES))]
-        hit = _STEP_TIMES[key] = (layout, table, times)
-    return hit[2]
-
-
-def _adder_time(n: int, layout: ArchLayout, table: LogicalCostTable,
+def _adder_time(n: int, table: LogicalCostTable,
                 profile: DepthProfile) -> float:
-    toffoli, cnot, single = _step_times(layout, table)
+    toffoli, cnot, single = table.adder_step_times
     time = (profile.toffoli_steps * toffoli + profile.cnot_steps * cnot
             + profile.x_steps * single)
-    if isinstance(layout, QlaLayout):
+    if isinstance(table.layout, QlaLayout):
         time += float(qla_comm_steps(n)) * table.swap_step_time
     return time
 
@@ -155,8 +127,13 @@ def adder_execution_time(n: int, layout: ArchLayout,
     error-correction rounds.  A CNOT step is the distance-independent remote
     CNOT on the switched layout and a local teleport elsewhere; the grid
     additionally pays the swap-step count for entanglement distribution.
+    ``table`` must be built for ``layout``.
     """
-    return _adder_time(n, layout, table, adder_depth(n, layout))
+    if table.layout != layout:
+        raise ValidationError(
+            f"a {table.layout.kind} cost table cannot price the "
+            f"{layout.kind} layout")
+    return _adder_time(n, table, adder_depth(n, layout))
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not
@@ -204,17 +181,8 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
     }
 
 
-def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
-              level: int = 1, table: LogicalCostTable | None = None) -> dict:
-    """One report row, its keys in CSV column order.
-
-    ``table`` is the layout's cost table at ``level`` when the caller has
-    already built it; otherwise it is built here.
-    """
-    if table is None:
-        table = table_at_level(params, layout, level)
-    resources = adder_resources(n, layout)
-    profile = adder_depth(n, layout)
+def _row(n: int, layout: ArchLayout, level: int, profile: DepthProfile,
+         time_s: float, resources: dict) -> dict:
     return {
         "n": n,
         "layout": layout.kind,
@@ -222,10 +190,19 @@ def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
         "level": level,
         "depth_total": profile.total,
         "toffoli_steps": profile.toffoli_steps,
-        "time_s": _adder_time(n, layout, table, profile),
-        "qubits": resources["qubits"],
-        "parallel_ops": resources["parallel_ops"],
+        "time_s": time_s,
+        **resources,
     }
+
+
+def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
+              level: int = 1) -> dict:
+    """One report row, its keys in CSV column order."""
+    table = table_at_level(params, layout, level)
+    resources = adder_resources(n, layout)
+    profile = adder_depth(n, layout)
+    return _row(n, layout, level, profile, _adder_time(n, table, profile),
+                resources)
 
 
 def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
@@ -233,30 +210,43 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
 
     Returns the rows (sorted by n then layout) and the smallest scanned n at
     which the switched-layout lookahead adder beats the nearest-neighbor
-    ripple-carry adder, if any.
+    ripple-carry adder, if any.  The rows equal ``adder_row``'s.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values:
         raise ValidationError("n_range must be non-empty")
     params = params or DeviceParams()
-    layout_objs = [MusiqcLayout(), QlaLayout(), NnLayout()]
-    tables = [table_at_level(params, layout, 1) for layout in layout_objs]
+    musiqc, qla, nn = MusiqcLayout(), QlaLayout(), NnLayout()
+    lookahead = [(layout, table_at_level(params, layout, 1))
+                 for layout in (musiqc, qla)]
+    nn_table = table_at_level(params, nn, 1)
+    # n enters a lookahead row's depth and time only through the floor-logs
+    # of n, n - 1, n // 3 and (n - 1) // 3, so each combination of their bit
+    # lengths (a depth class) is priced once
+    classes = {}
     rows = []
-    for n in n_values:
-        for layout, table in zip(layout_objs, tables):
-            try:
-                rows.append(adder_row(n, layout, params, table=table))
-            except NTooSmall:
-                continue
     crossover_n = None
-    by_n = {}
-    for row in rows:
-        by_n.setdefault(row["n"], {})[row["layout"]] = row["time_s"]
     for n in n_values:
-        times = by_n.get(n, {})
-        if "musiqc" in times and "nn" in times and times["musiqc"] < times["nn"]:
+        if n <= 6:      # below the lookahead domain only the ripple row exists
+            rows.append(adder_row(n, nn, params))
+            continue
+        key = (n.bit_length(), (n - 1).bit_length(), (n // 3).bit_length(),
+               ((n - 1) // 3).bit_length())
+        priced = classes.get(key)
+        if priced is None:
+            profile = qcla_depth(n)
+            priced = classes[key] = (profile, [
+                _adder_time(n, table, profile) for _, table in lookahead])
+        profile, times = priced
+        for (layout, _), time_s in zip(lookahead, times):
+            rows.append(_row(n, layout, 1, profile, time_s,
+                             adder_resources(n, layout)))
+        nn_profile = adder_depth(n, nn)
+        nn_time = _adder_time(n, nn_table, nn_profile)
+        rows.append(_row(n, nn, 1, nn_profile, nn_time,
+                         adder_resources(n, nn)))
+        if crossover_n is None and times[0] < nn_time:
             crossover_n = n
-            break
     return {"rows": rows, "crossover_n": crossover_n}
 
 

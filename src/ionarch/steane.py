@@ -36,9 +36,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .arch import ArchLayout, MusiqcLayout
@@ -98,7 +100,10 @@ class _GateBasis:
 
 @dataclass(frozen=True)
 class LogicalCostTable:
-    """Per-primitive time/qubit costs at one concatenation level."""
+    """Per-primitive time/qubit costs at one concatenation level.
+
+    ``entries`` is a read-only mapping, so a table can be shared.
+    """
 
     level: int
     layout: ArchLayout
@@ -117,6 +122,23 @@ class LogicalCostTable:
 
     def time(self, primitive: Primitive) -> float:
         return self.entries[primitive].time
+
+    @cached_property
+    def adder_step_times(self) -> tuple[float, float, float]:
+        """Durations of an adder's Toffoli, CNOT and X steps, each with the
+        layout's folded error-correction rounds.
+
+        A CNOT step is the remote CNOT on the switched layout and a local
+        teleport elsewhere.
+        """
+        ec = self.layout.ec_rounds_per_step * self.time(
+            Primitive.ERROR_CORRECT_ROUND)
+        if isinstance(self.layout, MusiqcLayout):
+            cnot = self.time(Primitive.REMOTE_CNOT)
+        else:
+            cnot = local_teleport_time(self)
+        return (self.time(Primitive.TOFFOLI) + ec, cnot + ec,
+                self.time(Primitive.TRANSVERSAL_SINGLE) + ec)
 
     def to_json(self) -> str:
         payload = {
@@ -252,7 +274,7 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
         pair_up = 0.0
 
     return LogicalCostTable(
-        level=level, layout=layout, entries=entries,
+        level=level, layout=layout, entries=MappingProxyType(entries),
         stabilizer_reps=reps, footprint=11 * footprint_below,
         pair_time=pair_up, phi_plus_prep_time=phi_time,
         toffoli_teleport_time=toffoli_tele_time,
@@ -401,12 +423,27 @@ def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
 
 def table_at_level(params: DeviceParams, layout: ArchLayout,
                    level: int) -> LogicalCostTable:
-    """Build the level-1 table and lift it to ``level``, at most
-    ``MAX_CONCAT_LEVEL``."""
+    """The layout's cost table at ``level``, 1 to ``MAX_CONCAT_LEVEL``.
+
+    A table is built once per distinct (device parameters, layout, level) in
+    a process, lifted from the one at the level below, and shared by every
+    caller that asks for it, so it is read-only.  A level that is not an
+    integer, such as 2.0, raises ``TypeError``.
+    """
     if not 1 <= level <= MAX_CONCAT_LEVEL:
         raise ValidationError(
             f"level {level} outside [1, {MAX_CONCAT_LEVEL}]")
-    table = level1_costs(params, layout)
-    for _ in range(level - 1):
-        table = lift_level(table)
-    return table
+    return _shared_table(params, layout, operator.index(level))
+
+
+#: Tables kept by ``table_at_level``: three layouts at three levels for a
+#: few device parameter sets.
+_TABLES_KEPT = 32
+
+
+@lru_cache(maxsize=_TABLES_KEPT)
+def _shared_table(params: DeviceParams, layout: ArchLayout,
+                  level: int) -> LogicalCostTable:
+    if level == 1:
+        return level1_costs(params, layout)
+    return lift_level(_shared_table(params, layout, level - 1))

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import linecache
 import time
+import warnings
 
 import pytest
 
@@ -85,6 +87,62 @@ def test_threshold_point(capsys):
 def test_threshold_rejects_bad_budget(capsys):
     code, _, err = run_cli(capsys, "threshold", "--eps", "0.5", "--ratio", "0")
     assert code == 2
+
+
+def _hex(row: dict) -> dict:
+    return {key: value.hex() if type(value) is float else value
+            for key, value in row.items()}
+
+
+@pytest.mark.parametrize("eps", ["0", "5e-324", repr(1 / 15)])
+@pytest.mark.parametrize("ratio", ["0", "0.06"])
+def test_threshold_scan_row_is_point_row_without_product(capsys, eps, ratio):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, out, _ = run_cli(capsys, "threshold", "--eps", eps, "--ratio",
+                            ratio, "--json")
+        point = json.loads(out)
+        _, out, _ = run_cli(capsys, "threshold", "--scan", "--eps-grid", eps,
+                            "--ratio-grid", ratio, "--json")
+    (row,) = json.loads(out)["rows"]
+    del point["expectation_product"]
+    assert sorted(row) == ["below_threshold", "eps",
+                           "expectation_first_order", "margin", "r"]
+    assert _hex(row) == _hex(point)
+
+
+def test_threshold_scan_warns_once_per_budget(capsys):
+    argv = ("threshold", "--scan", "--ratio-grid", "0.06,0.07")
+    for action, ratios in (("default", ["0.06", "0.07"]),
+                           ("always", ["0.06", "0.07"] * 4)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert [str(w.message) for w in caught] == [
+            f"memory error ratio {r} is large; first-order bookkeeping is "
+            "unreliable here" for r in ratios]
+        for w in caught:
+            assert w.category is UserWarning
+            assert w.filename == cli.__file__
+            assert "cluster.ErrorBudget(" in linecache.getline(w.filename,
+                                                               w.lineno)
+
+
+@pytest.mark.parametrize("grids, message", [
+    (("0.5", "-1"),
+     "gate error 0.5 outside the depolarizing-model range [0, 1/15]"),
+    (("0,0.5", "0.06,-1"),
+     "memory error ratio -1.0 must be finite and non-negative"),
+    (("1e-4,nan", "0,inf"),
+     "memory error ratio inf must be finite and non-negative"),
+])
+def test_threshold_scan_reports_first_bad_point(capsys, grids, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(capsys, "threshold", "--scan", "--eps-grid",
+                                 grids[0], "--ratio-grid", grids[1])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_mc_cluster_deterministic_bytes(capsys):

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -273,16 +274,41 @@ def test_adder_time_matches_oracle_bit_for_bit(params):
                 want = adder_time_oracle(n, layout, table)
                 assert adder_execution_time(n, layout, table) == want, (
                     layout.kind, level, n)
-                row = adder_row(n, layout, params, level=level, table=table)
+                row = adder_row(n, layout, params, level=level)
                 assert row["time_s"] == want, (layout.kind, level, n)
 
 
 def test_crossover_rows_are_adder_rows(params):
     layouts = (MusiqcLayout(), QlaLayout(), NnLayout())
-    tables = [table_at_level(params, layout, 1) for layout in layouts]
     expected = []
     for n in range(1, 4097):
-        for layout, table in zip(layouts, tables):
+        for layout in layouts:
             if n > 6 or isinstance(layout, NnLayout):
-                expected.append(adder_row(n, layout, params, table=table))
+                expected.append(adder_row(n, layout, params))
     assert crossover_scan(range(4096, 0, -1), params=params)["rows"] == expected
+
+
+def test_crossover_rows_are_adder_rows_at_depth_class_edges(params):
+    # the scan prices a lookahead row once per depth class, the bit lengths
+    # of n, n - 1, n // 3 and (n - 1) // 3; a class changes at 2**k and
+    # 3 * 2**k, and a wrong class key shows at large n
+    ns = {m for k in range(1, 41) for m in (2**k - 1, 2**k, 2**k + 1,
+                                              3 * 2**k, 3 * 2**k + 1)}
+    ns |= set(range(1, 13))
+    shuffled = sorted(ns)
+    random.Random(13).shuffle(shuffled)
+    layouts = (MusiqcLayout(), QlaLayout(), NnLayout())
+    expected = [adder_row(n, layout, params) for n in sorted(ns)
+                for layout in layouts if n > 6 or isinstance(layout, NnLayout)]
+    scan = crossover_scan(shuffled, params=params)
+    assert scan["rows"] == expected
+    times = {(row["n"], row["layout"]): row["time_s"] for row in expected}
+    assert scan["crossover_n"] == min(
+        n for n in ns if n > 6 and times[n, "musiqc"] < times[n, "nn"])
+
+
+def test_adder_time_rejects_another_layouts_table(params):
+    table = table_at_level(params, MusiqcLayout(), 1)
+    for layout in (QlaLayout(), NnLayout()):
+        with pytest.raises(ValidationError, match="musiqc cost table"):
+            adder_execution_time(128, layout, table)

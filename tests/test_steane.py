@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ionarch import steane
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import InsufficientConcatenation, ValidationError
@@ -10,6 +11,12 @@ from ionarch.steane import (Primitive, level1_costs, lift_level,
                             table_at_level, toffoli_cost)
 
 US = 1e-6
+
+LAYOUTS = (MusiqcLayout, QlaLayout, NnLayout)
+#: A device off the defaults in every duration a table reads.
+SLOWER = DeviceParams(t_single_gate=2 * US, t_two_gate=13 * US,
+                      t_toffoli=17 * US, t_measure=70 * US,
+                      t_remote_entangle=1000 * US)
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +176,62 @@ def test_table_at_level(params):
     for level in (0, 4):
         with pytest.raises(ValidationError):
             table_at_level(params, MusiqcLayout(), level)
+    # a float level never aliases an int one; True is level 1, as in range()
+    for level in (1.0, 2.0):
+        with pytest.raises(TypeError):
+            table_at_level(params, MusiqcLayout(), level)
+    assert table_at_level(params, MusiqcLayout(), True).to_json() \
+        == level1_costs(params, MusiqcLayout()).to_json()
+
+
+def fresh_tables(device, layout):
+    """Levels 1 to 3 built without the shared tables: the reference."""
+    table = level1_costs(device, layout)
+    tables = [table]
+    for _ in range(2):
+        table = lift_level(table)
+        tables.append(table)
+    return tables
+
+
+def test_tables_shared_per_device_layout_level():
+    # equal device parameters built apart share one table
+    table = table_at_level(DeviceParams(), MusiqcLayout(), 2)
+    assert table_at_level(DeviceParams(), MusiqcLayout(), 2) is table
+    others = [table_at_level(SLOWER, MusiqcLayout(), 2),
+              table_at_level(DeviceParams(), QlaLayout(), 2),
+              table_at_level(DeviceParams(), MusiqcLayout(), 3),
+              table_at_level(DeviceParams(), MusiqcLayout(), 1)]
+    assert len({id(t) for t in [table, *others]}) == 5
+
+
+def test_shared_table_is_read_only(params):
+    table = table_at_level(params, MusiqcLayout(), 1)
+    with pytest.raises(TypeError):
+        table.entries[Primitive.TOFFOLI] = table.entry(Primitive.PREP_ZERO)
+    with pytest.raises(TypeError):
+        del table.entries[Primitive.TOFFOLI]
+
+
+@pytest.mark.parametrize("device", [DeviceParams(), SLOWER],
+                         ids=["defaults", "slower"])
+def test_shared_tables_equal_fresh_builds(device):
+    for layout in LAYOUTS:
+        for level, fresh in enumerate(fresh_tables(device, layout()), 1):
+            assert table_at_level(device, layout(), level).to_json() \
+                == fresh.to_json(), (layout.kind, level)
+
+
+def test_shared_tables_past_the_memo_bound():
+    # more distinct devices than the memo keeps, each at every level and
+    # layout, then the first again after it has been evicted
+    devices = [DeviceParams(t_two_gate=(10 + k) * US)
+               for k in range(steane._TABLES_KEPT + 3)]
+    for device in [*devices, devices[0]]:
+        for layout in LAYOUTS:
+            for level, fresh in enumerate(fresh_tables(device, layout()), 1):
+                assert table_at_level(device, layout(), level).to_json() \
+                    == fresh.to_json(), (device.t_two_gate, layout.kind, level)
 
 
 def test_stabilizer_reps_switch(params):
