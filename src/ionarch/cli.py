@@ -164,11 +164,27 @@ def _threshold_row(eps, ratio, product=False) -> dict:
     return row
 
 
+#: Most points of a threshold or hypercell scan, which holds a row per point:
+#: a hypercell scan of 2**16 points peaks near 1 GB.
+MAX_SCAN_POINTS = 2**16
+
+
+def _scan_grids(args) -> tuple[list[float], list[float]]:
+    """The ``--eps-grid`` and ``--ratio-grid`` of a scan, checked against
+    ``MAX_SCAN_POINTS`` before any row is built."""
+    eps_grid, ratio_grid = _grid(args.eps_grid), _grid(args.ratio_grid)
+    if len(eps_grid) * len(ratio_grid) > MAX_SCAN_POINTS:
+        raise ValidationError(
+            f"a scan of {len(eps_grid)} x {len(ratio_grid)} points exceeds "
+            f"the bound of 2**16 = {MAX_SCAN_POINTS}")
+    return eps_grid, ratio_grid
+
+
 def _cmd_threshold(args, cfg) -> int:
     if args.scan:
+        eps_grid, ratio_grid = _scan_grids(args)
         rows = [_threshold_row(eps, ratio)
-                for eps in _grid(args.eps_grid)
-                for ratio in _grid(args.ratio_grid)]
+                for eps in eps_grid for ratio in ratio_grid]
         _emit(args, payload={"rows": rows}, csv_text=estimator.rows_to_csv(rows))
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
@@ -225,8 +241,7 @@ def _cmd_hypercell(args, cfg) -> int:
     if args.seed is not None and not args.trials:
         raise ValidationError("--seed seeds the Monte Carlo; give --trials")
     if args.scan:
-        rows = hypercell.boundary_scan(_grid(args.eps_grid),
-                                       _grid(args.ratio_grid))
+        rows = hypercell.boundary_scan(*_scan_grids(args))
         _emit(args, payload={"rows": rows},
               csv_text=estimator.rows_to_csv(rows))
         return 0

@@ -8,22 +8,20 @@ their entanglement into memory and re-enter the rotation on the same
 schedule.  Every link request draws from its own counter-based stream,
 ``philox_stream(seed, request_id)``: ``run_link_sim``'s single request is
 stream 0, and in a Toffoli pipeline the request of gate ``g`` to operand
-``op`` (0, 1, 2) is stream ``3*g + op``.  Read in the discrete-event
-engine's (tick, ion) order, a request's successes form a renewal process, so
-the stream yields one Geometric(p) gap per heralded success, not one draw
-per attempt.  One closed form serves both simulators.  It draws each
-request's gaps in bulk and writes the event log from the same draws, in the
-(time, sequence) order of the engine, so identical seeds give bit-identical
-results and logs.  A log sink receives the log in chunks of whole
-newline-terminated lines, one chunk per tick of attempts.  The engine itself
-is kept as the closed form's oracle for tests.
+``op`` (0, 1, 2) is stream ``3*g + op``.  Read in a discrete-event run's
+(tick, ion) order, a request's successes form a renewal process, so the
+stream yields one Geometric(p) gap per heralded success, not one draw per
+attempt.  One closed form serves both simulators.  It draws each request's
+gaps in bulk and writes the event log from the same draws, in the (time,
+sequence) order of that run, so identical seeds give bit-identical results
+and logs; the tests hold the event engine that checks this,
+``tests/link_engine_oracle.py``.  A log sink receives the log in chunks of
+whole newline-terminated lines, one chunk per tick of attempts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -54,85 +52,6 @@ def _log_fields(kind: str, elu: int, port: int, request: int) -> str:
     return f",{kind},{elu},{port},{request}"
 
 
-@dataclass(frozen=True)
-class SimEvent:
-    time: float
-    kind: EventKind
-    elu: int = -1
-    port: int = -1
-    request: int = -1
-    success: bool | None = None
-
-    def log_line(self) -> str:
-        kind = self.kind.value
-        if self.kind is EventKind.HERALD:
-            kind = _herald_kind(self.success)
-        return (_log_stamp(self.time)
-                + _log_fields(kind, self.elu, self.port, self.request))
-
-
-class EventQueue:
-    """Min-heap of events with strict causality: no event before the clock."""
-
-    def __init__(self):
-        self._heap = []
-        self._seq = 0
-        self.clock = 0.0
-
-    def push(self, event: SimEvent, ctx=None):
-        if event.time < self.clock:
-            raise ValidationError(
-                f"causality violation: event at {event.time} before clock {self.clock}")
-        heapq.heappush(self._heap, (event.time, self._seq, event, ctx))
-        self._seq += 1
-
-    def pop(self) -> tuple[SimEvent, object]:
-        time, _, event, ctx = heapq.heappop(self._heap)
-        self.clock = time
-        return event, ctx
-
-    def __len__(self):
-        return len(self._heap)
-
-
-@dataclass
-class EntanglementRequest:
-    pairs_needed: int
-    request_id: int = 0
-    completed: int = 0
-    completion_times: list = field(default_factory=list)
-
-    def register(self, time: float):
-        if self.completed >= self.pairs_needed:
-            raise ValidationError("request over-completed")
-        self.completed += 1
-        self.completion_times.append(time)
-
-    @property
-    def done(self) -> bool:
-        return self.completed >= self.pairs_needed
-
-
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Ion:
-    """One TDM slot: an attempt stream on a fixed per-ion grid.
-
-    Attempt k happens at ``start + k * tick``; keeping the grid arithmetic
-    multiplicative (not accumulated) makes the event engine and the closed
-    form bit-identical.
-    """
-
-    elu: int
-    port: int
-    start: float = 0.0
-    ticks: int = 0
-
-    def next_allowed(self, tick: float) -> float:
-        return self.start + self.ticks * tick
-
-
 def _check_multiplexity(ports: int, m_t: int):
     """Reject ports and TDM depth that a register cannot host."""
     if ports < 1 or m_t < 1:
@@ -144,80 +63,11 @@ def _check_multiplexity(ports: int, m_t: int):
 
 
 def _attempt_tick(params: DeviceParams, herald_latency: float) -> float:
-    """Per-ion attempt spacing: repetition period or herald + reinit.
-
-    The closed form and its log assume that every herald arrives before its
-    ion's next attempt.  The spacing exceeds the latency by the
-    re-initialization time, unless that vanishes next to the latency in
-    floating point; such a latency is rejected.
-    """
+    """Per-ion attempt spacing: repetition period or herald + reinit."""
     if not 0.0 <= herald_latency < math.inf:
         raise ValidationError(
             f"herald latency {herald_latency} must be finite and non-negative")
-    tick = max(1.0 / params.rep_rate, herald_latency + params.reinit_time)
-    if herald_latency >= tick:
-        raise ValidationError(
-            f"herald latency {herald_latency} s reaches the attempt spacing "
-            f"{tick} s")
-    return tick
-
-
-class _LinkEngine:
-    """Event-driven attempt/herald machinery: the exact oracle of the closed form.
-
-    Drives one request at a time on its own queue.  The request draws one
-    Geometric(p) gap when it starts and counts it down by one at every
-    ``AttemptStart``; the attempt that reaches zero succeeds and draws the
-    next gap.  Log lines go to ``emit`` one at a time, each with its
-    newline.  No simulator runs it: tests compare the closed form with it
-    through ``_engine_link_run``.
-    """
-
-    def __init__(self, p_success: float, tick: float, herald_latency: float,
-                 emit=None):
-        self.p = p_success
-        self.tick = tick
-        self.herald_latency = herald_latency
-        self.emit = emit
-        self.attempts = 0
-        self.heralds_ok = 0
-
-    def run_request(self, request: EntanglementRequest, ions, rng):
-        """Drive ``request`` to completion over ``ions``, drawing from ``rng``."""
-        w = self.herald_latency
-        tick = self.tick
-        queue = EventQueue()
-
-        def schedule_attempt(ion):
-            t = max(ion.next_allowed(tick), queue.clock)
-            queue.push(SimEvent(t, EventKind.ATTEMPT_START, ion.elu, ion.port,
-                                request.request_id), ion)
-
-        for ion in ions:
-            schedule_attempt(ion)
-        countdown = int(rng.geometric(self.p))     # attempts to the next success
-        while len(queue):
-            event, ion = queue.pop()
-            if self.emit is not None:
-                self.emit(event.log_line() + "\n")
-            if event.kind is EventKind.ATTEMPT_START:
-                self.attempts += 1
-                countdown -= 1
-                ok = countdown == 0
-                if ok:
-                    countdown = int(rng.geometric(self.p))
-                queue.push(SimEvent(event.time + w, EventKind.HERALD, ion.elu,
-                                    ion.port, request.request_id, success=ok),
-                           ion)
-                ion.ticks += 1
-            else:       # HERALD
-                if event.success:
-                    self.heralds_ok += 1
-                if not request.done:
-                    if event.success:
-                        request.register(event.time)
-                    if not request.done:
-                        schedule_attempt(ion)
+    return max(1.0 / params.rep_rate, herald_latency + params.reinit_time)
 
 
 def _link_probability(link: LinkModel, p_override: float | None) -> float:
@@ -279,23 +129,24 @@ MAX_LOG_ATTEMPTS = 2**24
 def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
                           tick: float, w: float, seed: int, stream: int = 0,
                           start: float = 0.0, emit=None) -> dict:
-    """One uncontended request, drawn in bulk.
+    """One link request, drawn in bulk.
 
     The request draws from ``philox_stream(seed, stream)`` over
     ``ports * tdm`` ions; ion ``i`` sits on port ``i // tdm``.  With a common
-    start and a uniform per-ion cadence, the event engine processes attempts
-    tick by tick in ion order, and its successes are a renewal process with
-    Geometric(p) gaps drawn one per success, so the gaps of all ``n_pairs``
-    successes are drawn at once: success j falls on attempt index a_j, the
-    sum of the first j gaps minus 1, and heralds at
-    ``(start + (a_j // n_ions) * tick) + w``, the engine's own float
-    arithmetic.  After the pair completing the request heralds, the engine
+    start and a uniform per-ion cadence, an event-driven run processes
+    attempts tick by tick in ion order, and its successes are a renewal
+    process with Geometric(p) gaps drawn one per success, so the gaps of all
+    ``n_pairs`` successes are drawn at once: success j falls on attempt
+    index a_j, the sum of the first j gaps minus 1, and heralds at
+    ``(start + (a_j // n_ions) * tick) + w``, the run's own float
+    arithmetic.  After the pair completing the request heralds, the run
     drains the already scheduled attempts of the next tick (the ions whose
     heralds preceded the completing one); one further gap per drained
-    success counts them, as the engine does.  ``emit`` receives the engine's
-    event log, rebuilt from the success indices, as one string of whole
-    lines per tick; a request of more than ``MAX_LOG_ATTEMPTS`` attempts is
-    rejected instead of logged.
+    success counts them, as the run does.  ``emit`` receives the run's event
+    log, rebuilt from the success indices, as one string of whole lines per
+    tick.  A request whose attempt spacing does not clear the rounding of
+    its attempt times, or, when logged, one of more than
+    ``MAX_LOG_ATTEMPTS`` attempts, is rejected before the first line.
     """
     if n_pairs / p > _MAX_EXPECTED_ATTEMPTS:
         raise DomainError(
@@ -314,6 +165,16 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     # before it have already started their next attempt
     k_done, rank = divmod(last, n_ions)
     attempts = (k_done + 1) * n_ions + rank
+    # each herald, at (start + k*tick) + w, must come no later than its ion's
+    # next attempt at start + (k+1)*tick.  Both grid times round by at most
+    # one ulp of the last tick's herald (k stays below 2**53 wherever the
+    # test passes), so a spacing over 2 ulps of it keeps that order; 4 leave
+    # a margin
+    last_herald = start + (k_done + 1) * tick + w
+    if tick - w <= 4 * math.ulp(last_herald):
+        raise DomainError(
+            f"herald latency {w} s leaves the attempt spacing {tick} s within "
+            f"the float rounding of attempt times near {last_herald:.3g} s")
     if emit is not None and attempts > MAX_LOG_ATTEMPTS:
         raise DomainError(
             f"{n_pairs} pairs take {attempts} attempts; a log holds at most "
@@ -329,18 +190,6 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     completions = (start + (hits // n_ions) * tick) + w
     return {"completions": completions.tolist(), "attempts": attempts,
             "heralds_ok": n_pairs + len(drained)}
-
-
-def _engine_link_run(p: float, n_pairs: int, ports: int, tdm: int,
-                     tick: float, w: float, seed: int, stream: int = 0,
-                     start: float = 0.0, emit=None) -> dict:
-    """``_closed_form_link_run`` run by the event engine: the test oracle."""
-    engine = _LinkEngine(p, tick, w, emit)
-    request = EntanglementRequest(n_pairs, request_id=stream)
-    ions = [_Ion(0, i // tdm, start) for i in range(ports * tdm)]
-    engine.run_request(request, ions, philox_stream(seed, stream))
-    return {"completions": request.completion_times,
-            "attempts": engine.attempts, "heralds_ok": engine.heralds_ok}
 
 
 #: Most pairs one ``run_link_sim`` call generates: the run holds an int64
@@ -408,8 +257,8 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     are generated to each of the three operand registers over the available
     ports; the gate completes after the slower of the two phases plus the
     teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
-    from stream ``3*g + op`` of ``seed``; being independent and uncontended,
-    the three requests run as three closed-form link runs.  The table's
+    from stream ``3*g + op`` of ``seed``; being independent, the three
+    requests run as three closed-form link runs.  The table's
     layout must be the photonically linked MUSIQC one, whose ``m_p`` and
     ``m_t`` are the defaults: the other layouts have no heralded links.
     """

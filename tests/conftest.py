@@ -1,6 +1,7 @@
 import pytest
 
 from ionarch import netsim
+from link_engine_oracle import engine_link_run
 
 
 @pytest.fixture(scope="session")
@@ -9,7 +10,6 @@ def on_engine():
     request in place of the closed form: the oracle of the closed form."""
     def call(fn, *args, **kwargs):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(netsim, "_closed_form_link_run",
-                          netsim._engine_link_run)
+            patch.setattr(netsim, "_closed_form_link_run", engine_link_run)
             return fn(*args, **kwargs)
     return call

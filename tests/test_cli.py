@@ -268,13 +268,18 @@ def test_netsim_log_bound_exit(tmp_path, capsys):
     ("--p-excite", "0"),
     ("--pairs", "3", "--seed", "1", "--repetition-rate-hz", "1e9",
      "--config", "herald.cfg"),
+    ("--pairs", "5", "--seed", "1", "--repetition-rate-hz", "1e9",
+     "--config", "rounding.cfg"),
 ])
 def test_netsim_rejected_run_keeps_log(tmp_path, monkeypatch, capsys, argv):
     # every rejection comes before the first log line, so the file stays;
-    # herald.cfg is the configuration of the herald-spacing exit above
+    # herald.cfg is the configuration of the herald-spacing exit above, and
+    # rounding.cfg puts the attempt spacing one ulp past the 10 ns latency
     monkeypatch.chdir(tmp_path)
     (tmp_path / "herald.cfg").write_text("device.reinit_time_us = 1e-24\n",
                                          encoding="utf-8")
+    (tmp_path / "rounding.cfg").write_text(
+        "device.reinit_time_us = 1.7e-18\n", encoding="utf-8")
     (tmp_path / "keep.log").write_bytes(b"keep\n")
     code, out, _ = run_cli(capsys, "netsim", *argv, "--log", "keep.log")
     assert code == 2
@@ -332,6 +337,10 @@ def test_netsim_herald_latency_reaching_spacing_exit(tmp_path, capsys):
     assert err.startswith("error: herald latency") and err.count("\n") == 1
 
 
+#: 257 valid grid values, 1e-6 to 2.57e-4
+_GRID_257 = ",".join(f"{k}e-6" for k in range(1, 258))
+
+
 @pytest.mark.parametrize("argv", [
     ("netsim", "--pairs", "5", "--repetition-rate-hz", "nan"),
     ("netsim", "--pairs", "5", "--repetition-rate-hz", "inf"),
@@ -355,6 +364,11 @@ def test_netsim_herald_latency_reaching_spacing_exit(tmp_path, capsys):
     # t_hi / 2**40 underflows to 0
     ("hypercell", "--scan", "--ratio-grid", "5e-324"),
     ("hypercell", "--scan", "--ratio-grid", "1e-322", "--eps-grid", "1e-4"),
+    # 257 x 257 points pass the scan bound of 2**16
+    ("threshold", "--scan", "--eps-grid", _GRID_257, "--ratio-grid",
+     _GRID_257),
+    ("hypercell", "--scan", "--eps-grid", _GRID_257, "--ratio-grid",
+     _GRID_257),
 ])
 def test_non_finite_input_exit(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -383,6 +397,19 @@ def test_hypercell_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "eps,ratio,t_opt,layers_opt,eps_total,p_fail,feasible"
     assert len(lines) == 5
+
+
+def test_scan_bound_admits_2_to_the_16_points():
+    # 256 x 256 and 1 x 65536 points reach the bound without passing it;
+    # the grids are checked without building a row
+    grid = ",".join(["1e-4"] * 256)
+    for eps_grid, ratio_grid in ((grid, grid),
+                                 ("1e-4", ",".join(["1"] * 2**16))):
+        args = build_parser().parse_args(["hypercell", "--scan", "--eps-grid",
+                                          eps_grid, "--ratio-grid",
+                                          ratio_grid])
+        eps, ratios = cli._scan_grids(args)
+        assert len(eps) * len(ratios) == cli.MAX_SCAN_POINTS
 
 
 def test_hypercell_scan_rejects_trials(capsys):

@@ -7,11 +7,12 @@ from ionarch import netsim
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
                             link_success_probability)
 from ionarch.errors import DomainError, ValidationError, ZeroSuccessProbability
-from ionarch.netsim import (EntanglementRequest, EventKind, EventQueue,
-                            SimEvent, run_link_sim, run_toffoli_pipeline,
+from ionarch.netsim import (EventKind, run_link_sim, run_toffoli_pipeline,
                             summary)
 from ionarch.steane import level1_costs, table_at_level, toffoli_cost
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
+from link_engine_oracle import (EntanglementRequest, EventQueue, SimEvent,
+                                engine_link_run)
 
 
 def slow_rep_link(p_success=0.05, rep_rate=0.5e6):
@@ -259,8 +260,7 @@ def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
     kwargs = dict(start=start, stream=stream)
     result, text, chunks = _logged_run(netsim._closed_form_link_run, *args,
                                        **kwargs)
-    engine, engine_text, _ = _logged_run(netsim._engine_link_run, *args,
-                                         **kwargs)
+    engine, engine_text, _ = _logged_run(engine_link_run, *args, **kwargs)
     assert result == engine
     assert text == engine_text
     assert text.startswith(f"{start:.9e},AttemptStart,0,0,{stream}\n")
@@ -310,6 +310,55 @@ def test_herald_latency_reaching_the_attempt_spacing_rejected():
                      DeviceParams(repetition_rate=1e9, reinit_time=1e-12))
     assert run_link_sim(link, 3, seed=1,
                         herald_latency=10e-9)["successes"] == 3
+
+
+def _spacing_case(i):
+    """Link request i of 100: p from 1 down to 1e-4 and 1 to 20 ions, three
+    pairs, seed i."""
+    ions = 1 + i % 20
+    ports = 2 if ions % 2 == 0 else 1
+    return 10.0 ** (-4 * i / 99), 3, ports, ions // ports, i
+
+
+def _rejected_or_engine_equal(cases, tick, start, w=10e-9):
+    """How many of ``cases`` the closed form rejects at ``tick``; each one it
+    accepts must equal the engine's run, bit for bit."""
+    rejected = 0
+    for p, n_pairs, ports, tdm, seed in cases:
+        args = (p, n_pairs, ports, tdm, tick, w, seed)
+        try:
+            result = netsim._closed_form_link_run(*args, start=start)
+        except DomainError as exc:
+            assert str(exc).startswith("herald latency")
+            assert "attempt spacing" in str(exc)
+            rejected += 1
+            continue
+        assert result == engine_link_run(*args, start=start), (tick, start,
+                                                               seed)
+    return rejected
+
+
+def test_spacing_within_rounding_rejected():
+    # a tick one ulp past the 10 ns latency: heralds at (start + k*tick) + w
+    # can round past the next attempt, where the engine moves that attempt;
+    # checking the latency against the tick alone let these 100 cases run,
+    # and 40 of them then disagreed with the engine
+    cases = [_spacing_case(i) for i in range(100)]
+    tick = 10e-9 + math.ulp(10e-9)
+    assert _rejected_or_engine_equal(cases, tick, 0.0) == 100
+
+
+def test_near_boundary_spacings_rejected_or_engine_equal():
+    # spacings from 1 to 2**20 ulps past the latency, at four starts: the
+    # closed form rejects a request or matches the engine
+    cases = [_spacing_case(i) for i in range(0, 100, 9)]
+    runs = rejected = 0
+    for j in (0, 1, 2, 3, 4, 6, 8, 12, 16, 20):
+        tick = 10e-9 + 2**j * math.ulp(10e-9)
+        for start in (0.0, 0.37, 1e-3, 12.5):
+            rejected += _rejected_or_engine_equal(cases, tick, start)
+            runs += len(cases)
+    assert 0 < rejected < runs
 
 
 def test_zero_probability_rejected():
