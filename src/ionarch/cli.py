@@ -5,6 +5,10 @@ Subcommands: ``estimate-adder``, ``estimate-shor``, ``threshold``,
 validation error, 3 infeasible result.  Machine output is JSON, or CSV for
 table-like results unless ``--json`` is given; it goes to stdout, or to the
 ``--out`` file instead.
+
+Each simulator module is imported inside the command that uses it: numpy
+comes with ``netsim`` and with the Monte Carlo of ``cluster`` and
+``hypercell``, so the analytic subcommands start without it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cluster, config, estimator, hypercell, netsim
+from . import config, estimator
 from .arch import MusiqcLayout, layout_from_name
 from .device import LinkModel, LinkType
 from .errors import InsufficientConcatenation, ValidationError
@@ -151,19 +155,6 @@ def _cmd_estimate_shor(args, cfg) -> int:
     return 0
 
 
-def _threshold_row(eps, ratio, product=False) -> dict:
-    budget = cluster.ErrorBudget(eps=eps, r=ratio)
-    margin = float(cluster.threshold_margin(budget))
-    row = {"eps": float(eps), "r": float(ratio), "margin": margin,
-           "below_threshold": margin > 0,
-           "expectation_first_order": float(
-               cluster.first_order_expectation(budget))}
-    if product:     # point mode only; the scan's columns leave it out
-        row["expectation_product"] = float(
-            cluster.stabilizer_expectation_analytic(budget)["product"])
-    return row
-
-
 #: Most points of a threshold or hypercell scan, which holds a row per point:
 #: a hypercell scan of 2**16 points peaks near 1 GB.
 MAX_SCAN_POINTS = 2**16
@@ -181,19 +172,35 @@ def _scan_grids(args) -> tuple[list[float], list[float]]:
 
 
 def _cmd_threshold(args, cfg) -> int:
+    from . import cluster
+
+    def threshold_row(eps, ratio, product=False) -> dict:
+        budget = cluster.ErrorBudget(eps=eps, r=ratio)
+        margin = float(cluster.threshold_margin(budget))
+        row = {"eps": float(eps), "r": float(ratio), "margin": margin,
+               "below_threshold": margin > 0,
+               "expectation_first_order": float(
+                   cluster.first_order_expectation(budget))}
+        if product:     # point mode only; the scan's columns leave it out
+            row["expectation_product"] = float(
+                cluster.stabilizer_expectation_analytic(budget)["product"])
+        return row
+
     if args.scan:
         eps_grid, ratio_grid = _scan_grids(args)
-        rows = [_threshold_row(eps, ratio)
+        rows = [threshold_row(eps, ratio)
                 for eps in eps_grid for ratio in ratio_grid]
         _emit(args, payload={"rows": rows}, csv_text=estimator.rows_to_csv(rows))
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
-    _emit(args, payload=_threshold_row(eps, ratio, product=True))
+    _emit(args, payload=threshold_row(eps, ratio, product=True))
     return 0
 
 
 def _cmd_mc_cluster(args, cfg) -> int:
+    from . import cluster
+
     samples = config.resolve(args.samples, cfg, "run.samples", 100000)
     seed = config.resolve(args.seed, cfg, "run.seed", 1)
     budget = cluster.ErrorBudget(eps=args.eps, r=args.ratio)
@@ -209,6 +216,8 @@ def _cmd_mc_cluster(args, cfg) -> int:
 
 
 def _cmd_netsim(args, cfg) -> int:
+    from . import netsim
+
     pairs = config.resolve(args.pairs, cfg, "run.pairs", 10)
     seed = config.resolve(args.seed, cfg, "run.seed", 1)
     params = config.device_from_config(
@@ -236,6 +245,8 @@ def _cmd_netsim(args, cfg) -> int:
 
 
 def _cmd_hypercell(args, cfg) -> int:
+    from . import hypercell
+
     if args.scan and args.trials:
         raise ValidationError("--trials is for point mode only")
     if args.seed is not None and not args.trials:

@@ -43,11 +43,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
-from .rng import philox_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Coord = tuple[int, int, int]
 
@@ -521,12 +522,17 @@ def creation_overhead(arch: str) -> int:
 
 # ---------------------------------------------------------------------------
 # Monte Carlo
+#
+# numpy and the Philox streams are imported inside these functions, so the
+# analytic layer above loads without numpy.
 
 MC_CHUNK = 1 << 16
 
 
 def _flip_probabilities(budget: ErrorBudget, mode: str) -> np.ndarray:
     """Flip probabilities of the sources that can fire at this budget."""
+    import numpy as np
+
     lattice = cell_lattice()
     if mode == "classes":
         probs = [float(src.flip.evaluate(budget.eps, budget.r))
@@ -572,6 +578,10 @@ def _chunk_flip_parity_sum(probs: np.ndarray, seed: int, chunk_index: int,
     independent Bernoulli(p_i) draws per sample.  A sample's check flips when
     an odd number of fired sources land on it.
     """
+    import numpy as np
+
+    from .rng import philox_stream
+
     rng = philox_stream(seed, chunk_index)
     fired = rng.binomial(chunk_samples, probs)
     positions = [rng.choice(chunk_samples, size=k, replace=False, shuffle=False)
@@ -609,7 +619,7 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     estimate = 1.0 - 2.0 * flipped / samples
     if samples > 1:
         var = (1.0 - estimate**2) * samples / (samples - 1)
-        stderr = float(np.sqrt(max(var, 0.0) / samples))
+        stderr = math.sqrt(max(var, 0.0) / samples)
     else:
         stderr = float("nan")
     return {"estimate": estimate, "stderr": stderr, "samples": samples,

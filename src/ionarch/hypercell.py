@@ -19,11 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-import numpy as np
-
 from .cluster import THRESHOLD_EPS
 from .errors import DomainError, ValidationError
-from .rng import philox_stream
 
 MAX_PORTS = 2**62
 
@@ -224,6 +221,11 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     Trials run in fixed chunks, each on its own counter-based stream, so the
     result does not depend on how chunks are spread over workers.
     """
+    # imported here, so the analytics and the scan load without numpy
+    import numpy as np
+
+    from .rng import philox_stream
+
     if trials < 1:
         raise ValidationError("trials must be positive")
     p = budget.p
@@ -331,8 +333,10 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
             raise ValidationError(
                 f"ratio tau_E/tau_D = {ratio:.3g} is too small: the shortest "
                 "attempt time t_hi / 2**40 underflows to 0")
+        # t_hi itself ends the grid: where t_lo is subnormal, t_hi / t_lo is
+        # not 2**40 and the power form can round past tau_E
         ts = [t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
-              for k in range(t_points)]
+              for k in range(t_points - 1)] + [t_hi]
         logs = [math.log2((c * tau_e) / t) for t in ts]
         mems = [t / tau_d * (3.0 * log + 0.5) for t, log in zip(ts, logs)]
         sweeps.append((tau_e, ts, logs, mems))

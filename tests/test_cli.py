@@ -1,11 +1,16 @@
 import hashlib
 import json
 import linecache
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import ionarch
 from ionarch import cli
 from ionarch.cli import build_parser, main
 from ionarch.config import parse_config_text
@@ -207,6 +212,58 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
     assert first.parse_args(["threshold"]).eps_grid == "0,1e-4,3e-4,1e-3"
 
 
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports this
+    ionarch."""
+    src = str(Path(ionarch.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+_ANALYTIC_ARGVS = [
+    ["estimate-adder", "--n", "128", "--arch", "musiqc"],
+    ["estimate-shor", "--n", "64"],
+    ["threshold", "--eps", "29/10000", "--ratio", "1/1000"],
+    ["threshold", "--scan"],
+    ["hypercell", "--scan"],
+    ["hypercell", "--json"],
+]
+
+
+def test_analytic_commands_start_without_numpy():
+    # modules are never unloaded, so numpy absent after each call means no
+    # call before it loaded numpy either
+    script = (
+        "import io, json, sys, contextlib\n"
+        "import ionarch\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "from ionarch.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n")
+    proc = _fresh_python("-c", script, json.dumps(_ANALYTIC_ARGVS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False] * (1 + len(_ANALYTIC_ARGVS))
+
+
+@pytest.mark.parametrize("argv", [
+    ["netsim", "--pairs", "5", "--seed", "1"],
+    ["mc-cluster", "--samples", "1000", "--seed", "3"],
+    ["hypercell", "--trials", "200"],
+])
+def test_simulator_commands_import_what_they_use(capsys, argv):
+    # a fresh interpreter reaches each simulator only through its command's
+    # own imports
+    proc = _fresh_python("-m", "ionarch.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_cli(capsys, *argv)[1]
+
+
 def test_netsim_summary_schema(capsys):
     code, out, _ = run_cli(capsys, "netsim", "--pairs", "40", "--seed", "1",
                            "--repetition-rate-hz", "500000")
@@ -397,6 +454,16 @@ def test_hypercell_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "eps,ratio,t_opt,layers_opt,eps_total,p_fail,feasible"
     assert len(lines) == 5
+
+
+def test_hypercell_scan_subnormal_grid_ratio(capsys):
+    # t_lo is subnormal at this ratio, and the grid still ends at t_hi = tau_E
+    code, out, _ = run_cli(capsys, "hypercell", "--scan", "--json",
+                           "--ratio-grid", "6.467818801247025e-307")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 4
+    assert all(row["t_opt"] <= row["ratio"] for row in rows)
 
 
 def test_scan_bound_admits_2_to_the_16_points():

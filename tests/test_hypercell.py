@@ -297,7 +297,8 @@ def boundary_scan_oracle(eps_grid, ratio_grid):
             t_hi = max_attempt_window(tau_e)
             t_lo = t_hi / 2.0**40
             for k in range(t_points):
-                t = t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
+                t = (t_hi if k == t_points - 1
+                     else t_lo * (t_hi / t_lo) ** (k / (t_points - 1)))
                 budget = HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
                                          eps=eps)
                 err = total_error(budget)
@@ -323,7 +324,8 @@ def _outcome(scan, eps_grid, ratio_grid):
         return type(exc), str(exc)
 
 
-# the top of this ratio's t grid rounds past tau_E
+# t_lo * (t_hi / t_lo) ** 1.0 rounds past tau_E at this ratio, so the grid
+# ends at t_hi itself
 _OVERSHOOT = 6.467818801247025e-307
 
 
