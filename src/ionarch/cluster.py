@@ -500,14 +500,22 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
 #: Published fault-tolerance threshold of the cell-check criterion.
 THRESHOLD_EPS = Fraction(29, 10000)
 THRESHOLD_R_WEIGHT = Fraction(55, 32)
+_THRESHOLD_FLOATS = (float(THRESHOLD_EPS), float(THRESHOLD_R_WEIGHT))
 
 
 def threshold_margin(budget: ErrorBudget):
     """Signed distance below the threshold condition eps + (55/32) r < 2.9e-3.
 
     Positive means below threshold.  Exact when called with Fraction inputs.
+    On two floats it computes what the Fraction operators do with a float,
+    the float of each constant against the input, from constants converted
+    once; every other input takes the Fraction operators.
     """
-    return THRESHOLD_EPS - budget.eps - THRESHOLD_R_WEIGHT * budget.r
+    eps, r = budget.eps, budget.r
+    if type(eps) is float and type(r) is float:
+        threshold_eps, r_weight = _THRESHOLD_FLOATS
+        return (threshold_eps - eps) - r_weight * r
+    return THRESHOLD_EPS - eps - THRESHOLD_R_WEIGHT * r
 
 
 def creation_overhead(arch: str) -> int:

@@ -57,15 +57,29 @@ def qcla_depth(n: int) -> DepthProfile:
     return DepthProfile(x_steps=2, cnot_steps=4, toffoli_steps=total - 6)
 
 
+#: Largest adder size the estimates take.  The ripple-carry depth 2n+3 is
+#: priced as a float, which holds integers below 2**1024; one bound serves
+#: every layout, and also keeps each exact qubit count of an output row far
+#: inside the 4300 digits that Python prints of an int.
+MAX_ADDER_N = 2**1022
+
+
+def _check_adder_n(n: int) -> None:
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    if n > MAX_ADDER_N:
+        raise ValidationError(
+            f"n must be at most 2**1022, got a {n.bit_length()}-bit n")
+
+
 def adder_depth(n: int, layout: ArchLayout) -> DepthProfile:
-    """Circuit depth of the n-bit adder the layout runs.
+    """Circuit depth of the n-bit adder the layout runs, 1 <= n <= 2**1022.
 
     Ripple-carry on the nearest-neighbor layout: 2n+3 Toffoli-dominated
     steps.  Carry-lookahead on the others (``qcla_depth``).
     """
+    _check_adder_n(n)
     if isinstance(layout, NnLayout):
-        if n < 1:
-            raise ValidationError("n must be at least 1")
         return DepthProfile(x_steps=0, cnot_steps=0, toffoli_steps=2 * n + 3)
     return qcla_depth(n)
 
@@ -102,18 +116,16 @@ def qla_teleport_distance(t: int) -> dict:
     return {"d": d, "chain_length": chain, "swap_steps": floor_log2(chain)}
 
 
-def adder_resources(n: int, layout: ArchLayout) -> dict:
-    """Exact qubit and parallel-operation counts for an n-bit adder."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    return {"qubits": layout.qubits(n), "parallel_ops": layout.parallel_ops(n)}
+def _steps_time(step_times: tuple[float, float, float], toffoli_steps: int,
+                cnot_steps: int, x_steps: int) -> float:
+    toffoli, cnot, single = step_times
+    return toffoli_steps * toffoli + cnot_steps * cnot + x_steps * single
 
 
 def _adder_time(n: int, table: LogicalCostTable,
                 profile: DepthProfile) -> float:
-    toffoli, cnot, single = table.adder_step_times
-    time = (profile.toffoli_steps * toffoli + profile.cnot_steps * cnot
-            + profile.x_steps * single)
+    time = _steps_time(table.adder_step_times, profile.toffoli_steps,
+                       profile.cnot_steps, profile.x_steps)
     if isinstance(table.layout, QlaLayout):
         time += float(qla_comm_steps(n)) * table.swap_step_time
     return time
@@ -146,6 +158,9 @@ def adder_execution_time(n: int, layout: ArchLayout,
 #     at each additional concatenation level.
 SHOR_GATES_PER_ADDER_BIT = 10
 SHOR_LEVEL_QUBIT_FACTOR = 25
+#: Largest n of the roll-up: its error target 1 / (K Q) is a float, and
+#: K Q = 240 n**4 stays below 2**1024 for every n up to 2**254.
+MAX_SHOR_N = 2**254
 
 
 def shor_k_q(n: int) -> tuple[int, int]:
@@ -159,6 +174,10 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
     """Execution time, qubit count and code level for factoring an n-bit number."""
     if n < 8:
         raise ValidationError("modular-exponentiation roll-up requires n >= 8")
+    if n > MAX_SHOR_N:
+        raise ValidationError(
+            "modular-exponentiation roll-up requires n <= 2**254, got a "
+            f"{n.bit_length()}-bit n")
     if isinstance(layout, NnLayout):
         raise ValidationError(
             "the factoring roll-up is defined for the musiqc and qla layouts")
@@ -181,17 +200,18 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
     }
 
 
-def _row(n: int, layout: ArchLayout, level: int, profile: DepthProfile,
-         time_s: float, resources: dict) -> dict:
+def _row(n: int, layout: ArchLayout, level: int, depth_total: int,
+         toffoli_steps: int, time_s: float) -> dict:
     return {
         "n": n,
         "layout": layout.kind,
         "circuit": "qrca" if isinstance(layout, NnLayout) else "qcla",
         "level": level,
-        "depth_total": profile.total,
-        "toffoli_steps": profile.toffoli_steps,
+        "depth_total": depth_total,
+        "toffoli_steps": toffoli_steps,
         "time_s": time_s,
-        **resources,
+        "qubits": layout.qubits(n),
+        "parallel_ops": layout.parallel_ops(n),
     }
 
 
@@ -199,10 +219,9 @@ def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
               level: int = 1) -> dict:
     """One report row, its keys in CSV column order."""
     table = table_at_level(params, layout, level)
-    resources = adder_resources(n, layout)
     profile = adder_depth(n, layout)
-    return _row(n, layout, level, profile, _adder_time(n, table, profile),
-                resources)
+    return _row(n, layout, level, profile.total, profile.toffoli_steps,
+                _adder_time(n, table, profile))
 
 
 def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
@@ -212,14 +231,15 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
     which the switched-layout lookahead adder beats the nearest-neighbor
     ripple-carry adder, if any.  The rows equal ``adder_row``'s.
     """
-    n_values = sorted(set(int(n) for n in n_values))
+    n_values = sorted(set(map(int, n_values)))
     if not n_values:
         raise ValidationError("n_range must be non-empty")
+    _check_adder_n(n_values[-1])
     params = params or DeviceParams()
     musiqc, qla, nn = MusiqcLayout(), QlaLayout(), NnLayout()
-    lookahead = [(layout, table_at_level(params, layout, 1))
-                 for layout in (musiqc, qla)]
-    nn_table = table_at_level(params, nn, 1)
+    musiqc_table = table_at_level(params, musiqc, 1)
+    qla_table = table_at_level(params, qla, 1)
+    nn_steps = table_at_level(params, nn, 1).adder_step_times
     # n enters a lookahead row's depth and time only through the floor-logs
     # of n, n - 1, n // 3 and (n - 1) // 3, so each combination of their bit
     # lengths (a depth class) is priced once
@@ -235,22 +255,33 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
         priced = classes.get(key)
         if priced is None:
             profile = qcla_depth(n)
-            priced = classes[key] = (profile, [
-                _adder_time(n, table, profile) for _, table in lookahead])
-        profile, times = priced
-        for (layout, _), time_s in zip(lookahead, times):
-            rows.append(_row(n, layout, 1, profile, time_s,
-                             adder_resources(n, layout)))
-        nn_profile = adder_depth(n, nn)
-        nn_time = _adder_time(n, nn_table, nn_profile)
-        rows.append(_row(n, nn, 1, nn_profile, nn_time,
-                         adder_resources(n, nn)))
-        if crossover_n is None and times[0] < nn_time:
+            priced = classes[key] = (
+                profile.total, profile.toffoli_steps,
+                _adder_time(n, musiqc_table, profile),
+                _adder_time(n, qla_table, profile))
+        depth_total, toffoli_steps, musiqc_time, qla_time = priced
+        # the ripple row: adder_depth's 2n+3 Toffoli steps, priced as
+        # _adder_time prices them
+        nn_depth = 2 * n + 3
+        nn_time = _steps_time(nn_steps, nn_depth, 0, 0)
+        rows += (_row(n, musiqc, 1, depth_total, toffoli_steps, musiqc_time),
+                 _row(n, qla, 1, depth_total, toffoli_steps, qla_time),
+                 _row(n, nn, 1, nn_depth, nn_depth, nn_time))
+        if crossover_n is None and musiqc_time < nn_time:
             crossover_n = n
     return {"rows": rows, "crossover_n": crossover_n}
 
 
 def _csv_cell(value) -> str:
+    # the exact types first: they spare the common cells the abstract checks,
+    # and a subclass (np.float64, an IntEnum) still takes the isinstance ones
+    kind = type(value)
+    if kind is float:
+        return f"{value:.9g}"
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
@@ -268,5 +299,6 @@ def rows_to_csv(rows) -> str:
         raise ValidationError("no rows to write")
     columns = list(rows[0])
     lines = [",".join(columns)]
-    lines += [",".join(_csv_cell(row[key]) for key in columns) for row in rows]
+    lines += [",".join([_csv_cell(row[key]) for key in columns])
+              for row in rows]
     return "\n".join(lines) + "\n"

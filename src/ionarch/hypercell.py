@@ -23,6 +23,8 @@ from .cluster import THRESHOLD_EPS
 from .errors import DomainError, ValidationError
 
 MAX_PORTS = 2**62
+#: Deepest tree within ``MAX_PORTS``: 2 * 2**61 ports.
+MAX_LAYERS = MAX_PORTS.bit_length() - 2
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,9 @@ class TreeConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ValidationError("layers must be at least 1")
-        if self.ports > MAX_PORTS:
+        # the depth is checked before any power is built: 2**layers of a
+        # huge depth would take as long and as much memory as its digits
+        if self.layers > MAX_LAYERS:
             raise ValidationError(
                 f"{self.layers} layers give more than 2**62 ports")
 
@@ -47,7 +51,11 @@ class TreeConfig:
 
 def design_layers(p: float, c: float) -> int:
     """Smallest binary-tree depth (at least 1) whose ports reach c/p."""
-    m = c / p
+    m = c / p if p > 0 else math.inf
+    if not m < math.inf:
+        raise ValidationError(
+            f"c/p is not finite at p = t/tau_E = {p:g}; the attempt window t "
+            "is too short for a port count")
     return max(1, math.ceil(math.log(max(m, 2.0), 2)) - 1)
 
 

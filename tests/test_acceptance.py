@@ -19,9 +19,8 @@ from ionarch.cluster import (ErrorBudget, cell_lattice, matched_pair_class,
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
                             mean_connection_time)
 from ionarch.errors import NTooSmall
-from ionarch.estimator import (adder_execution_time, adder_resources,
-                               crossover_scan, qcla_depth, qla_comm_steps,
-                               shor_estimate)
+from ionarch.estimator import (adder_execution_time, crossover_scan,
+                               qcla_depth, qla_comm_steps, shor_estimate)
 from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
                                ft_bounds, mc_tree_build, total_error)
 from ionarch.netsim import run_link_sim
@@ -88,12 +87,11 @@ def test_criterion_03_adder_table():
             value = adder_execution_time(n, layout, table)
             assert abs(value / target - 1) <= tol, (kind, n, value)
     for n in (1, 128, 1024, 16384):
-        assert adder_resources(n, layouts["musiqc"]) == {
-            "qubits": 150 * n, "parallel_ops": 18 * n}
-        assert adder_resources(n, layouts["qla"]) == {
-            "qubits": 1176 * n, "parallel_ops": 110 * n}
-        assert adder_resources(n, layouts["nn"]) == {
-            "qubits": 20 * (n + 1), "parallel_ops": 8 * n + 43}
+        resources = {kind: (layout.qubits(n), layout.parallel_ops(n))
+                     for kind, layout in layouts.items()}
+        assert resources == {"musiqc": (150 * n, 18 * n),
+                             "qla": (1176 * n, 110 * n),
+                             "nn": (20 * (n + 1), 8 * n + 43)}
 
 
 @report(4, "factoring roll-up reproduction")

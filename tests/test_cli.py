@@ -1,6 +1,7 @@
 import hashlib
 import json
 import linecache
+import math
 import os
 import subprocess
 import sys
@@ -114,6 +115,25 @@ def test_threshold_scan_row_is_point_row_without_product(capsys, eps, ratio):
     assert sorted(row) == ["below_threshold", "eps",
                            "expectation_first_order", "margin", "r"]
     assert _hex(row) == _hex(point)
+
+
+def test_threshold_scan_rows_are_point_rows_on_a_grid(capsys):
+    eps_grid, ratio_grid = ["0", "5e-324", repr(1 / 15)], ["0", "1e-4", "0.06"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, out, _ = run_cli(capsys, "threshold", "--scan", "--eps-grid",
+                            ",".join(eps_grid), "--ratio-grid",
+                            ",".join(ratio_grid), "--json")
+        rows = json.loads(out)["rows"]
+        points = []
+        for eps in eps_grid:
+            for ratio in ratio_grid:
+                _, out, _ = run_cli(capsys, "threshold", "--eps", eps,
+                                    "--ratio", ratio, "--json")
+                point = json.loads(out)
+                del point["expectation_product"]
+                points.append(point)
+    assert [_hex(row) for row in rows] == [_hex(point) for point in points]
 
 
 def test_threshold_scan_warns_once_per_budget(capsys):
@@ -432,6 +452,47 @@ def test_non_finite_input_exit(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hypercell", "--t", "5e-324"),
+     "c/p is not finite at p = t/tau_E = 4.94066e-324; the attempt window t "
+     "is too short for a port count"),
+    (("hypercell", "--layers", "2147483648"),
+     "2147483648 layers give more than 2**62 ports"),
+    (("estimate-shor", "--n", str(10**80)),
+     "modular-exponentiation roll-up requires n <= 2**254, got a 266-bit n"),
+    (("estimate-adder", "--arch", "nn", "--n", str(10**400)),
+     "n must be at most 2**1022, got a 1329-bit n"),
+])
+def test_input_bound_exit(capsys, argv, message):
+    # each once failed with a traceback, or after 20 s and 850 MB
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("arch", ["musiqc", "qla", "nn"])
+def test_estimate_adder_takes_n_up_to_its_bound(capsys, arch):
+    code, out, _ = run_cli(capsys, "estimate-adder", "--arch", arch, "--n",
+                           str(2**1022), "--json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["n"] == 2**1022 and math.isfinite(row["time_s"])
+    code, _, err = run_cli(capsys, "estimate-adder", "--arch", arch, "--n",
+                           str(2**1022 + 1))
+    assert (code, err) == (2, "error: n must be at most 2**1022, got a "
+                              "1023-bit n\n")
+
+
+def test_estimate_shor_takes_n_up_to_its_bound(capsys):
+    # K Q = 240 n**4 is a float up to n = 2**254, where no level reaches
+    # the target, so the bound's own n is infeasible rather than invalid
+    code, out, err = run_cli(capsys, "estimate-shor", "--n", str(2**254))
+    assert (code, out) == (3, "") and err.startswith("infeasible: ")
+    code, _, err = run_cli(capsys, "estimate-shor", "--n", str(2**254 + 1))
+    assert code == 2 and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**128)])

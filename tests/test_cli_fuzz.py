@@ -1,0 +1,128 @@
+"""Grammar fuzz of the command line: every subcommand, every flag.
+
+Each example is a well-formed argv (each value of a flag's own type, so
+argparse accepts it) drawn from the edge values 0, -1, nan, +-inf, 5e-324,
+1e308, fractions and 2**31, run in-process through ``cli.main``.  A run must
+return 0, 2 or 3 and raise nothing; a rejected run (2 or 3) must write one
+stderr line, nothing on stdout, and leave its ``--out`` and ``--log`` paths
+as they were.
+
+``--samples``, ``--trials`` and ``--pairs`` cost in proportion to what they
+ask for, which is their purpose, so their upper ends stay out of the
+grammar: they draw only from small and invalid counts.  Warnings are
+recorded rather than printed; they are not the one error line.
+"""
+
+import contextlib
+import io
+import tempfile
+import warnings
+from datetime import timedelta
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ionarch.cli import main
+
+EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e308",
+               "2147483648"]
+FRACTIONS = ["1/3", "29/10000", "-1/2", "1/15", "1/0"]
+EDGE_INTS = ["0", "-1", "2147483648"]
+
+floats = st.sampled_from(EDGE_FLOATS + ["1e-4", "0.06", "2.9e-3", "1"])
+numbers = st.sampled_from(EDGE_FLOATS + FRACTIONS + ["1e-4", "0.06"])
+ints = st.sampled_from(EDGE_INTS + ["1", "7", "128"])
+small_counts = st.sampled_from(["0", "-1", "1", "5"])
+grids = st.lists(floats, min_size=1, max_size=3).map(",".join)
+
+#: Flag -> value strategy (None: a switch), per subcommand.
+GRAMMAR = {
+    "estimate-adder": {
+        "--n": ints, "--arch": st.sampled_from(["musiqc", "qla", "nn"]),
+        "--level": ints, "--json": None,
+    },
+    "estimate-shor": {
+        "--n": ints, "--arch": st.sampled_from(["musiqc", "qla"]),
+        "--eps-phys": floats, "--eps-threshold": floats, "--json": None,
+    },
+    "threshold": {
+        "--eps": numbers, "--ratio": numbers, "--scan": None,
+        "--eps-grid": grids, "--ratio-grid": grids, "--json": None,
+    },
+    "mc-cluster": {
+        "--samples": small_counts, "--seed": ints, "--eps": floats,
+        "--ratio": floats, "--json": None,
+    },
+    "netsim": {
+        "--pairs": small_counts, "--seed": ints, "--m-p": ints,
+        "--m-t": ints, "--link": st.sampled_from(["type1", "type2"]),
+        "--p-excite": floats, "--repetition-rate-hz": floats,
+    },
+    "hypercell": {
+        "--scan": None, "--eps-grid": grids, "--ratio-grid": grids,
+        "--trials": small_counts, "--seed": ints, "--eps": floats,
+        "--ratio": floats, "--t": floats, "--layers": ints, "--json": None,
+    },
+}
+
+#: Flags drawn in every example of their subcommand: the ones argparse
+#: requires, and netsim's --pairs, whose default of 10 pairs would make
+#: each logged run cost twice the largest drawn count.
+REQUIRED = {"estimate-adder": ["--n", "--arch"], "estimate-shor": ["--n"],
+            "netsim": ["--pairs"]}
+
+
+@st.composite
+def invocations(draw, command):
+    flags = GRAMMAR[command]
+    required = REQUIRED.get(command, [])
+    optional = sorted(set(flags) - set(required))
+    argv = [command]
+    # a few flags at a time, so that one bad value is seldom masked by
+    # another flag's rejection
+    for flag in required + draw(st.lists(st.sampled_from(optional),
+                                         max_size=3, unique=True)):
+        if flags[flag] is None:
+            argv.append(flag)
+        else:   # the = form keeps a value such as -1,0 from reading as a flag
+            argv.append(f"{flag}={draw(flags[flag])}")
+    out = draw(st.sampled_from([None, "absent", "kept"]))
+    log = (draw(st.sampled_from([None, "absent", "kept"]))
+           if command == "netsim" else None)
+    return argv, out, log
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+@settings(max_examples=100, derandomize=True, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_grammar_fuzz(command, data):
+    argv, out, log = data.draw(invocations(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for flag, state in (("--out", out), ("--log", log)):
+            if state is None:
+                continue
+            path = Path(tmp) / flag.strip("-")
+            if state == "kept":
+                path.write_text("keep\n", encoding="utf-8")
+            files[path] = state
+            argv = [*argv, f"{flag}={path}"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, code)
+        if code == 0:
+            return
+        assert stdout.getvalue() == "", argv
+        assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())
+        assert stderr.getvalue().endswith("\n"), argv
+        for path, state in files.items():
+            if state == "kept":
+                assert path.read_text(encoding="utf-8") == "keep\n", argv
+            else:
+                assert not path.exists(), argv

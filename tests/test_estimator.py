@@ -10,8 +10,8 @@ from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import NTooSmall, ValidationError
 from ionarch.estimator import (DepthProfile, adder_depth,
-                               adder_execution_time, adder_resources,
-                               adder_row, crossover_scan, floor_log2, qcla_depth,
+                               adder_execution_time, adder_row,
+                               crossover_scan, floor_log2, qcla_depth,
                                qla_comm_steps, qla_teleport_distance,
                                rows_to_csv, shor_estimate)
 from ionarch.steane import Primitive, local_teleport_time, table_at_level
@@ -128,19 +128,24 @@ def test_teleport_distance():
         assert abs(math.log2(geom["chain_length"]) - (t / 2 + 4)) <= 1.0
 
 
-def test_adder_resources_exact():
+def test_adder_resources_exact(params):
     musiqc, qla, nn = MusiqcLayout(), QlaLayout(), NnLayout()
-    assert adder_resources(128, musiqc) == {"qubits": 19200, "parallel_ops": 2304}
-    assert adder_resources(4, qla)["qubits"] == 4704
-    assert adder_resources(1, nn)["qubits"] == 40
-    for n in (1, 13, 999, 16384):
-        assert adder_resources(n, musiqc) == {"qubits": 150 * n,
-                                              "parallel_ops": 18 * n}
-        assert adder_resources(n, qla) == {"qubits": 1176 * n,
-                                           "parallel_ops": 110 * n}
-        assert adder_resources(n, nn) == {"qubits": 20 * (n + 1),
-                                          "parallel_ops": 8 * n + 43}
-        assert isinstance(adder_resources(n, qla)["qubits"], int)
+
+    def resources(n, layout):
+        row = adder_row(n, layout, params)
+        return {"qubits": row["qubits"], "parallel_ops": row["parallel_ops"]}
+
+    assert resources(128, musiqc) == {"qubits": 19200, "parallel_ops": 2304}
+    assert qla.qubits(4) == 4704
+    assert resources(1, nn)["qubits"] == 40
+    for n in (13, 999, 16384):
+        assert resources(n, musiqc) == {"qubits": 150 * n,
+                                        "parallel_ops": 18 * n}
+        assert resources(n, qla) == {"qubits": 1176 * n,
+                                     "parallel_ops": 110 * n}
+        assert resources(n, nn) == {"qubits": 20 * (n + 1),
+                                    "parallel_ops": 8 * n + 43}
+        assert isinstance(resources(n, qla)["qubits"], int)
 
 
 def test_qla_geometry_discrepancy_exposed():
@@ -307,8 +312,42 @@ def test_crossover_rows_are_adder_rows_at_depth_class_edges(params):
         n for n in ns if n > 6 and times[n, "musiqc"] < times[n, "nn"])
 
 
+def test_crossover_scan_takes_n_up_to_the_adder_bound(params):
+    n = 2**1022
+    layouts = (MusiqcLayout(), QlaLayout(), NnLayout())
+    assert crossover_scan([n], params=params)["rows"] == [
+        adder_row(n, layout, params) for layout in layouts]
+    with pytest.raises(ValidationError, match=r"at most 2\*\*1022"):
+        crossover_scan([7, n + 1], params=params)
+
+
 def test_adder_time_rejects_another_layouts_table(params):
     table = table_at_level(params, MusiqcLayout(), 1)
     for layout in (QlaLayout(), NnLayout()):
         with pytest.raises(ValidationError, match="musiqc cost table"):
             adder_execution_time(128, layout, table)
+
+
+def csv_cell_oracle(value) -> str:
+    """The CSV cell as first written: abstract type checks only."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def test_rows_to_csv_formats_each_cell_type():
+    # exact types take their own branch; subclasses keep the generic
+    # formatting: a float subclass as %.9g, an int subclass by str
+    np = pytest.importorskip("numpy")
+    row = {"f": 0.1 + 0.2, "g": np.float64(1 / 3), "b": True, "c": False,
+           "i": 2**70, "j": np.int64(-5), "s": "qcla", "z": -0.0,
+           "k": float("inf"), "n": None, "nb": np.bool_(True),
+           "e": np.float64("nan"), "t": 5e-324}
+    text = rows_to_csv([row])
+    assert text == ("f,g,b,c,i,j,s,z,k,n,nb,e,t\n"
+                    "0.3,0.333333333,1,0,1180591620717411303424,-5,qcla,-0,"
+                    "inf,None,True,nan,4.94065646e-324\n")
+    assert text.splitlines()[1] == ",".join(map(csv_cell_oracle,
+                                                row.values()))
