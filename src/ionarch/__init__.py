@@ -1,26 +1,22 @@
 """Resource estimation and simulation for modular trapped-ion architectures."""
 
 from .arch import ArchLayout, MusiqcLayout, NnLayout, QlaLayout, layout_from_name
-from .device import (DeviceParams, EluPhysics, LinkModel, LinkType,
-                     effective_connection_time, elu_gate_rate,
-                     link_success_probability, mean_connection_time,
-                     type1_error_terms)
+from .device import (DeviceParams, LinkModel, LinkType,
+                     link_success_probability, mean_connection_time)
 from .errors import (DomainError, InsufficientConcatenation, NTooSmall,
                      ValidationError, ZeroSuccessProbability)
 from .steane import (ConcatSelection, LogicalCostTable, Primitive,
-                     level1_costs, lift_level, remote_cnot_cost,
-                     required_concat_level, table_at_level, toffoli_cost)
+                     level1_costs, lift_level, required_concat_level,
+                     table_at_level, toffoli_cost)
 
 __all__ = [
     "ArchLayout", "MusiqcLayout", "NnLayout", "QlaLayout", "layout_from_name",
-    "DeviceParams", "EluPhysics", "LinkModel", "LinkType",
-    "effective_connection_time", "elu_gate_rate", "link_success_probability",
-    "mean_connection_time", "type1_error_terms",
+    "DeviceParams", "LinkModel", "LinkType", "link_success_probability",
+    "mean_connection_time",
     "DomainError", "InsufficientConcatenation", "NTooSmall",
     "ValidationError", "ZeroSuccessProbability",
     "ConcatSelection", "LogicalCostTable", "Primitive", "level1_costs",
-    "lift_level", "remote_cnot_cost", "required_concat_level",
-    "table_at_level", "toffoli_cost",
+    "lift_level", "required_concat_level", "table_at_level", "toffoli_cost",
 ]
 
 __version__ = "0.1.0"

@@ -55,9 +55,8 @@ class QlaLayout(_Layout):
 
     A logic unit is a 7x7 patch holding 4 logical qubits; six of them form a
     logic block ringed by 18 7x7 communication units (882 comm qubits, 441
-    simultaneous CNOTs per block).  The published qubit count per adder bit is
-    1176n; the bare logic+comm geometry of one 4-bit block gives 294n, and both
-    are exposed because they disagree.
+    simultaneous CNOTs per block).  The qubit count per adder bit is the
+    published 1176n.
     """
 
     kind: ClassVar[str] = "qla"
@@ -68,11 +67,6 @@ class QlaLayout(_Layout):
 
     def qubits(self, n: int) -> int:
         return 1176 * n
-
-    def geometric_qubits(self, n: int) -> int:
-        # 24 units x 49 qubits per 4-bit logic block; conflicts with the
-        # published 1176n, so both are reported rather than silently picking.
-        return 294 * n
 
     def parallel_ops(self, n: int) -> int:
         return 110 * n

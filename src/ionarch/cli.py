@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,8 +35,16 @@ def _add_common(parser):
                         help="write the output to this path, not stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections raise ``ValidationError``, so
+    that ``main`` reports them in one line and returns 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ionarch",
         description="resource estimation and simulation for modular "
                     "trapped-ion architectures")
@@ -119,9 +128,18 @@ def _grid(text: str) -> list[float]:
 
 def _emit(args, payload: dict, csv_text: str | None = None) -> None:
     """Write the CSV, or the JSON payload when there is none or with
-    ``--json``, to ``--out`` if given and to stdout otherwise."""
+    ``--json``, to ``--out`` if given and to stdout otherwise.
+
+    A payload holding an infinite or NaN float is rejected before anything
+    is written: JSON has no such numbers.
+    """
     if csv_text is None or args.json:
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError:
+            raise ValidationError(
+                "the result holds an infinite or NaN number, which JSON "
+                "cannot carry") from None
     else:
         text = csv_text
     if args.out:
@@ -265,13 +283,18 @@ def _cmd_hypercell(args, cfg) -> int:
     layers = (args.layers if args.layers is not None
               else hypercell.design_layers(budget.p, budget.c))
     cfg_tree = hypercell.TreeConfig(layers=layers)
+    bounds = hypercell.ft_bounds(budget)
+    if bounds["ratio_bound"] == math.inf:
+        # no finite bound (eps = 0, or one past exp(700)); JSON has no
+        # infinity, so it reads null
+        bounds["ratio_bound"] = None
     payload = {
         "p": budget.p,
         "ports": cfg_tree.ports,
         "path_length": hypercell.path_length(cfg_tree.ports),
         "memory_error": hypercell.memory_error(budget),
         "total_error": hypercell.total_error(budget),
-        "ft_bounds": hypercell.ft_bounds(budget),
+        "ft_bounds": bounds,
         "cost": hypercell.hypercell_cost(budget.p, budget.c)["log_cost"],
     }
     if args.trials:
@@ -302,10 +325,11 @@ def main(argv=None) -> int:
 
     The parser is built on the first call and reused by every later call in
     the process; a parse keeps no state between calls, so each starts from
-    the defaults.
+    the defaults.  A rejected command line returns 2 like any other bad
+    input; ``--help`` exits 0 through ``SystemExit``.
     """
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = config.load_config(getattr(args, "config", None))
         return _COMMANDS[args.command](args, cfg)
     except InsufficientConcatenation as exc:

@@ -312,7 +312,8 @@ class CellLattice:
     The census is built once: ``flipping_sources`` keeps the sources with a
     non-zero flip, in census order, ``flips_by_kind`` their flips grouped by
     source kind, ``linear`` is the sum of their flips, and
-    ``linear_coefficients`` the eps and r coefficients of 2 * ``linear``.
+    ``linear_coefficients`` the eps and r coefficients of 2 * ``linear``,
+    whose ratio is the threshold's ``threshold_r_weight``.
     """
 
     def __init__(self):
@@ -338,6 +339,18 @@ class CellLattice:
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
         self.linear_coefficients = (2 * self.linear.eps, 2 * self.linear.r)
+
+    @cached_property
+    def threshold_r_weight(self) -> Fraction:
+        """The weight w of r in the threshold condition eps + w r < 2.9e-3:
+        the census's first-order r coefficient over its eps coefficient,
+        176 / (512/5) = 55/32."""
+        return self.linear.r / self.linear.eps
+
+    @cached_property
+    def threshold_floats(self) -> tuple[float, float]:
+        """``THRESHOLD_EPS`` and ``threshold_r_weight`` as floats."""
+        return float(THRESHOLD_EPS), float(self.threshold_r_weight)
 
     # -- geometry ---------------------------------------------------------
     @staticmethod
@@ -447,21 +460,6 @@ def cell_lattice() -> CellLattice:
 # ---------------------------------------------------------------------------
 # analytic expectation and threshold
 
-def type1_link_prob(budget: ErrorBudget):
-    """Flip probability contributed by one birth Bell pair."""
-    return cell_lattice().birth_class.evaluate(budget.eps, budget.r)
-
-
-def type2_link_probs(budget: ErrorBudget) -> dict:
-    """First-order residual class probabilities of one teleported-CNOT link."""
-    classes = cell_lattice().link_classes
-    return {
-        "p_ZI": classes[(1, 0)].evaluate(budget.eps, budget.r),
-        "p_IZ": classes[(0, 1)].evaluate(budget.eps, budget.r),
-        "p_ZZ": classes[(1, 1)].evaluate(budget.eps, budget.r),
-    }
-
-
 def first_order_expectation(budget: ErrorBudget):
     """The cell check's expectation truncated to first order,
     1 - 2 * sum(p_source) = 1 - (512/5) eps - 176 r.
@@ -499,33 +497,23 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
 
 #: Published fault-tolerance threshold of the cell-check criterion.
 THRESHOLD_EPS = Fraction(29, 10000)
-THRESHOLD_R_WEIGHT = Fraction(55, 32)
-_THRESHOLD_FLOATS = (float(THRESHOLD_EPS), float(THRESHOLD_R_WEIGHT))
 
 
 def threshold_margin(budget: ErrorBudget):
     """Signed distance below the threshold condition eps + (55/32) r < 2.9e-3.
 
+    The r weight is the census's (``CellLattice.threshold_r_weight``).
     Positive means below threshold.  Exact when called with Fraction inputs.
     On two floats it computes what the Fraction operators do with a float,
     the float of each constant against the input, from constants converted
     once; every other input takes the Fraction operators.
     """
     eps, r = budget.eps, budget.r
+    lattice = cell_lattice()
     if type(eps) is float and type(r) is float:
-        threshold_eps, r_weight = _THRESHOLD_FLOATS
+        threshold_eps, r_weight = lattice.threshold_floats
         return (threshold_eps - eps) - r_weight * r
-    return THRESHOLD_EPS - eps - THRESHOLD_R_WEIGHT * r
-
-
-def creation_overhead(arch: str) -> int:
-    """Gates per elementary cell for cluster creation plus measurement."""
-    table = {"standard": 24, "musiqc": 54}
-    try:
-        return table[arch.lower()]
-    except KeyError:
-        raise ValidationError(
-            f"unknown setting {arch!r}; expected 'standard' or 'musiqc'") from None
+    return THRESHOLD_EPS - eps - lattice.threshold_r_weight * r
 
 
 # ---------------------------------------------------------------------------

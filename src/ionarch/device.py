@@ -9,16 +9,12 @@ remote entanglement generation, and a photonic interface with weak-excitation
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ValidationError, ZeroSuccessProbability
 
 TWO_PI = 2.0 * math.pi
-
-#: Reduced Planck constant, CODATA value (J s).
-HBAR = 1.054571817e-34
 
 _MICRO = 1e-6
 
@@ -101,41 +97,6 @@ class LinkModel:
                 f"got {self.params.p_excite}")
 
 
-@dataclass(frozen=True)
-class EluPhysics:
-    """Optional gate-speed physics for a single multi-ion register.
-
-    The register's entangling-gate rate is set by the state-dependent force on
-    the shared motional mode; the Rabi frequency is taken directly as an input.
-    """
-
-    wavenumber: float          # 1/m
-    ion_mass: float            # kg
-    mode_frequency: float      # rad/s
-    rabi_frequency: float      # rad/s
-    n_qubits: int = field(default=1)
-
-    def __post_init__(self):
-        for name in ("wavenumber", "ion_mass", "mode_frequency"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.rabi_frequency < 0:
-            raise ValidationError("rabi_frequency must be non-negative")
-        if self.n_qubits < 1:
-            raise ValidationError("n_qubits must be at least 1")
-        if self.lamb_dicke >= 1.0:
-            warnings.warn(
-                f"Lamb-Dicke parameter {self.lamb_dicke:.3g} >= 1; "
-                "gate-rate formula is outside its validity regime",
-                stacklevel=2)
-
-    @property
-    def lamb_dicke(self) -> float:
-        return math.sqrt(
-            HBAR * self.wavenumber**2
-            / (2.0 * self.ion_mass * self.n_qubits * self.mode_frequency))
-
-
 def link_success_probability(link: LinkModel) -> float:
     """Per-attempt heralding probability of the link."""
     p = link.params
@@ -152,29 +113,3 @@ def mean_connection_time(link: LinkModel) -> float:
         raise ZeroSuccessProbability(
             "link success probability is zero; connection time diverges")
     return 1.0 / (link.params.rep_rate * p)
-
-
-def effective_connection_time(tau_e: float, m_p: int, m_t: int) -> float:
-    """Mean pair time with ``m_p`` parallel ports and ``m_t``-fold TDM per port."""
-    if m_p < 1 or m_t < 1:
-        raise ValidationError("multiplexities must be at least 1")
-    if tau_e < 0:
-        raise ValidationError("connection time must be non-negative")
-    return tau_e / (m_p * m_t)
-
-
-def type1_error_terms(params: DeviceParams) -> tuple[float, float]:
-    """Residual infidelity terms of a heralded one-photon link.
-
-    Returns ``(p_double, p_dark)``: the double-excitation probability and the
-    dark-count error, p_excite**2 and dark_rate / gamma.
-    """
-    return params.p_excite**2, params.dark_rate / params.gamma
-
-
-def elu_gate_rate(phys: EluPhysics) -> float:
-    """Characteristic entangling-gate rate eta * Omega of a register (rad/s).
-
-    Scales as 1/sqrt(n_qubits) through the Lamb-Dicke parameter.
-    """
-    return phys.lamb_dicke * phys.rabi_frequency

@@ -100,22 +100,6 @@ def qla_comm_steps(n: int) -> Fraction:
     return Fraction(quarters, 4)
 
 
-def qla_teleport_distance(t: int) -> dict:
-    """Teleport geometry for a lookahead stage spanning distance 2**t.
-
-    Returns the inter-unit distance d(t), the ion-chain length L(t) = 7 d(t),
-    and the nested-swapping step count floor(log2 L(t)).
-    """
-    if t < 1:
-        raise ValidationError("stage index t must be at least 1")
-    if t % 2 == 0:
-        d = 3 * 2 ** (t // 2) + 1
-    else:
-        d = 2 ** ((t + 1) // 2) + 1
-    chain = 7 * d
-    return {"d": d, "chain_length": chain, "swap_steps": floor_log2(chain)}
-
-
 def _steps_time(step_times: tuple[float, float, float], toffoli_steps: int,
                 cnot_steps: int, x_steps: int) -> float:
     toffoli, cnot, single = step_times

@@ -178,18 +178,6 @@ def hypercell_cost(p: float, c: float) -> dict:
     return {"cost": None, "log_cost": log_cost, "overflow": True}
 
 
-def construction2_error(t: float, tau_d: float, eps: float,
-                        c1: float, c2: float) -> float:
-    """Distance-independent nested-cluster error form c1 t/tau_D + c2 eps."""
-    if c1 <= 0 or c2 <= 0:
-        raise ValidationError("c1 and c2 must be positive")
-    if tau_d <= 0:
-        raise ValidationError("tau_d must be positive")
-    if t < 0 or eps < 0:
-        raise ValidationError("t and eps must be non-negative")
-    return c1 * t / tau_d + c2 * eps
-
-
 MC_TRIAL_CHUNK = 256
 # numpy draws NegBinomial(n, p) as Poisson(Gamma(n, (1-p)/p)) and refuses
 # (1-p)/p (n + 10 sqrt(n)) above about 2**63; each part stays 8x below that

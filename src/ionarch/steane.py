@@ -113,6 +113,9 @@ class LogicalCostTable:
     pair_time: float        # Bell-pair slot consumed by teleports at this level
     phi_plus_prep_time: float
     toffoli_teleport_time: float
+    #: The teleported CNOT without its Bell-pair slots: the sum of
+    #: ``_teleport_cnot_steps``, which also end the ``REMOTE_CNOT`` entry.
+    cnot_teleport_time: float
     #: One physical entanglement-swapping step (CNOT + 2 singles + measure);
     #: comm units always operate on bare ions, so this does not lift.
     swap_step_time: float = 0.0
@@ -128,15 +131,15 @@ class LogicalCostTable:
         """Durations of an adder's Toffoli, CNOT and X steps, each with the
         layout's folded error-correction rounds.
 
-        A CNOT step is the remote CNOT on the switched layout and a local
-        teleport elsewhere.
+        A CNOT step is the remote CNOT on the switched layout and the same
+        teleported CNOT without its Bell-pair slots elsewhere.
         """
         ec = self.layout.ec_rounds_per_step * self.time(
             Primitive.ERROR_CORRECT_ROUND)
         if isinstance(self.layout, MusiqcLayout):
             cnot = self.time(Primitive.REMOTE_CNOT)
         else:
-            cnot = local_teleport_time(self)
+            cnot = self.cnot_teleport_time
         return (self.time(Primitive.TOFFOLI) + ec, cnot + ec,
                 self.time(Primitive.TRANSVERSAL_SINGLE) + ec)
 
@@ -243,7 +246,8 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
                         qubits=3 * 11 * footprint_below + 7,
                         parallel_ops=21)
 
-    remote_steps = tuple(_link_steps(basis, m_p)) + tuple(_teleport_cnot_steps(basis))
+    teleport_cnot_steps = _teleport_cnot_steps(basis)
+    remote_steps = tuple(_link_steps(basis, m_p) + teleport_cnot_steps)
     remote = CostEntry(remote_steps, qubits=14 * footprint_below + 14,
                        parallel_ops=7)
 
@@ -278,6 +282,7 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
         stabilizer_reps=reps, footprint=11 * footprint_below,
         pair_time=pair_up, phi_plus_prep_time=phi_time,
         toffoli_teleport_time=toffoli_tele_time,
+        cnot_teleport_time=sum(s.total for s in teleport_cnot_steps),
         swap_step_time=swap_step_time)
 
 
@@ -342,39 +347,6 @@ def toffoli_cost(table: LogicalCostTable) -> dict:
         "time": entry.time,
         "qubits": entry.qubits,
         "parallel_ops": entry.parallel_ops,
-    }
-
-
-def local_teleport_time(table: LogicalCostTable) -> float:
-    """Teleported CNOT between co-located logical qubits.
-
-    A transversal CNOT, the logical readout and one single-qubit fix-up.
-    """
-    return (table.time(Primitive.TRANSVERSAL_CNOT)
-            + table.time(Primitive.LOGICAL_MEASURE)
-            + table.time(Primitive.TRANSVERSAL_SINGLE))
-
-
-def remote_cnot_cost(table: LogicalCostTable, link_time: float,
-                     ports: int | None = None) -> dict:
-    """Teleported CNOT between distant logical qubits.
-
-    ``link_time`` is the effective per-pair generation time; seven pairs are
-    needed (one per code qubit) and ``ports`` of them run in parallel, so the
-    link phase is ceil(7 / ports) sequential slots.  With ``link_time`` zero
-    the cost reduces to the local teleported-gate circuit.
-    """
-    if link_time < 0:
-        raise ValidationError("link_time must be non-negative")
-    if ports is None:
-        ports = table.layout.m_p
-    if ports < 1:
-        raise ValidationError("ports must be at least 1")
-    slots = _pair_slots(ports)
-    return {
-        "time": slots * link_time + local_teleport_time(table),
-        "qubits": 2 * table.footprint + 14,
-        "link_slots": slots,
     }
 
 

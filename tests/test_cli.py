@@ -206,10 +206,9 @@ def test_parser_reuse_keeps_calls_apart(tmp_path, capsys):
     assert run_cli(capsys, *plain, "--json", "--out", str(path)) == (0, "", "")
     assert json.loads(path.read_text(encoding="utf-8"))["n"] == 128
     assert run_cli(capsys, *plain) == first
-    with pytest.raises(SystemExit) as exc:
-        main(["estimate-adder", "--n", "x", "--arch", "qla", "--json"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    assert run_cli(capsys, "estimate-adder", "--n", "x", "--arch", "qla",
+                   "--json") == (
+        2, "", "error: argument --n: invalid int value: 'x'\n")
     assert run_cli(capsys, *plain) == first
     point = ("threshold", "--eps", "29/10000", "--ratio", "1/1000", "--json")
     assert run_cli(capsys, *point) == run_cli(capsys, *point)
@@ -594,6 +593,59 @@ def test_hypercell_point_output_pinned(capsys):
     _, out, _ = run_cli(capsys, "hypercell", "--ratio", "0.1", "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "94f53ac0256ef0b7399ddcfe715ebef5d327f0f4e3e520805d7f547aa4599bf8")
+
+
+_NON_FINITE_RESULT = ("error: the result holds an infinite or NaN number, "
+                      "which JSON cannot carry\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("hypercell", "--t", "5e-324", "--layers", "3"),     # cost, memory_error
+    ("hypercell", "--ratio", "1e308"),                   # t_min
+    ("hypercell", "--eps", "1e308"),                     # t_max
+    ("mc-cluster", "--samples", "1", "--json"),          # mc_stderr
+])
+def test_non_finite_result_exit(tmp_path, capsys, argv):
+    # each once printed Infinity or NaN, which is not JSON, and exited 0
+    assert run_cli(capsys, *argv) == (2, "", _NON_FINITE_RESULT)
+    path = tmp_path / "out"
+    path.write_text("keep\n", encoding="utf-8")
+    assert run_cli(capsys, *argv, "--out", str(path)) == (
+        2, "", _NON_FINITE_RESULT)
+    assert path.read_text(encoding="utf-8") == "keep\n"
+
+
+@pytest.mark.parametrize("eps", ["0", "1e-6"])
+def test_hypercell_unbounded_ratio_reads_null(capsys, eps):
+    # no finite ratio bound: once a bare Infinity, now JSON null
+    code, out, _ = run_cli(capsys, "hypercell", "--eps", eps)
+    assert code == 0 and "Infinity" not in out
+    bounds = json.loads(out)["ft_bounds"]
+    assert bounds["ratio_bound"] is None and bounds["feasible"] is True
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("estimate-adder", "--n", "x", "--arch", "qla"),
+     "argument --n: invalid int value: 'x'"),
+    (("estimate-adder", "--n", "128"),
+     "the following arguments are required: --arch"),
+    (("estimate-adder", "--n", "1.5", "--arch", "nn"),
+     "argument --n: invalid int value: '1.5'"),
+    (("threshold", "--scan", "--eps-grid"),
+     "argument --eps-grid: expected one argument"),
+    ((), "the following arguments are required: command"),
+])
+def test_command_line_rejection_exit(capsys, argv, message):
+    # argparse's rejections once escaped main as SystemExit(2), after a
+    # usage line and an error line
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-adder", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ionarch estimate-adder")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,11 +1,13 @@
 """Grammar fuzz of the command line: every subcommand, every flag.
 
-Each example is a well-formed argv (each value of a flag's own type, so
-argparse accepts it) drawn from the edge values 0, -1, nan, +-inf, 5e-324,
-1e308, fractions and 2**31, run in-process through ``cli.main``.  A run must
-return 0, 2 or 3 and raise nothing; a rejected run (2 or 3) must write one
-stderr line, nothing on stdout, and leave its ``--out`` and ``--log`` paths
-as they were.
+Each example is an argv drawn from the edge values 0, -1, nan, +-inf,
+5e-324, 1e308, fractions and 2**31, from values of the wrong type (``x``,
+the empty string, ``1.5`` for an integer), with now and then a required
+flag left out, run in-process through ``cli.main``.  A run must return 0, 2
+or 3 and raise nothing.  A run that returns 0 and writes JSON must write
+strict JSON, without ``Infinity`` or ``NaN``.  A rejected run (2 or 3) must
+write one stderr line, nothing on stdout, and leave its ``--out`` and
+``--log`` paths as they were.
 
 ``--samples``, ``--trials`` and ``--pairs`` cost in proportion to what they
 ask for, which is their purpose, so their upper ends stay out of the
@@ -15,6 +17,7 @@ recorded rather than printed; they are not the one error line.
 
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from datetime import timedelta
@@ -29,21 +32,30 @@ EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e308",
                "2147483648"]
 FRACTIONS = ["1/3", "29/10000", "-1/2", "1/15", "1/0"]
 EDGE_INTS = ["0", "-1", "2147483648"]
+#: Values of no flag's type; "1.5" is ill-typed for the integer flags only.
+ILL_TYPED = ["x", ""]
 
-floats = st.sampled_from(EDGE_FLOATS + ["1e-4", "0.06", "2.9e-3", "1"])
-numbers = st.sampled_from(EDGE_FLOATS + FRACTIONS + ["1e-4", "0.06"])
-ints = st.sampled_from(EDGE_INTS + ["1", "7", "128"])
-small_counts = st.sampled_from(["0", "-1", "1", "5"])
+floats = st.sampled_from(EDGE_FLOATS + ["1e-4", "0.06", "2.9e-3", "1"]
+                         + ILL_TYPED)
+numbers = st.sampled_from(EDGE_FLOATS + FRACTIONS + ["1e-4", "0.06"]
+                          + ILL_TYPED)
+ints = st.sampled_from(EDGE_INTS + ["1", "7", "128", "1.5"] + ILL_TYPED)
+small_counts = st.sampled_from(["0", "-1", "1", "5", "1.5"] + ILL_TYPED)
 grids = st.lists(floats, min_size=1, max_size=3).map(",".join)
+
+
+def choices(*values):
+    return st.sampled_from([*values, *ILL_TYPED])
+
 
 #: Flag -> value strategy (None: a switch), per subcommand.
 GRAMMAR = {
     "estimate-adder": {
-        "--n": ints, "--arch": st.sampled_from(["musiqc", "qla", "nn"]),
+        "--n": ints, "--arch": choices("musiqc", "qla", "nn"),
         "--level": ints, "--json": None,
     },
     "estimate-shor": {
-        "--n": ints, "--arch": st.sampled_from(["musiqc", "qla"]),
+        "--n": ints, "--arch": choices("musiqc", "qla"),
         "--eps-phys": floats, "--eps-threshold": floats, "--json": None,
     },
     "threshold": {
@@ -56,7 +68,7 @@ GRAMMAR = {
     },
     "netsim": {
         "--pairs": small_counts, "--seed": ints, "--m-p": ints,
-        "--m-t": ints, "--link": st.sampled_from(["type1", "type2"]),
+        "--m-t": ints, "--link": choices("type1", "type2"),
         "--p-excite": floats, "--repetition-rate-hz": floats,
     },
     "hypercell": {
@@ -66,23 +78,31 @@ GRAMMAR = {
     },
 }
 
-#: Flags drawn in every example of their subcommand: the ones argparse
-#: requires, and netsim's --pairs, whose default of 10 pairs would make
-#: each logged run cost twice the largest drawn count.
-REQUIRED = {"estimate-adder": ["--n", "--arch"], "estimate-shor": ["--n"],
-            "netsim": ["--pairs"]}
+#: Flags argparse requires; an example leaves out one of them now and then.
+REQUIRED = {"estimate-adder": ["--n", "--arch"], "estimate-shor": ["--n"]}
+#: Flags drawn in every example of their subcommand: netsim's --pairs,
+#: whose default of 10 pairs would make each logged run cost twice the
+#: largest drawn count.
+ALWAYS = {"netsim": ["--pairs"]}
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
 
 
 @st.composite
 def invocations(draw, command):
     flags = GRAMMAR[command]
     required = REQUIRED.get(command, [])
-    optional = sorted(set(flags) - set(required))
+    dropped = draw(st.sampled_from([None] * 3 + required))
+    fixed = [flag for flag in required if flag != dropped]
+    fixed += ALWAYS.get(command, [])
+    optional = sorted(set(flags) - set(required) - set(fixed))
     argv = [command]
     # a few flags at a time, so that one bad value is seldom masked by
     # another flag's rejection
-    for flag in required + draw(st.lists(st.sampled_from(optional),
-                                         max_size=3, unique=True)):
+    for flag in fixed + draw(st.lists(st.sampled_from(optional),
+                                      max_size=3, unique=True)):
         if flags[flag] is None:
             argv.append(flag)
         else:   # the = form keeps a value such as -1,0 from reading as a flag
@@ -117,6 +137,11 @@ def test_cli_grammar_fuzz(command, data):
             code = main(argv)
         assert code in (0, 2, 3), (argv, code)
         if code == 0:
+            written = [path.read_text(encoding="utf-8") for path in files
+                       if path.name == "out"]
+            text = written[0] if written else stdout.getvalue()
+            if text.startswith("{"):
+                json.loads(text, parse_constant=_no_constant)
             return
         assert stdout.getvalue() == "", argv
         assert stderr.getvalue().count("\n") == 1, (argv, stderr.getvalue())

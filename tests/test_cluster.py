@@ -7,11 +7,10 @@ import pytest
 
 from ionarch.cluster import (MC_CHUNK, CellLattice, ErrorBudget, LinearError,
                              _chunk_flip_parity_sum, _flip_probabilities,
-                             cell_lattice, coupling_order, creation_overhead,
+                             cell_lattice, coupling_order,
                              matched_pair_class, mc_stabilizer_expectation,
                              stabilizer_expectation_analytic,
-                             teleported_cnot_classes, threshold_margin,
-                             type1_link_prob, type2_link_probs)
+                             teleported_cnot_classes, threshold_margin)
 from ionarch.errors import ValidationError
 
 
@@ -31,15 +30,20 @@ def test_birth_pair_class_exact():
 
 
 def test_type2_probs_numeric():
-    probs = type2_link_probs(ErrorBudget(eps=F(15, 10000), r=F(0)))
-    assert probs["p_ZI"] == F(3, 1000)
-    assert probs["p_IZ"] == F(4, 10000)
-    probs = type2_link_probs(ErrorBudget(eps=F(0), r=F(3, 1000)))
-    assert probs["p_ZI"] == F(1, 100)
-    assert probs["p_IZ"] == F(1, 500)
-    zero = type2_link_probs(ErrorBudget(eps=0.0, r=0.0))
-    assert all(v == 0 for v in zero.values())
-    assert type1_link_prob(ErrorBudget(eps=F(0), r=F(0))) == 0
+    # the census's link classes and birth class, evaluated at a budget
+    lattice = cell_lattice()
+
+    def probs(eps, r):
+        return {name: lattice.link_classes[key].evaluate(eps, r)
+                for name, key in (("p_ZI", (1, 0)), ("p_IZ", (0, 1)),
+                                  ("p_ZZ", (1, 1)))}
+
+    assert probs(F(15, 10000), F(0))["p_ZI"] == F(3, 1000)
+    assert probs(F(15, 10000), F(0))["p_IZ"] == F(4, 10000)
+    assert probs(F(0), F(3, 1000))["p_ZI"] == F(1, 100)
+    assert probs(F(0), F(3, 1000))["p_IZ"] == F(1, 500)
+    assert all(v == 0 for v in probs(0.0, 0.0).values())
+    assert lattice.birth_class.evaluate(F(0), F(0)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +136,14 @@ def test_expectation_values():
     assert float(fo) == pytest.approx(0.9824)
 
 
+def test_threshold_r_weight_from_census():
+    # the census's coefficients 512/5 and 176 give the published 55/32
+    lattice = cell_lattice()
+    assert lattice.linear_coefficients == (F(512, 5), F(176))
+    assert lattice.threshold_r_weight == F(55, 32)
+    assert lattice.threshold_floats == (0.0029, 1.71875)
+
+
 def test_threshold_margin_exact():
     assert threshold_margin(ErrorBudget(eps=F(29, 10000), r=0)) == 0
     assert threshold_margin(ErrorBudget(eps=0, r=0)) == F(29, 10000)
@@ -169,12 +181,6 @@ def test_budget_warning_names_the_caller():
     with pytest.warns(UserWarning) as record:
         ErrorBudget(eps=0.0, r=0.06)
     assert record[0].filename == __file__
-
-
-def test_creation_overhead():
-    assert creation_overhead("standard") == 24
-    assert creation_overhead("musiqc") == 54
-    assert creation_overhead("musiqc") / creation_overhead("standard") == 2.25
 
 
 def _evaluation_forms():

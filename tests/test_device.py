@@ -3,10 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ionarch.device import (TWO_PI, DeviceParams, EluPhysics, LinkModel,
-                            LinkType, effective_connection_time,
-                            elu_gate_rate, link_success_probability,
-                            mean_connection_time, type1_error_terms)
+from ionarch.device import (TWO_PI, DeviceParams, LinkModel, LinkType,
+                            link_success_probability, mean_connection_time)
 from ionarch.errors import ValidationError, ZeroSuccessProbability
 
 
@@ -78,30 +76,6 @@ def test_identity_time_rate_probability():
     assert product == pytest.approx(1.0, rel=1e-12)
 
 
-def test_effective_connection_time():
-    assert effective_connection_time(3000e-6, 2, 10) == pytest.approx(150e-6)
-    assert effective_connection_time(0.123, 1, 1) == 0.123
-    assert effective_connection_time(5e-3, 5, 10) == pytest.approx(100e-6)
-    with pytest.raises(ValidationError):
-        effective_connection_time(1.0, 0, 1)
-
-
-def test_effective_time_linear_in_inverse_multiplexity():
-    tau = 7.7e-3
-    for m_p, m_t in [(1, 3), (2, 5), (4, 4)]:
-        assert effective_connection_time(tau, m_p, m_t) * m_p * m_t \
-            == pytest.approx(tau)
-
-
-def test_type1_error_terms():
-    assert type1_error_terms(DeviceParams(p_excite=0.05))[0] == pytest.approx(2.5e-3)
-    assert type1_error_terms(DeviceParams(dark_rate=0.0))[1] == 0.0
-    params = DeviceParams(p_excite=0.1, gamma=1e6, dark_rate=1.0)
-    p_double, p_dark = type1_error_terms(params)
-    assert p_double == pytest.approx(1e-2)
-    assert p_dark == pytest.approx(1e-6)
-
-
 def test_type1_weak_excitation_guard():
     with pytest.raises(ValidationError):
         make_link(LinkType.TYPE_I, p_excite=0.5)
@@ -124,37 +98,3 @@ def test_type2_never_exceeds_type1(p_e, f, eta):
     t1 = link_success_probability(make_link(LinkType.TYPE_I, p_e, f, eta))
     t2 = link_success_probability(make_link(LinkType.TYPE_II, p_e, f, eta))
     assert t2 <= t1
-
-
-def make_physics(n_qubits, rabi=TWO_PI * 1e5):
-    # Yb-171-scale numbers: 369 nm transition, 2 MHz trap
-    return EluPhysics(wavenumber=TWO_PI / 369e-9, ion_mass=171 * 1.6605e-27,
-                      mode_frequency=TWO_PI * 2e6, rabi_frequency=rabi,
-                      n_qubits=n_qubits)
-
-
-def test_gate_rate_quarter_qubits_doubles_rate():
-    r1 = elu_gate_rate(make_physics(4))
-    r4 = elu_gate_rate(make_physics(16))
-    assert r1 / r4 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_gate_rate_sqrt_scaling():
-    r1 = elu_gate_rate(make_physics(10))
-    r2 = elu_gate_rate(make_physics(20))
-    assert r1 / r2 == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-
-def test_gate_rate_zero_rabi():
-    assert elu_gate_rate(make_physics(10, rabi=0.0)) == 0.0
-
-
-def test_gate_rate_is_lamb_dicke_times_rabi():
-    phys = make_physics(7)
-    assert elu_gate_rate(phys) == pytest.approx(phys.lamb_dicke * phys.rabi_frequency)
-
-
-def test_lamb_dicke_warning():
-    with pytest.warns(UserWarning):
-        EluPhysics(wavenumber=1e9, ion_mass=1e-27, mode_frequency=1e3,
-                   rabi_frequency=1.0, n_qubits=1)

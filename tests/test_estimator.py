@@ -12,9 +12,8 @@ from ionarch.errors import NTooSmall, ValidationError
 from ionarch.estimator import (DepthProfile, adder_depth,
                                adder_execution_time, adder_row,
                                crossover_scan, floor_log2, qcla_depth,
-                               qla_comm_steps, qla_teleport_distance,
-                               rows_to_csv, shor_estimate)
-from ionarch.steane import Primitive, local_teleport_time, table_at_level
+                               qla_comm_steps, rows_to_csv, shor_estimate)
+from ionarch.steane import Primitive, table_at_level
 
 
 # --- independent brute-force oracles ---------------------------------------
@@ -44,13 +43,17 @@ def comm_oracle(n):
 
 def adder_time_oracle(n, layout, table):
     """The adder time as first written: a table lookup per use, the EC
-    rounds added inside each step's bracket, and the brute-force comm steps."""
+    rounds added inside each step's bracket, the teleported CNOT off the
+    switched layout summed from the transversal CNOT, the logical readout and
+    one single-qubit fix-up, and the brute-force comm steps."""
     profile = adder_depth(n, layout)
     ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
     if isinstance(layout, MusiqcLayout):
         cnot = table.time(Primitive.REMOTE_CNOT)
     else:
-        cnot = local_teleport_time(table)
+        cnot = (table.time(Primitive.TRANSVERSAL_CNOT)
+                + table.time(Primitive.LOGICAL_MEASURE)
+                + table.time(Primitive.TRANSVERSAL_SINGLE))
     single = table.time(Primitive.TRANSVERSAL_SINGLE)
     time = (profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
             + profile.cnot_steps * (cnot + ec)
@@ -120,14 +123,6 @@ def test_comm_steps_monotone():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
-def test_teleport_distance():
-    assert qla_teleport_distance(2) == {"d": 7, "chain_length": 49, "swap_steps": 5}
-    assert qla_teleport_distance(3) == {"d": 5, "chain_length": 35, "swap_steps": 5}
-    for t in range(1, 15):
-        geom = qla_teleport_distance(t)
-        assert abs(math.log2(geom["chain_length"]) - (t / 2 + 4)) <= 1.0
-
-
 def test_adder_resources_exact(params):
     musiqc, qla, nn = MusiqcLayout(), QlaLayout(), NnLayout()
 
@@ -146,12 +141,6 @@ def test_adder_resources_exact(params):
         assert resources(n, nn) == {"qubits": 20 * (n + 1),
                                     "parallel_ops": 8 * n + 43}
         assert isinstance(resources(n, qla)["qubits"], int)
-
-
-def test_qla_geometry_discrepancy_exposed():
-    qla = QlaLayout()
-    assert qla.qubits(10) == 11760
-    assert qla.geometric_qubits(10) == 2940   # both reported, they disagree
 
 
 TABLE_TIMES = {

@@ -7,7 +7,7 @@ import pytest
 from ionarch.errors import DomainError, ValidationError
 from ionarch.estimator import rows_to_csv
 from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
-                               construction2_error, design_layers, fail_prob,
+                               design_layers, fail_prob,
                                ft_bounds, hypercell_cost, max_attempt_window,
                                mc_tree_build, memory_error, path_length,
                                total_error)
@@ -122,14 +122,6 @@ def test_hypercell_cost():
     assert tiny["overflow"] and tiny["cost"] is None
     direct = hypercell_cost(0.2, 1.0)
     assert math.log(direct["cost"]) == pytest.approx(direct["log_cost"])
-
-
-def test_construction2_error():
-    assert construction2_error(0.0, 1.0, 1e-4, c1=2.0, c2=5.0) == pytest.approx(5e-4)
-    assert construction2_error(1e-3, 1.0, 0.0, c1=1.0, c2=5.0) == pytest.approx(1e-3)
-    import inspect
-    from ionarch.hypercell import construction2_error as fn
-    assert "distance" not in inspect.signature(fn).parameters
 
 
 def test_mc_tree_build_deterministic_limit():

@@ -7,8 +7,8 @@ from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import InsufficientConcatenation, ValidationError
 from ionarch.steane import (Primitive, level1_costs, lift_level,
-                            remote_cnot_cost, required_concat_level,
-                            table_at_level, toffoli_cost)
+                            required_concat_level, table_at_level,
+                            toffoli_cost)
 
 US = 1e-6
 
@@ -77,32 +77,50 @@ def test_toffoli_qubit_overhead(musiqc_table):
     assert toffoli_cost(musiqc_table)["qubits"] == 3 * 11 + 7
 
 
-def test_remote_cnot_schedule():
+def test_remote_cnot_schedule(musiqc_table):
     """Schedule-enumeration oracle: list the link slots one by one."""
-    table = level1_costs(DeviceParams(), MusiqcLayout())
-
     def slots_by_enumeration(pairs, ports):
         slot_of_pair = [k // ports for k in range(pairs)]
         return max(slot_of_pair) + 1
 
     for ports in (1, 2, 3, 7):
-        cost = remote_cnot_cost(table, link_time=150 * US, ports=ports)
-        assert cost["link_slots"] == slots_by_enumeration(7, ports)
-    assert remote_cnot_cost(table, 150 * US, ports=3)["link_slots"] == 3
+        assert steane._pair_slots(ports) == slots_by_enumeration(7, ports)
+    assert steane._pair_slots(3) == 3
+    link = musiqc_table.entry(Primitive.REMOTE_CNOT).steps[0]
+    assert link.label.startswith("bell-pair slot")
+    assert link.count == slots_by_enumeration(7, MusiqcLayout.m_p)
 
 
-def test_remote_cnot_zero_link_is_local(musiqc_table):
-    local = remote_cnot_cost(musiqc_table, 0.0)
-    expected = (musiqc_table.time(Primitive.TRANSVERSAL_CNOT)
-                + musiqc_table.time(Primitive.LOGICAL_MEASURE)
-                + musiqc_table.time(Primitive.TRANSVERSAL_SINGLE))
-    assert local["time"] == pytest.approx(expected)
+def test_remote_cnot_zero_link_is_local(params):
+    # without link cost the remote CNOT entry is the teleported CNOT alone:
+    # a transversal CNOT, the logical readout and one single-qubit fix-up
+    for layout in LAYOUTS:
+        for level in (1, 2, 3):
+            table = table_at_level(params, layout, level)
+            steps = table.entry(Primitive.REMOTE_CNOT).steps
+            teleport = steps[-4:]
+            assert all(s.label.startswith(("teleport", "conditioned"))
+                       for s in teleport)
+            assert sum(s.total for s in teleport) == table.cnot_teleport_time
+    for layout in (QlaLayout(), NnLayout()):
+        table = table_at_level(params, layout, 1)
+        local = table.entry(Primitive.REMOTE_CNOT)
+        assert len(local.steps) == 4
+        assert local.time == table.cnot_teleport_time
+        expected = (table.time(Primitive.TRANSVERSAL_CNOT)
+                    + table.time(Primitive.LOGICAL_MEASURE)
+                    + table.time(Primitive.TRANSVERSAL_SINGLE))
+        assert local.time == pytest.approx(expected)
 
 
-def test_remote_cnot_linear_in_link_time(musiqc_table):
-    t1 = remote_cnot_cost(musiqc_table, 100 * US)["time"]
-    t2 = remote_cnot_cost(musiqc_table, 200 * US)["time"]
-    local = remote_cnot_cost(musiqc_table, 0.0)["time"]
+def test_remote_cnot_linear_in_link_time():
+    def remote(t_remote_entangle):
+        params = DeviceParams(t_remote_entangle=t_remote_entangle)
+        return level1_costs(params, MusiqcLayout())
+
+    t1 = remote(1000 * US).time(Primitive.REMOTE_CNOT)
+    t2 = remote(2000 * US).time(Primitive.REMOTE_CNOT)
+    local = remote(1000 * US).cnot_teleport_time
     assert t2 - t1 == pytest.approx(t1 - local)
 
 
