@@ -329,23 +329,25 @@ def test_mc_vs_product_grid():
 
 
 def test_mc_linear_coefficient_recovery():
-    # regression over five small error values recovers the census slopes
+    # regression over five small error values recovers the slope of the
+    # exact product the MC estimates (-100.90 for eps, -171.60 for r; the
+    # census's first-order -512/5 and -176 sit 1-2.5% away, and criterion 07
+    # checks those at more samples)
     def slope(points):
         xs = np.array([x for x, _ in points])
         ys = np.array([y for _, y in points])
         return np.polyfit(xs, ys, 1)[0]
 
-    points = (0.5e-4, 1e-4, 1.5e-4, 2e-4, 2.5e-4)
-    eps_points = []
-    for k, eps in enumerate(points):
-        mc = mc_stabilizer_expectation(ErrorBudget(eps=eps, r=0.0), 4 * 10**5,
-                                       seed=100 + k)
-        eps_points.append((eps, mc["estimate"]))
-    assert slope(eps_points) == pytest.approx(-512 / 5, rel=0.05)
+    def product(budget):
+        return float(stabilizer_expectation_analytic(budget)["product"])
 
-    r_points = []
-    for k, r in enumerate(points):
-        mc = mc_stabilizer_expectation(ErrorBudget(eps=0.0, r=r), 4 * 10**5,
-                                       seed=200 + k)
-        r_points.append((r, mc["estimate"]))
-    assert slope(r_points) == pytest.approx(-176.0, rel=0.05)
+    points = (0.5e-4, 1e-4, 1.5e-4, 2e-4, 2.5e-4)
+    for name, seed0 in (("eps", 100), ("r", 200)):
+        mc_points, exact_points = [], []
+        for k, x in enumerate(points):
+            budget = ErrorBudget(**{"eps": 0.0, "r": 0.0, name: x})
+            mc = mc_stabilizer_expectation(budget, 4 * 10**5, seed=seed0 + k)
+            mc_points.append((x, mc["estimate"]))
+            exact_points.append((x, product(budget)))
+        assert slope(mc_points) == pytest.approx(slope(exact_points),
+                                                 rel=0.05), name
