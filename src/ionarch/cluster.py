@@ -24,9 +24,10 @@ census*, derived here rather than hard-coded:
 The census is built once per lattice (:func:`cell_lattice`): the analytic
 expectation reads its cached linear sum and its list of sources that can
 flip the check.  The Monte Carlo samples those sources as independent
-Bernoulli faults, but draws only the faults that fire: per chunk of samples,
-a binomial count for each source and that many distinct sample positions.
-A sample's check flips when an odd number of faults land on it, so the cost
+Bernoulli faults, but draws only the faults that fire: a source's firings
+over a chunk of samples form a Bernoulli process with Geometric gaps, and
+one block of uniforms per chunk gives the gaps of every source at once.  A
+sample's check flips when an odd number of faults land on it, so the cost
 follows the expected number of faults rather than samples times sources.
 
 Error model: every gate is followed by a depolarizing channel (each of the 15
@@ -523,6 +524,13 @@ def threshold_margin(budget: ErrorBudget):
 # analytic layer above loads without numpy.
 
 MC_CHUNK = 1 << 16
+#: Most gaps drawn at once, so a chunk's temporary arrays stay near
+#: ``MC_CHUNK`` values however many sources there are; one group holds
+#: every source at about one firing per sample.
+_GROUP_GAPS = 2 * MC_CHUNK
+#: Spare gaps per source beyond its expected firings (see ``_gap_counts``).
+_SPARE_SIGMAS = 3.0
+_SPARE_GAPS = 4
 
 
 def _flip_probabilities(budget: ErrorBudget, mode: str) -> np.ndarray:
@@ -565,27 +573,94 @@ def _gadget_mode_probabilities(budget: ErrorBudget) -> list[float]:
     return probs
 
 
+def _gap_counts(samples, probs):
+    """Gaps to draw per source so that they rarely end inside ``samples``.
+
+    A source's firings in ``samples`` samples are Binomial(samples, p); the
+    count covers their mean plus ``_SPARE_SIGMAS`` standard deviations plus
+    ``_SPARE_GAPS``, and never more than ``samples`` (each gap is at least 1).
+    """
+    import numpy as np
+
+    mean = samples * probs
+    spare = _SPARE_SIGMAS * np.sqrt(mean * (1.0 - probs)) + _SPARE_GAPS
+    return np.minimum(np.ceil(mean + spare), samples).astype(np.int64)
+
+
+def _add_firings(hits, rng, log_q, counts, samples):
+    """Add consecutive sources' firings to ``hits``; return each one's end.
+
+    Source i draws ``counts[i]`` Geometric(p_i) gaps by inversion,
+    floor(log(1 - u) / log(1 - p_i)) + 1, from one block of uniforms;
+    ``log_q`` holds log(1 - p_i).  Gaps are capped at ``samples + 1``, which
+    already passes the end.  Each source's first gap is lowered by the sum
+    of the previous source's gaps, so one cumulative sum restarts at every
+    source and yields 1-based sample positions; those past ``samples`` land
+    in the last slot of ``hits``, which has ``samples + 2`` slots.  Returns
+    each source's last position.
+    """
+    import numpy as np
+
+    gaps = rng.random(int(counts.sum()))
+    np.negative(gaps, out=gaps)
+    np.log1p(gaps, out=gaps)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gaps /= np.repeat(log_q, counts)
+    np.floor(gaps, out=gaps)
+    np.fmin(gaps, samples, out=gaps)    # p = 0 gives inf, or nan at u = 0
+    positions = gaps.astype(np.int64)
+    positions += 1
+    starts = np.cumsum(counts) - counts
+    ends = np.add.reduceat(positions, starts)
+    positions[starts[1:]] -= ends[:-1]
+    np.cumsum(positions, out=positions)
+    np.minimum(positions, samples + 1, out=positions)
+    # uint8 counts wrap, which keeps their parity
+    np.add.at(hits, positions, np.uint8(1))
+    return ends
+
+
 def _chunk_flip_parity_sum(probs: np.ndarray, seed: int, chunk_index: int,
                            chunk_samples: int) -> int:
     """Number of flipped-check samples in one deterministic chunk.
 
-    Sparse sampling: source i fires in k_i ~ Binomial(chunk_samples, p_i)
-    samples, at k_i distinct positions drawn uniformly, which is the law of
-    independent Bernoulli(p_i) draws per sample.  A sample's check flips when
-    an odd number of fired sources land on it.
+    Source i fires in each sample independently with probability p_i, so its
+    firings form a Bernoulli process whose gaps are Geometric(p_i).  The
+    chunk draws the gaps of all sources together, consecutive sources in
+    groups of at most ``_GROUP_GAPS`` gaps, each source enough to pass the
+    chunk's end but for a rare shortfall (:func:`_gap_counts`); a source
+    that runs short draws more gaps on its own.  A sample's check flips when
+    an odd number of firings land on it.
     """
     import numpy as np
 
     from .rng import philox_stream
 
     rng = philox_stream(seed, chunk_index)
-    fired = rng.binomial(chunk_samples, probs)
-    positions = [rng.choice(chunk_samples, size=k, replace=False, shuffle=False)
-                 for k in fired if k]
-    if not positions:
-        return 0
-    hits = np.bincount(np.concatenate(positions))
-    return int(np.count_nonzero(hits & 1))
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-probs)     # -inf at p = 1: every gap is 1
+    counts = _gap_counts(chunk_samples, probs)
+    total = np.cumsum(counts)
+    hits = np.zeros(chunk_samples + 2, dtype=np.uint8)
+    lo = 0
+    while lo < len(probs):
+        base = total[lo - 1] if lo else 0
+        hi = max(int(np.searchsorted(total, base + _GROUP_GAPS, side="right")),
+                 lo + 1)
+        ends = _add_firings(hits, rng, log_q[lo:hi], counts[lo:hi],
+                            chunk_samples)
+        for i in np.flatnonzero(ends < chunk_samples):
+            # refill: the source's gaps ended inside the chunk, so it draws
+            # gaps for the rest of the chunk, placed after its last firing
+            end = int(ends[i])
+            source = slice(lo + i, lo + i + 1)
+            while end < chunk_samples:
+                rest = chunk_samples - end
+                end += int(_add_firings(hits[end:], rng, log_q[source],
+                                        _gap_counts(rest, probs[source]),
+                                        rest)[0])
+        lo = hi
+    return int(np.count_nonzero(hits[1:chunk_samples + 1] & 1))
 
 
 def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
@@ -594,12 +669,13 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
 
     Each source with a non-zero flip probability fires independently in
     every sample (in ``"gadget"`` mode each internal fault of every link
-    gadget is its own source), and only the faults that fire are drawn, so
-    the cost follows the number of faults, not samples times sources.  The
-    sample stream is split into fixed chunks, each driven by its own
-    counter-based (Philox) stream derived from ``seed`` and the chunk index,
-    so the estimate is independent of how chunks are distributed over
-    workers.
+    gadget is its own source).  Only the faults that fire are drawn, as the
+    Geometric gaps between a source's firings, all sources of a chunk in one
+    draw, so the cost follows the number of faults, not samples times
+    sources.  The sample stream is split into fixed chunks, each driven by
+    its own counter-based (Philox) stream derived from ``seed`` and the
+    chunk index, so the estimate is independent of how chunks are
+    distributed over workers.
     """
     if samples < 1:
         raise ValidationError("samples must be positive")

@@ -21,7 +21,6 @@ _DEVICE_KEYS = {
     "device.t_remote_entangle_us": ("t_remote_entangle", _MICRO),
     "device.gamma_hz": ("gamma", TWO_PI),     # linewidth over 2*pi, in Hz
     "device.repetition_rate_hz": ("repetition_rate", 1.0),
-    "device.dark_rate_hz": ("dark_rate", 1.0),
     "device.p_excite": ("p_excite", 1.0),
     "device.solid_angle_fraction": ("solid_angle_fraction", 1.0),
     "device.detector_efficiency": ("detector_efficiency", 1.0),

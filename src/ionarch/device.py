@@ -43,7 +43,6 @@ class DeviceParams:
 
     gamma: float = TWO_PI * 20e6
     repetition_rate: float | None = None
-    dark_rate: float = 0.0
 
     p_excite: float = 0.05
     solid_angle_fraction: float = 0.01
@@ -66,9 +65,6 @@ class DeviceParams:
         if rate is not None and not 0 < rate < math.inf:
             raise ValidationError(
                 f"repetition_rate must be positive and finite, got {rate}")
-        if not self.dark_rate >= 0:
-            raise ValidationError(
-                f"dark_rate must be non-negative, got {self.dark_rate}")
 
     @property
     def rep_rate(self) -> float:

@@ -66,6 +66,9 @@ class HypercellBudget:
     ``c`` is the port-provisioning target, minus the log of the tolerated
     connection-failure probability (default 3, roughly a 5% failure budget).
     ``eps_crit`` is the cluster-state threshold the root pair must stay under.
+    ``eps`` lies in the depolarizing-model range [0, 1/15] of
+    ``cluster.ErrorBudget``, and c tau_E must be finite, so no analytic
+    overflows on a valid budget.
     """
 
     eps_crit: ClassVar[float] = float(THRESHOLD_EPS)
@@ -84,10 +87,15 @@ class HypercellBudget:
                 "t, tau_e, tau_d must be positive and finite")
         if self.t > self.tau_e:
             raise ValidationError("t must not exceed tau_e (p = t/tau_e <= 1)")
-        if not 0 <= self.eps < math.inf:
-            raise ValidationError("eps must be finite and non-negative")
+        if not 0 <= self.eps <= 1 / 15:
+            raise ValidationError(
+                f"gate error eps {self.eps} outside the depolarizing-model "
+                "range [0, 1/15]")
         if not 0 < self.c < math.inf:
             raise ValidationError("c must be positive and finite")
+        if not self.c * self.tau_e < math.inf:
+            raise ValidationError(
+                f"c * tau_E = {self.c} * {self.tau_e} is not finite")
 
     @property
     def p(self) -> float:

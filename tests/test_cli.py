@@ -186,7 +186,7 @@ def test_cli_outputs_pinned(capsys):
                         "3", "--eps", "1e-4", "--ratio", "0")
     assert out == ("eps,r,analytic_first_order,analytic_product,mc_estimate,"
                    "mc_stderr,samples,seed\n"
-                   "0.0001,0,0.98976,0.989810299,0.988,0.0048867044,1000,3\n")
+                   "0.0001,0,0.98976,0.989810299,0.99,0.00446317375,1000,3\n")
     _, out, _ = run_cli(capsys, "threshold", "--eps", "29/10000", "--ratio",
                         "0", "--json")
     assert out == ('{"below_threshold": false, "eps": 0.0029, '
@@ -599,6 +599,12 @@ _NON_FINITE_RESULT = ("error: the result holds an infinite or NaN number, "
                       "which JSON cannot carry\n")
 
 
+# the inputs that the budget now rejects before any computation, and the
+# field its one-line message names
+_NAMED_INPUTS = {("hypercell", "--ratio", "1e308"): "tau_E",
+                 ("hypercell", "--eps", "1e308"): "eps"}
+
+
 @pytest.mark.parametrize("argv", [
     ("hypercell", "--t", "5e-324", "--layers", "3"),     # cost, memory_error
     ("hypercell", "--ratio", "1e308"),                   # t_min
@@ -607,11 +613,18 @@ _NON_FINITE_RESULT = ("error: the result holds an infinite or NaN number, "
 ])
 def test_non_finite_result_exit(tmp_path, capsys, argv):
     # each once printed Infinity or NaN, which is not JSON, and exited 0
-    assert run_cli(capsys, *argv) == (2, "", _NON_FINITE_RESULT)
+    def check(code, out, err):
+        assert (code, out) == (2, "")
+        if argv in _NAMED_INPUTS:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert _NAMED_INPUTS[argv] in err
+        else:
+            assert err == _NON_FINITE_RESULT
+
+    check(*run_cli(capsys, *argv))
     path = tmp_path / "out"
     path.write_text("keep\n", encoding="utf-8")
-    assert run_cli(capsys, *argv, "--out", str(path)) == (
-        2, "", _NON_FINITE_RESULT)
+    check(*run_cli(capsys, *argv, "--out", str(path)))
     assert path.read_text(encoding="utf-8") == "keep\n"
 
 
@@ -692,15 +705,16 @@ def test_config_precedence_triple_override(tmp_path, capsys):
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
-    # the layout.* keys and device.tau_decoherence_s were once accepted and
-    # then ignored
+    # the layout.* keys, device.tau_decoherence_s and device.dark_rate_hz
+    # were once accepted and then ignored
     cfg = tmp_path / "bad.cfg"
     for line in ("device.bogus = 1", "layout.arch = qla", "layout.m_p = 1",
-                 "layout.m_t = 1", "device.tau_decoherence_s = 1"):
+                 "layout.m_t = 1", "device.tau_decoherence_s = 1",
+                 "device.dark_rate_hz = 10"):
         cfg.write_text(line + "\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "netsim", "--config", str(cfg))
         assert code == 2, line
-        assert "unknown key" in err
+        assert "unknown key" in err and err.count("\n") == 1
 
 
 def test_config_parser():

@@ -36,7 +36,7 @@ def test_type2_success_probability():
 
 @pytest.mark.parametrize("name", [
     "t_single_gate", "t_two_gate", "t_toffoli", "t_measure",
-    "t_remote_entangle", "gamma", "repetition_rate", "dark_rate", "p_excite",
+    "t_remote_entangle", "gamma", "repetition_rate", "p_excite",
     "solid_angle_fraction", "detector_efficiency", "reinit_time"])
 def test_device_params_reject_nan(name):
     with pytest.raises(ValidationError):

@@ -248,6 +248,17 @@ def test_mc_staged_out_of_range_raises():
         mc_tree_build(TreeConfig(layers=1), budget, trials=1, seed=1)
 
 
+def test_budget_bounds_eps_and_c_tau_e():
+    # eps in the depolarizing range of the cluster budget, c tau_E finite
+    HypercellBudget(t=1e-3, tau_e=1.0, tau_d=1.0, eps=1 / 15)
+    for eps in (-1e-9, 0.0667, 1e308, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="eps"):
+            HypercellBudget(t=1e-3, tau_e=1.0, tau_d=1.0, eps=eps)
+    HypercellBudget(t=1.0, tau_e=1e307, tau_d=1.0, eps=0.0)
+    with pytest.raises(ValidationError, match="tau_E"):
+        HypercellBudget(t=1.0, tau_e=1e308, tau_d=1.0, eps=0.0)
+
+
 def test_tree_port_ceiling():
     assert TreeConfig(layers=61).ports == 2**62
     with pytest.raises(ValidationError):
