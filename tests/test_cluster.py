@@ -319,8 +319,7 @@ def test_chunk_sampler_refill(monkeypatch):
     probs = (0.3, 0.6, 0.05, 1e-3)
     chunks = 4
     flipped = _chunk_flips(probs, chunks)
-    refills = sizes.count(1)
-    assert refills > 0 and sizes.count(len(probs)) == chunks
+    assert sizes.count(1) > 0 and sizes.count(len(probs)) == chunks
     _assert_flip_rate(flipped, probs, chunks * MC_CHUNK)
 
 
