@@ -309,10 +309,11 @@ class CellLattice:
     The cell check is supported on the six faces of the cell at the origin.
     ``sources`` lists every error source whose residual can reach those
     faces, with its exact first-order flip probability; ``shell_sources``
-    lists the two-hop links kept for locality checks (none of them flip).
-    The census is built once: ``flipping_sources`` keeps the sources with a
-    non-zero flip, in census order, ``flips_by_kind`` their flips grouped by
-    source kind, ``linear`` is the sum of their flips, and
+    lists the two-hop links kept for locality checks (none of them flip),
+    built on first read.  The census is built once: ``flipping_sources``
+    keeps the sources with a non-zero flip, in census order,
+    ``flips_by_kind`` their flips grouped by source kind, ``linear`` is the
+    sum of their flips, and
     ``linear_coefficients`` the eps and r coefficients of 2 * ``linear``,
     whose ratio is the threshold's ``threshold_r_weight``.
     """
@@ -330,7 +331,6 @@ class CellLattice:
         self.link_classes = teleported_cnot_classes()
         self.birth_class = matched_pair_class()
         self.sources = self._census()
-        self.shell_sources = [self._link_source(lk) for lk in self.shell_links]
         self.flipping_sources = [src for src in self.sources
                                  if not src.flip.is_zero()]
         self.flips_by_kind = {
@@ -340,6 +340,11 @@ class CellLattice:
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
         self.linear_coefficients = (2 * self.linear.eps, 2 * self.linear.r)
+
+    @cached_property
+    def shell_sources(self) -> list[ErrorSource]:
+        """The shell links as error sources; only locality checks read them."""
+        return [self._link_source(lk) for lk in self.shell_links]
 
     @cached_property
     def threshold_r_weight(self) -> Fraction:

@@ -16,11 +16,12 @@ gaps in bulk and writes the event log from the same draws, in the (time,
 sequence) order of that run, so identical seeds give bit-identical results
 and logs; the tests hold the event engine that checks this,
 ``tests/link_engine_oracle.py``.  A log sink receives the log in chunks of
-whole newline-terminated lines, one chunk per tick of attempts.
+whole newline-terminated lines, once per chunk of whole ticks of attempts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 
@@ -44,8 +45,11 @@ def _herald_kind(ok: bool) -> str:
 
 # An event-log line is the time stamp followed by the fields:
 # "time,kind,register,port,request".
+_STAMP = "%.9e"
+
+
 def _log_stamp(time: float) -> str:
-    return f"{time:.9e}"
+    return _STAMP % time
 
 
 def _log_fields(kind: str, elu: int, port: int, request: int) -> str:
@@ -79,9 +83,14 @@ def _link_probability(link: LinkModel, p_override: float | None) -> float:
     return p
 
 
+#: Bytes of log text that ``_log_ticks`` hands its sink at a time, rounded
+#: to whole ticks.
+LOG_CHUNK_BYTES = 1 << 16
+
+
 def _log_ticks(emit, successes: list, attempts: int, ports: list,
                tick: float, w: float, start: float, request: int):
-    """Write the event log of a request's attempts, one chunk per tick.
+    """Write the event log of a request's attempts, in chunks of whole ticks.
 
     The request makes ``attempts`` attempts in (tick, ion) order, of which
     those at the ascending indices ``successes`` succeed, and ion ``i`` sits
@@ -89,11 +98,12 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
     ``start + k * tick`` in ion order, then their Herald lines at ``+ w``; a
     short last tick holds the drained attempts of the ions ranked first and
     is logged the same way.  Every line names register 0 and ends in a
-    newline, and ``emit`` receives each tick's lines as one string.  The
-    lines of an ion differ between ticks only in their stamps, so a tick
-    joins the request's per-ion fields with its two stamps, with the
-    Herald(ok) fields swapped in at its successes.  Memory stays
-    O(successes + ions), not O(attempts).
+    newline, and ``emit`` receives the log once per chunk of whole ticks, as
+    one string of about ``LOG_CHUNK_BYTES``.  The lines of an ion differ
+    between ticks only in their stamps, so a chunk formats all its stamps
+    in one call and joins each tick's per-ion fields with its two stamps;
+    only a tick with a Herald(ok) or the short last tick is joined again.
+    Memory stays O(successes + ions + one chunk), not O(attempts).
     """
     def fields(kind):
         return [_log_fields(kind, 0, port, request) + "\n" for port in ports]
@@ -103,17 +113,34 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
     fail = [""] + fields(_herald_kind(False))
     ok = [""] + fields(_herald_kind(True))
     n_ions = len(ports)
-    hits = iter(successes)
-    hit = next(hits, None)
-    for j in range(0, attempts, n_ions):
-        width = min(n_ions, attempts - j)
-        heralds = fail[:width + 1]
-        while hit is not None and hit < j + width:
-            heralds[hit - j + 1] = ok[hit - j + 1]
-            hit = next(hits, None)
-        t = start + (j // n_ions) * tick
-        emit(_log_stamp(t).join(attempt[:width + 1])
-             + _log_stamp(t + w).join(heralds))
+    n_ticks = -(-attempts // n_ions)
+    last_width = attempts - (n_ticks - 1) * n_ions
+    stamp_bytes = len(_STAMP % (start + n_ticks * tick + w))
+    tick_bytes = (sum(map(len, attempt)) + sum(map(len, fail))
+                  + 2 * n_ions * stamp_bytes)
+    per_chunk = max(1, LOG_CHUNK_BYTES // tick_bytes)
+    hit = 0
+    for k0 in range(0, n_ticks, per_chunk):
+        k1 = min(n_ticks, k0 + per_chunk)
+        times = np.empty(2 * (k1 - k0))
+        times[0::2] = start + np.arange(k0, k1) * tick
+        times[1::2] = times[0::2] + w
+        # the stamps of tick k - k0 sit at 2 (k - k0) and 2 (k - k0) + 1
+        stamps = ((_STAMP + " ") * len(times) % tuple(times.tolist())).split()
+        parts = list(map(str.join, stamps, itertools.cycle((attempt, fail))))
+        if k1 == n_ticks and last_width < n_ions:
+            parts[-2] = stamps[-2].join(attempt[:last_width + 1])
+            parts[-1] = stamps[-1].join(fail[:last_width + 1])
+        while hit < len(successes) and successes[hit] < k1 * n_ions:
+            k = successes[hit] // n_ions
+            heralds = fail[:min(n_ions, attempts - k * n_ions) + 1]
+            while hit < len(successes) and successes[hit] < (k + 1) * n_ions:
+                ion = successes[hit] - k * n_ions
+                heralds[ion + 1] = ok[ion + 1]
+                hit += 1
+            index = 2 * (k - k0) + 1
+            parts[index] = stamps[index].join(heralds)
+        emit("".join(parts))
 
 
 #: Largest expected attempt count, n_pairs / p, of one request; the gap sum
@@ -143,10 +170,10 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     drains the already scheduled attempts of the next tick (the ions whose
     heralds preceded the completing one); one further gap per drained
     success counts them, as the run does.  ``emit`` receives the run's event
-    log, rebuilt from the success indices, as one string of whole lines per
-    tick.  A request whose attempt spacing does not clear the rounding of
-    its attempt times, or, when logged, one of more than
-    ``MAX_LOG_ATTEMPTS`` attempts, is rejected before the first line.
+    log, rebuilt from the success indices, once per chunk of whole ticks.
+    A request whose attempt spacing does not clear the rounding of its
+    attempt times, or, when logged, one of more than ``MAX_LOG_ATTEMPTS``
+    attempts, is rejected before the first line.
     """
     if n_pairs / p > _MAX_EXPECTED_ATTEMPTS:
         raise DomainError(
@@ -209,11 +236,11 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
     The link runs over ``ports`` optical ports, each ``m_t``-fold time
     multiplexed.  Returns the makespan, per-pair inter-completion latencies,
     attempt count and success count.  The callable ``log_sink`` receives the
-    event log as text in chunks of whole newline-terminated lines, one chunk
-    per tick of attempts, so the concatenation of its arguments is the log
-    file.  ``p_override`` replaces the physical success probability (for
-    degenerate-link studies).  The single request draws from stream 0 of
-    ``seed``.
+    event log as text in chunks of whole newline-terminated lines, once per
+    chunk of whole ticks of attempts (about ``LOG_CHUNK_BYTES`` each), so the
+    concatenation of its arguments is the log file.  ``p_override``
+    replaces the physical success probability (for degenerate-link
+    studies).  The single request draws from stream 0 of ``seed``.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must lie in [1, {MAX_PAIRS}]")
@@ -224,11 +251,10 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
                                 seed, emit=log_sink)
     times = run["completions"]
     makespan = times[-1]
-    latencies = [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
     busy = n_pairs * herald_latency
     return {
         "makespan_s": makespan,
-        "latencies_s": latencies,
+        "latencies_s": np.diff(times, prepend=0.0).tolist(),
         "mean_pair_latency_s": makespan / n_pairs,
         "attempts": run["attempts"],
         "successes": len(times),

@@ -243,6 +243,10 @@ def _logged_run(run, *args, **kwargs):
 #: ion of its tick, so three drained attempts, two of them successes, follow
 #: in a short tick
 _LAST_ION_CASE = (0.3, 5, 2, 2, 21)
+#: p = 0.002 over 2 x 3 ions: seed 1 takes 19546 attempts, 3258 ticks whose
+#: log spans many chunks, with successes in most of them and a short last
+#: tick
+_MULTI_CHUNK_CASE = (0.002, 40, 2, 3, 1)
 
 
 @pytest.mark.parametrize("p, n_pairs, ports, tdm, seed, start, stream", [
@@ -251,11 +255,12 @@ _LAST_ION_CASE = (0.3, 5, 2, 2, 21)
     (0.05, 30, 1, 1, 3, 0.0, 0),
     _LAST_ION_CASE + (0.0, 0),
     (0.2, 12, 2, 3, 8, 0.37, 5),
+    _MULTI_CHUNK_CASE + (0.0, 0),
 ])
 def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
                                         stream):
-    # the closed form's log is the engine's, byte for byte, in one chunk of
-    # whole lines per tick of attempts
+    # the closed form's log is the engine's, byte for byte, in chunks of
+    # whole ticks: each starts with ion 0's AttemptStart and ends a line
     args = (p, n_pairs, ports, tdm, 2e-6, 10e-9, seed)
     kwargs = dict(start=start, stream=stream)
     result, text, chunks = _logged_run(netsim._closed_form_link_run, *args,
@@ -264,8 +269,13 @@ def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
     assert result == engine
     assert text == engine_text
     assert text.startswith(f"{start:.9e},AttemptStart,0,0,{stream}\n")
-    assert len(chunks) == math.ceil(result["attempts"] / (ports * tdm))
-    assert all(chunk.endswith("\n") for chunk in chunks)
+    for chunk in chunks:
+        line = chunk[:chunk.index("\n")]
+        assert line.partition(",")[2] == f"AttemptStart,0,0,{stream}"
+        assert chunk.endswith("\n")
+    ticks = math.ceil(result["attempts"] / (ports * tdm))
+    if len(text) > netsim.LOG_CHUNK_BYTES:
+        assert len(chunks) < ticks
 
 
 def test_last_ion_case_completes_on_the_last_ion():
@@ -275,6 +285,15 @@ def test_last_ion_case_completes_on_the_last_ion():
     n_ions = ports * tdm
     assert result["attempts"] % n_ions == n_ions - 1
     assert result["heralds_ok"] == n_pairs + 2
+
+
+def test_multi_chunk_case_spans_chunks_with_successes():
+    p, n_pairs, ports, tdm, seed = _MULTI_CHUNK_CASE
+    result, text, chunks = _logged_run(netsim._closed_form_link_run, p,
+                                       n_pairs, ports, tdm, 2e-6, 10e-9, seed)
+    assert result["attempts"] % (ports * tdm) != 0
+    assert len(text) > 10 * netsim.LOG_CHUNK_BYTES
+    assert sum("Herald(ok)" in chunk for chunk in chunks) > 1
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
