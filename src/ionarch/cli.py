@@ -295,7 +295,7 @@ def _cmd_hypercell(args, cfg) -> int:
         "memory_error": hypercell.memory_error(budget),
         "total_error": hypercell.total_error(budget),
         "ft_bounds": bounds,
-        "cost": hypercell.hypercell_cost(budget.p, budget.c)["log_cost"],
+        "cost": hypercell.hypercell_cost(budget.p, budget.c),
     }
     if args.trials:
         seed = config.resolve(args.seed, cfg, "run.seed", 1)

@@ -107,13 +107,13 @@ def max_attempt_window(tau_e: float) -> float:
     return min(tau_e, HypercellBudget.c * tau_e / 2.0)
 
 
-def fail_prob(p: float, m: int) -> dict:
-    """Probability that all m port pairs fail, exact and exponential forms."""
+def fail_prob(p: float, m: int) -> float:
+    """Probability (1 - p)^m that all m port pairs fail."""
     if m < 1:
         raise ValidationError("m must be at least 1")
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    return {"exact": (1.0 - p) ** m, "approx": math.exp(-m * p)}
+    return (1.0 - p) ** m
 
 
 def path_length(m: int) -> float:
@@ -169,21 +169,17 @@ def ft_bounds(budget: HypercellBudget) -> dict:
             "feasible": t_min < t_max}
 
 
-def hypercell_cost(p: float, c: float) -> dict:
-    """Operational cost (1/p)^(4.5 c / p), evaluated in the log domain.
+def hypercell_cost(p: float, c: float) -> float:
+    """Natural log of the operational cost (1/p)^(4.5 c / p).
 
-    Returns the natural log always; the linear value is included only when it
-    is representable in a float, with ``overflow`` flagging the other case.
-    The cost has no dependence on any computation-size input.
+    The log stays finite where the cost itself overflows a float.  The cost
+    has no dependence on any computation-size input.
     """
     if not 0 < p <= 1:
         raise ValidationError("p must lie in (0, 1]")
     if c <= 0:
         raise ValidationError("c must be positive")
-    log_cost = (4.5 * c / p) * math.log(1.0 / p)
-    if log_cost < 700.0:
-        return {"cost": math.exp(log_cost), "log_cost": log_cost, "overflow": False}
-    return {"cost": None, "log_cost": log_cost, "overflow": True}
+    return (4.5 * c / p) * math.log(1.0 / p)
 
 
 MC_TRIAL_CHUNK = 256
@@ -361,7 +357,7 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
                 "eps": eps, "ratio": ratio,
                 "t_opt": t, "layers_opt": design_layers(p, c),
                 "eps_total": errs[k],
-                "p_fail": fail_prob(min(p, 1.0), max(int(c / p), 1))["exact"],
+                "p_fail": fail_prob(min(p, 1.0), max(int(c / p), 1)),
                 "feasible": errs[k] < HypercellBudget.eps_crit,
             })
     return rows

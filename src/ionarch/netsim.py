@@ -17,6 +17,9 @@ sequence) order of that run, so identical seeds give bit-identical results
 and logs; the tests hold the event engine that checks this,
 ``tests/link_engine_oracle.py``.  A log sink receives the log in chunks of
 whole newline-terminated lines, once per chunk of whole ticks of attempts.
+The time stamps are formatted with array arithmetic, a block of chunks at
+a time, and match ``%.9e`` exactly: a stamp that the arithmetic cannot
+prove exact is formatted on its own with ``%``.
 """
 
 from __future__ import annotations
@@ -46,10 +49,56 @@ def _herald_kind(ok: bool) -> str:
 # An event-log line is the time stamp followed by the fields:
 # "time,kind,register,port,request".
 _STAMP = "%.9e"
+# 10**k for 0 <= k <= 22: each is a float exactly (5**22 < 2**53)
+_POW10 = np.array([float(10**k) for k in range(23)])
+# buffer columns of the ten significant digits, last digit first
+_DIGIT_COLUMNS = (10, 9, 8, 7, 6, 5, 4, 3, 2, 0)
 
 
-def _log_stamp(time: float) -> str:
-    return _STAMP % time
+def _format_stamps(times: np.ndarray) -> list:
+    """``[_STAMP % t for t in times]``, formatted with array arithmetic.
+
+    With ``k`` = 9 minus the decimal exponent of t, s = t * 10**k lies in
+    [1e9, 1e10) and its nearest integer gives the ten significant digits.
+    For 0 <= k <= 22, 10**k is exact, so s is t * 10**k rounded once:
+    below 2**34, it is off by at most 2**-20.  Rounding s then gives the
+    digits of t itself unless s lies within 2**-18 of a tie.  Such a stamp,
+    and any t that is not positive and finite or whose k leaves [0, 22],
+    is formatted with ``_STAMP`` on its own.
+    """
+    t = np.asarray(times, dtype=np.float64)
+    exact = (t > 0.0) & (t < np.inf)
+    safe = np.where(exact, t, 1.0)
+    k = np.clip(9 - np.floor(np.log10(safe)).astype(np.int64), 0, 22)
+    s = safe * _POW10[k]
+    # log10 can miss the exponent by one near a power of ten; a k clipped
+    # to [0, 22] leaves s outside [1e9, 1e10)
+    k = np.clip(k + (s < 1e9) - (s >= 1e10), 0, 22)
+    s = safe * _POW10[k]
+    exact &= (s >= 1e9) & (s < 1e10)
+    whole = np.floor(s)
+    frac = s - whole
+    exact &= np.abs(frac - 0.5) > 2.0**-18
+    digits = np.where(exact, whole, 1e9).astype(np.int64) + (frac > 0.5)
+    carry = digits == 10**10      # s rounded up to 1e10: one decade up
+    digits[carry] = 10**9
+    exponent = 9 - k + carry
+    buf = np.empty((len(t), 16), np.uint8)
+    for column in _DIGIT_COLUMNS:
+        rest = digits // 10
+        buf[:, column] = digits - 10 * rest + ord("0")
+        digits = rest
+    buf[:, 1] = ord(".")
+    buf[:, 11] = ord("e")
+    buf[:, 12] = np.where(exponent < 0, ord("-"), ord("+"))
+    exponent = np.abs(exponent)
+    buf[:, 13] = exponent // 10 + ord("0")
+    buf[:, 14] = exponent % 10 + ord("0")
+    buf[:, 15] = ord(" ")
+    stamps = buf.tobytes().decode("ascii").split()
+    for i in np.flatnonzero(~exact).tolist():
+        stamps[i] = _STAMP % t[i]
+    return stamps
 
 
 def _log_fields(kind: str, elu: int, port: int, request: int) -> str:
@@ -86,6 +135,9 @@ def _link_probability(link: LinkModel, p_override: float | None) -> float:
 #: Bytes of log text that ``_log_ticks`` hands its sink at a time, rounded
 #: to whole ticks.
 LOG_CHUNK_BYTES = 1 << 16
+#: Stamps that ``_log_ticks`` formats at a time, rounded to whole chunks: a
+#: chunk of many ions holds too few stamps to pay for the array calls.
+_STAMP_BLOCK = 4096
 
 
 def _log_ticks(emit, successes: list, attempts: int, ports: list,
@@ -99,11 +151,12 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
     short last tick holds the drained attempts of the ions ranked first and
     is logged the same way.  Every line names register 0 and ends in a
     newline, and ``emit`` receives the log once per chunk of whole ticks, as
-    one string of about ``LOG_CHUNK_BYTES``.  The lines of an ion differ
-    between ticks only in their stamps, so a chunk formats all its stamps
-    in one call and joins each tick's per-ion fields with its two stamps;
-    only a tick with a Herald(ok) or the short last tick is joined again.
-    Memory stays O(successes + ions + one chunk), not O(attempts).
+    one string of about ``LOG_CHUNK_BYTES``.  The stamps are formatted
+    exactly, by ``_format_stamps``, once per block of whole chunks of about
+    ``_STAMP_BLOCK`` stamps.  The lines of an ion differ between ticks only
+    in their stamps, so each tick joins its per-ion fields with its two
+    stamps; only a tick with a Herald(ok) or the short last tick is joined
+    again.  Memory stays O(successes + ions + one block), not O(attempts).
     """
     def fields(kind):
         return [_log_fields(kind, 0, port, request) + "\n" for port in ports]
@@ -119,14 +172,18 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
     tick_bytes = (sum(map(len, attempt)) + sum(map(len, fail))
                   + 2 * n_ions * stamp_bytes)
     per_chunk = max(1, LOG_CHUNK_BYTES // tick_bytes)
+    per_block = max(1, _STAMP_BLOCK // (2 * per_chunk)) * per_chunk
     hit = 0
     for k0 in range(0, n_ticks, per_chunk):
         k1 = min(n_ticks, k0 + per_chunk)
-        times = np.empty(2 * (k1 - k0))
-        times[0::2] = start + np.arange(k0, k1) * tick
-        times[1::2] = times[0::2] + w
+        if k0 % per_block == 0:
+            b1 = min(n_ticks, k0 + per_block)
+            times = np.empty(2 * (b1 - k0))
+            times[0::2] = start + np.arange(k0, b1) * tick
+            times[1::2] = times[0::2] + w
+            block, b0 = _format_stamps(times), k0
         # the stamps of tick k - k0 sit at 2 (k - k0) and 2 (k - k0) + 1
-        stamps = ((_STAMP + " ") * len(times) % tuple(times.tolist())).split()
+        stamps = block[2 * (k0 - b0):2 * (k1 - b0)]
         parts = list(map(str.join, stamps, itertools.cycle((attempt, fail))))
         if k1 == n_ticks and last_width < n_ions:
             parts[-2] = stamps[-2].join(attempt[:last_width + 1])
@@ -234,8 +291,9 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
     """Generate ``n_pairs`` heralded pairs between two registers.
 
     The link runs over ``ports`` optical ports, each ``m_t``-fold time
-    multiplexed.  Returns the makespan, per-pair inter-completion latencies,
-    attempt count and success count.  The callable ``log_sink`` receives the
+    multiplexed.  Returns the makespan, the mean latency per pair, the
+    attempt count, the success and heralded-success counts, and the share of
+    the makespan not spent on heralds.  The callable ``log_sink`` receives the
     event log as text in chunks of whole newline-terminated lines, once per
     chunk of whole ticks of attempts (about ``LOG_CHUNK_BYTES`` each), so the
     concatenation of its arguments is the log file.  ``p_override``
@@ -254,7 +312,6 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
     busy = n_pairs * herald_latency
     return {
         "makespan_s": makespan,
-        "latencies_s": np.diff(times, prepend=0.0).tolist(),
         "mean_pair_latency_s": makespan / n_pairs,
         "attempts": run["attempts"],
         "successes": len(times),

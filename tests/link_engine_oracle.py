@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from ionarch.errors import ValidationError
-from ionarch.netsim import EventKind, _herald_kind, _log_fields, _log_stamp
+from ionarch.netsim import _STAMP, EventKind, _herald_kind, _log_fields
 from ionarch.rng import philox_stream
 
 
@@ -31,7 +31,7 @@ class SimEvent:
         kind = self.kind.value
         if self.kind is EventKind.HERALD:
             kind = _herald_kind(self.success)
-        return (_log_stamp(self.time)
+        return (_STAMP % self.time
                 + _log_fields(kind, self.elu, self.port, self.request))
 
 

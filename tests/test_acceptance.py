@@ -229,4 +229,4 @@ def test_criterion_10_hypercell():
                                         eps=2.9e-4, c=3.0))
     assert abs(example["ratio_bound"] / 8.25e-3 - 1) <= 0.01
     # connection failure budget behaves: exact never exceeds the exponential
-    assert fail_prob(p, config.ports)["exact"] <= fail_prob(p, config.ports)["approx"]
+    assert fail_prob(p, config.ports) <= math.exp(-config.ports * p)

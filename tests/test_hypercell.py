@@ -14,25 +14,21 @@ from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
 
 
 def test_fail_prob_values():
-    assert fail_prob(1.0, 10) == {"exact": 0.0, "approx": math.exp(-10.0)}
-    fp = fail_prob(0.01, 300)
-    assert fp["exact"] == pytest.approx(0.04904, abs=5e-6)
-    assert fp["approx"] == pytest.approx(math.exp(-3.0))
+    assert fail_prob(1.0, 10) == 0.0
+    assert fail_prob(0.01, 300) == pytest.approx(0.04904, abs=5e-6)
 
 
 def test_fail_prob_exact_below_approx():
     for p in (1e-4, 0.01, 0.3, 0.9):
         for m in (1, 7, 120):
-            fp = fail_prob(p, m)
-            assert fp["exact"] <= fp["approx"]
+            assert fail_prob(p, m) <= math.exp(-m * p)
 
 
 def test_fail_prob_quadratic_gap_bound():
-    # relative gap <= m p^2 / 2 + m p^3 (valid bound for p <= 1/2)
+    # relative gap to exp(-m p) <= m p^2 / 2 + m p^3 (valid for p <= 1/2)
     for p in (1e-3, 0.01, 0.05, 0.2):
         for m in (1, 10, 100, 200):
-            fp = fail_prob(p, m)
-            rel_gap = 1.0 - fp["exact"] / fp["approx"]
+            rel_gap = 1.0 - fail_prob(p, m) / math.exp(-m * p)
             assert 0 <= rel_gap <= m * p**2 / 2 + m * p**3, (p, m)
 
 
@@ -116,12 +112,12 @@ def test_ft_bounds_window_implies_ratio_condition():
 
 
 def test_hypercell_cost():
-    assert hypercell_cost(1.0, 3.0)["cost"] == pytest.approx(1.0)
-    assert hypercell_cost(0.5, 1.0)["cost"] == pytest.approx(512.0)
-    tiny = hypercell_cost(1e-3, 3.0)
-    assert tiny["overflow"] and tiny["cost"] is None
-    direct = hypercell_cost(0.2, 1.0)
-    assert math.log(direct["cost"]) == pytest.approx(direct["log_cost"])
+    # the log of (1/p)^(4.5 c / p)
+    assert hypercell_cost(1.0, 3.0) == 0.0
+    assert hypercell_cost(0.5, 1.0) == pytest.approx(math.log(512.0))
+    assert hypercell_cost(0.2, 1.0) == pytest.approx(22.5 * math.log(5.0))
+    # finite where the cost itself, e**20723, overflows a float
+    assert hypercell_cost(1e-3, 3.0) == pytest.approx(13500 * math.log(1e3))
 
 
 def test_mc_tree_build_deterministic_limit():
@@ -310,7 +306,7 @@ def boundary_scan_oracle(eps_grid, ratio_grid):
                     best = {"t_opt": t, "eps_total": err,
                             "layers_opt": design_layers(budget.p, c),
                             "p_fail": fail_prob(min(budget.p, 1.0),
-                                                max(int(m), 1))["exact"]}
+                                                max(int(m), 1))}
             rows.append({
                 "eps": eps, "ratio": ratio,
                 "t_opt": best["t_opt"], "layers_opt": best["layers_opt"],

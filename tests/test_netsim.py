@@ -1,7 +1,9 @@
 import math
 import statistics
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ionarch import netsim
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
@@ -140,20 +142,37 @@ def test_conservation_pairs_and_circuits():
     assert result["successes"] <= result["attempts"]
 
 
-def test_batched_path_matches_event_engine(on_engine):
+def _recording(run):
+    """``run`` and the list of the results it returns."""
+    results = []
+
+    def call(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+    return call, results
+
+
+def test_batched_path_matches_event_engine(monkeypatch):
     # the event engine, swapped in for the closed form, is its oracle: same
-    # seed, same draws, identical results and event logs
+    # seed, same draws, identical results, completion times and event logs
     keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes",
-            "heralded_successes", "latencies_s")
+            "heralded_successes")
+    closed_form = netsim._closed_form_link_run
     for p, m_p, m_t, seed in [(0.05, 1, 1, 3), (0.05, 2, 10, 7),
                               (0.01, 2, 3, 11), (0.002, 2, 10, 13)]:
         link = slow_rep_link(p)
         kwargs = dict(seed=seed, ports=m_p, m_t=m_t)
-        engine, engine_log = on_engine(event_log, link, 300, **kwargs)
+        run, engine_runs = _recording(engine_link_run)
+        monkeypatch.setattr(netsim, "_closed_form_link_run", run)
+        engine, engine_log = event_log(link, 300, **kwargs)
+        run, batched_runs = _recording(closed_form)
+        monkeypatch.setattr(netsim, "_closed_form_link_run", run)
         batched, batched_log = event_log(link, 300, **kwargs)
         for key in keys:
             assert engine[key] == batched[key], (p, m_p, m_t, key)
         assert engine_log == batched_log, (p, m_p, m_t)
+        assert (engine_runs[0]["completions"]
+                == batched_runs[0]["completions"]), (p, m_p, m_t)
 
 
 def test_link_sim_outputs_pinned():
@@ -278,6 +297,28 @@ def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
         assert len(chunks) < ticks
 
 
+@pytest.mark.parametrize("p, n_pairs, ports, tdm, tick, w, seed, decades", [
+    # from 0 through e-12 to e-09: ten significant digits of every stamp
+    (0.01, 40, 2, 3, 3.7e-12, 1e-12, 4, ("e-12", "e-11", "e-10", "e-09")),
+    # past 1e10, where 10**k with k = 9 - e is no longer a whole number
+    (0.01, 15, 1, 1, 9.7e6, 10e-9, 5, ("e+07", "e+08", "e+09", "e+10")),
+    # three-digit exponents, a stamp one character longer
+    (0.02, 3, 1, 1, 7.3e97, 1.1e96, 13, ("e+97", "e+98", "e+99", "e+100")),
+])
+def test_closed_form_log_matches_engine_across_decades(p, n_pairs, ports, tdm,
+                                                       tick, w, seed, decades):
+    # stamps that cross decades and leave the range of the array formatter
+    # are written byte for byte as the engine writes them with `%.9e`
+    args = (p, n_pairs, ports, tdm, tick, w, seed)
+    result, text, _ = _logged_run(netsim._closed_form_link_run, *args)
+    engine, engine_text, _ = _logged_run(engine_link_run, *args)
+    assert result == engine
+    assert text == engine_text
+    stamps = {line[:line.index(",")] for line in text.splitlines()}
+    for decade in decades:
+        assert any(stamp.endswith(decade) for stamp in stamps), decade
+
+
 def test_last_ion_case_completes_on_the_last_ion():
     p, n_pairs, ports, tdm, seed = _LAST_ION_CASE
     result = netsim._closed_form_link_run(p, n_pairs, ports, tdm, 2e-6,
@@ -294,6 +335,42 @@ def test_multi_chunk_case_spans_chunks_with_successes():
     assert result["attempts"] % (ports * tdm) != 0
     assert len(text) > 10 * netsim.LOG_CHUNK_BYTES
     assert sum("Herald(ok)" in chunk for chunk in chunks) > 1
+
+
+def _grid(start, tick, fraction, n):
+    """The stamps of n ticks from ``start``, each tick's attempt at
+    ``start + k * tick`` followed by its herald ``w = fraction * tick`` on."""
+    w = fraction * tick
+    return [time for k in range(n) for time in (start + k * tick,
+                                                start + k * tick + w)]
+
+
+_STAMP_INPUTS = st.one_of(
+    # floats of every magnitude: 0.0, -0.0, subnormals, past 1e100, inf, nan
+    st.lists(st.floats(), max_size=40),
+    # decimal midpoints between two ten-digit stamps
+    st.lists(st.builds(lambda j, i: (2 * j + 1) / 2 * 10.0**i,
+                       st.integers(10**9, 10**10 - 1), st.integers(-25, 5)),
+             max_size=40),
+    # neighbours of powers of ten, where log10 and the rounding carry err
+    st.lists(st.builds(lambda i, up: float(np.nextafter(
+        10.0**i, math.inf if up else 0.0)), st.integers(-30, 30),
+                       st.booleans()), max_size=40),
+    # ascending tick grids with their herald offsets
+    st.builds(_grid, st.sampled_from([0.0, 0.37, 1e-3, 12.5]),
+              st.floats(1e-12, 1e4), st.floats(0.0, 0.99),
+              st.integers(1, 60)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_STAMP_INPUTS)
+@example([0.0, -0.0, 5e-324, 2.2e-308, 9.999999999e-14, 1e-13, 9999999999.5,
+          1e10, 1e100, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+          -1.0])
+def test_format_stamps_matches_percent(xs):
+    assert (netsim._format_stamps(np.array(xs, dtype=np.float64))
+            == [netsim._STAMP % x for x in xs])
 
 
 @pytest.mark.parametrize("p", [float("nan"), 1.5, -0.1, float("inf")])
