@@ -5,9 +5,8 @@ from .device import (DeviceParams, LinkModel, LinkType,
                      link_success_probability, mean_connection_time)
 from .errors import (DomainError, InsufficientConcatenation, NTooSmall,
                      ValidationError, ZeroSuccessProbability)
-from .steane import (ConcatSelection, LogicalCostTable, Primitive,
-                     level1_costs, lift_level, required_concat_level,
-                     table_at_level, toffoli_cost)
+from .steane import (LogicalCostTable, Primitive, level1_costs, lift_level,
+                     required_concat_level, table_at_level, toffoli_cost)
 
 __all__ = [
     "ArchLayout", "MusiqcLayout", "NnLayout", "QlaLayout", "layout_from_name",
@@ -15,7 +14,7 @@ __all__ = [
     "mean_connection_time",
     "DomainError", "InsufficientConcatenation", "NTooSmall",
     "ValidationError", "ZeroSuccessProbability",
-    "ConcatSelection", "LogicalCostTable", "Primitive", "level1_costs",
+    "LogicalCostTable", "Primitive", "level1_costs",
     "lift_level", "required_concat_level", "table_at_level", "toffoli_cost",
 ]
 

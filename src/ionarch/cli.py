@@ -21,7 +21,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import config, estimator
+from . import config, estimator, steane
 from .arch import MusiqcLayout, layout_from_name
 from .device import LinkModel, LinkType
 from .errors import InsufficientConcatenation, ValidationError
@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-shor", help="factoring roll-up")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--arch", choices=["musiqc", "qla"], default="musiqc")
-    p.add_argument("--eps-phys", type=float, default=1e-7)
-    p.add_argument("--eps-threshold", type=float, default=1e-4)
+    p.add_argument("--eps-phys", type=float, default=steane.EPS_PHYS)
+    p.add_argument("--eps-threshold", type=float,
+                   default=steane.EPS_THRESHOLD)
     _add_common(p)
 
     p = sub.add_parser("threshold", help="cluster-state threshold margin")

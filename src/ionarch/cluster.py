@@ -478,25 +478,22 @@ def first_order_expectation(budget: ErrorBudget):
 def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     """Expectation of the six-face cell check under the error census.
 
-    ``product`` multiplies the independent factors (1 - 2 p_source) exactly;
-    ``first_order`` is ``first_order_expectation``.  The three grouped
-    factors (birth pairs, CNOT links, readouts) are returned alongside.
-    Sources whose flip is zero contribute a factor of exactly one and are
-    skipped.
+    ``product`` multiplies the independent factors (1 - 2 p_source) exactly,
+    grouped by kind and the groups multiplied in birth-pair, CNOT-link,
+    readout order; ``first_order`` is ``first_order_expectation``.  Sources
+    whose flip is zero contribute a factor of exactly one and are skipped.
     """
     eps, r = budget.eps, budget.r
     lattice = cell_lattice()
-    factors = {}
-    for kind, flips in lattice.flips_by_kind.items():
+    product = 1
+    for flips in lattice.flips_by_kind.values():
         factor = 1
         for flip in flips:
             factor *= 1 - 2 * flip.evaluate(eps, r)
-        factors[kind] = factor
-    product = factors["birth_pair"] * factors["cnot_link"] * factors["readout"]
+        product *= factor
     return {
         "first_order": first_order_expectation(budget),
         "product": product,
-        "factors": factors,
         "linear_coefficients": lattice.linear_coefficients,
     }
 
@@ -700,4 +697,4 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     else:
         stderr = float("nan")
     return {"estimate": estimate, "stderr": stderr, "samples": samples,
-            "flipped": flipped, "seed": seed, "mode": mode}
+            "flipped": flipped}

@@ -17,8 +17,8 @@ from fractions import Fraction
 from .arch import ArchLayout, MusiqcLayout, NnLayout, QlaLayout
 from .device import DeviceParams
 from .errors import NTooSmall, ValidationError
-from .steane import (LogicalCostTable, required_concat_level,
-                     table_at_level)
+from .steane import (EPS_PHYS, EPS_THRESHOLD, LogicalCostTable,
+                     required_concat_level, table_at_level)
 
 
 def floor_log2(x: int) -> int:
@@ -154,7 +154,8 @@ def shor_k_q(n: int) -> tuple[int, int]:
 
 
 def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
-                  eps_phys: float = 1e-7, eps_threshold: float = 1e-4) -> dict:
+                  eps_phys: float = EPS_PHYS,
+                  eps_threshold: float = EPS_THRESHOLD) -> dict:
     """Execution time, qubit count and code level for factoring an n-bit number."""
     if n < 8:
         raise ValidationError("modular-exponentiation roll-up requires n >= 8")
@@ -166,21 +167,18 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
         raise ValidationError(
             "the factoring roll-up is defined for the musiqc and qla layouts")
     k_ops, q_logical = shor_k_q(n)
-    selection = required_concat_level(k_ops, q_logical, eps_phys, eps_threshold)
-    table = table_at_level(params, layout, selection.level)
-    adder_time = adder_execution_time(n, layout, table)
-    time_s = n * n * adder_time
+    level = required_concat_level(k_ops, q_logical, eps_phys, eps_threshold)
+    table = table_at_level(params, layout, level)
+    time_s = n * n * adder_execution_time(n, layout, table)
     units = math.ceil(2.0 * math.sqrt(n))
     qubits = (units * layout.qubits(n)
-              * SHOR_LEVEL_QUBIT_FACTOR ** (selection.level - 1))
+              * SHOR_LEVEL_QUBIT_FACTOR ** (level - 1))
     return {
         "time_s": time_s,
         "qubits": qubits,
-        "level": selection.level,
-        "logical_error_per_op": selection.logical_error_per_op,
+        "level": level,
         "k_ops": k_ops,
         "q_logical": q_logical,
-        "adder_time_s": adder_time,
     }
 
 
@@ -217,7 +215,7 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
     """
     n_values = sorted(set(map(int, n_values)))
     if not n_values:
-        raise ValidationError("n_range must be non-empty")
+        raise ValidationError("n_values must be non-empty")
     _check_adder_n(n_values[-1])
     params = params or DeviceParams()
     musiqc, qla, nn = MusiqcLayout(), QlaLayout(), NnLayout()

@@ -56,7 +56,11 @@ def design_layers(p: float, c: float) -> int:
         raise ValidationError(
             f"c/p is not finite at p = t/tau_E = {p:g}; the attempt window t "
             "is too short for a port count")
-    return max(1, math.ceil(math.log(max(m, 2.0), 2)) - 1)
+    # ceil(log2 m) exactly: m = f * 2**e with f in [1/2, 1), so it is e,
+    # or e - 1 when m is a power of two; math.log(m, 2) rounds above k at
+    # some m = 2**k, and its ceiling then adds a layer
+    mantissa, exponent = math.frexp(max(m, 2.0))
+    return max(1, exponent - (mantissa == 0.5) - 1)
 
 
 @dataclass(frozen=True)

@@ -115,20 +115,21 @@ def _check_multiplexity(ports: int, m_t: int):
             f"{MusiqcLayout.register_ions} ions of a register")
 
 
-def _attempt_tick(params: DeviceParams, herald_latency: float) -> float:
+#: Flight time of a herald's classical outcome back to the ion (s).
+HERALD_LATENCY = 10e-9
+
+
+def _attempt_tick(params: DeviceParams) -> float:
     """Per-ion attempt spacing: repetition period or herald + reinit."""
-    if not 0.0 <= herald_latency < math.inf:
-        raise ValidationError(
-            f"herald latency {herald_latency} must be finite and non-negative")
-    return max(1.0 / params.rep_rate, herald_latency + params.reinit_time)
+    return max(1.0 / params.rep_rate, HERALD_LATENCY + params.reinit_time)
 
 
-def _link_probability(link: LinkModel, p_override: float | None) -> float:
-    p = p_override if p_override is not None else link_success_probability(link)
+def _link_probability(link: LinkModel) -> float:
+    """The link's success probability, which ``DeviceParams`` keeps in
+    [0, 1/2]; a zero one is rejected."""
+    p = link_success_probability(link)
     if p == 0.0:
         raise ZeroSuccessProbability("link success probability is zero")
-    if not 0.0 < p <= 1.0:      # also rejects NaN
-        raise ValidationError(f"link success probability {p} outside (0, 1]")
     return p
 
 
@@ -279,37 +280,33 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
 #: Most pairs one ``run_link_sim`` call generates: the run holds an int64
 #: gap and two floats per pair.
 MAX_PAIRS = 2**20
-#: Flight time of a herald's classical outcome back to the ion (s).
-HERALD_LATENCY = 10e-9
 
 
 def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
                  ports: int = MusiqcLayout.m_p, m_t: int = MusiqcLayout.m_t,
-                 herald_latency: float = HERALD_LATENCY,
-                 p_override: float | None = None,
                  log_sink=None) -> dict:
     """Generate ``n_pairs`` heralded pairs between two registers.
 
     The link runs over ``ports`` optical ports, each ``m_t``-fold time
-    multiplexed.  Returns the makespan, the mean latency per pair, the
-    attempt count, the success and heralded-success counts, and the share of
-    the makespan not spent on heralds.  The callable ``log_sink`` receives the
-    event log as text in chunks of whole newline-terminated lines, once per
-    chunk of whole ticks of attempts (about ``LOG_CHUNK_BYTES`` each), so the
-    concatenation of its arguments is the log file.  ``p_override``
-    replaces the physical success probability (for degenerate-link
-    studies).  The single request draws from stream 0 of ``seed``.
+    multiplexed, at the link's physical success probability; every herald
+    takes ``HERALD_LATENCY`` to return.  Returns the makespan, the mean
+    latency per pair, the attempt count, the success and heralded-success
+    counts, and the share of the makespan not spent on heralds.  The
+    callable ``log_sink`` receives the event log as text in chunks of whole
+    newline-terminated lines, once per chunk of whole ticks of attempts
+    (about ``LOG_CHUNK_BYTES`` each), so the concatenation of its arguments
+    is the log file.  The single request draws from stream 0 of ``seed``.
     """
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must lie in [1, {MAX_PAIRS}]")
     _check_multiplexity(ports, m_t)
-    p = _link_probability(link, p_override)
-    tick = _attempt_tick(link.params, herald_latency)
-    run = _closed_form_link_run(p, n_pairs, ports, m_t, tick, herald_latency,
+    p = _link_probability(link)
+    tick = _attempt_tick(link.params)
+    run = _closed_form_link_run(p, n_pairs, ports, m_t, tick, HERALD_LATENCY,
                                 seed, emit=log_sink)
     times = run["completions"]
     makespan = times[-1]
-    busy = n_pairs * herald_latency
+    busy = n_pairs * HERALD_LATENCY
     return {
         "makespan_s": makespan,
         "mean_pair_latency_s": makespan / n_pairs,
@@ -328,11 +325,7 @@ def summary(result: dict) -> dict:
 
 
 def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
-                         link: LinkModel, seed: int,
-                         m_p: int = MusiqcLayout.m_p,
-                         m_t: int = MusiqcLayout.m_t,
-                         herald_latency: float = HERALD_LATENCY,
-                         p_override: float | None = None) -> dict:
+                         link: LinkModel, seed: int) -> dict:
     """Simulate sequential teleported Toffoli gates on fresh registers.
 
     Each gate prepares its resource state on a fresh register (deterministic
@@ -341,9 +334,10 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     ports; the gate completes after the slower of the two phases plus the
     teleportation circuit.  The request of gate ``g`` to operand ``op`` draws
     from stream ``3*g + op`` of ``seed``; being independent, the three
-    requests run as three closed-form link runs.  The table's
-    layout must be the photonically linked MUSIQC one, whose ``m_p`` and
-    ``m_t`` are the defaults: the other layouts have no heralded links.
+    requests run as three closed-form link runs, each over the ports and
+    TDM depth of the table's layout, the ones its Bell-pair slots are priced
+    with.  That layout must be the photonically linked MUSIQC one: the
+    other layouts have no heralded links.
     """
     if n_toffolis < 1:
         raise ValidationError("n_toffolis must be at least 1")
@@ -351,9 +345,8 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     if not isinstance(layout, MusiqcLayout):
         raise ValidationError(
             f"the Toffoli pipeline runs on MUSIQC tables, not {layout.kind}")
-    _check_multiplexity(m_p, m_t)
-    p = _link_probability(link, p_override)
-    tick = _attempt_tick(link.params, herald_latency)
+    p = _link_probability(link)
+    tick = _attempt_tick(link.params)
 
     prep = table.phi_plus_prep_time
     teleport = table.toffoli_teleport_time
@@ -362,9 +355,9 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     attempts = 0
     t = 0.0
     for k in range(n_toffolis):
-        runs = [_closed_form_link_run(p, PAIRS_PER_OPERAND, m_p, m_t, tick,
-                                      herald_latency, seed, stream=stream,
-                                      start=t)
+        runs = [_closed_form_link_run(p, PAIRS_PER_OPERAND, layout.m_p,
+                                      layout.m_t, tick, HERALD_LATENCY, seed,
+                                      stream=stream, start=t)
                 for stream in range(3 * k, 3 * k + 3)]   # one per operand
         links_end = max(run["completions"][-1] for run in runs)
         attempts += sum(run["attempts"] for run in runs)

@@ -14,8 +14,7 @@ Circuit construction, in brief:
   logical-Z readout a 3-ion cat, and the Toffoli-state check a 7-ion cat
   coupled with a bitwise Toffoli.
 * Encoded |0> preparation measures all six stabilizers, repeated
-  ``stabilizer_reps`` times (worst case 3 by default, switchable to the
-  expected-case 2), then reads out logical Z.
+  ``STABILIZER_REPS`` = 3 times (the worst case), then reads out logical Z.
 * The non-Clifford Toffoli teleports the three operands into a freshly
   prepared three-qubit resource state; on photonically linked hardware the
   teleport consumes ceil(7 / m_p) sequential Bell-pair slots per operand
@@ -50,6 +49,9 @@ from .errors import InsufficientConcatenation, ValidationError
 
 #: Bell pairs an encoded teleport consumes per operand: one per code qubit.
 PAIRS_PER_OPERAND = 7
+#: Repetitions of the six stabilizer measurements in an encoded |0>
+#: preparation and of the Toffoli-state check: the worst case.
+STABILIZER_REPS = 3
 
 
 class Primitive(Enum):
@@ -108,7 +110,6 @@ class LogicalCostTable:
     level: int
     layout: ArchLayout
     entries: Mapping[Primitive, CostEntry]
-    stabilizer_reps: int
     footprint: int          # physical qubits per logical qubit (data + ancilla)
     pair_time: float        # Bell-pair slot consumed by teleports at this level
     phi_plus_prep_time: float
@@ -147,7 +148,7 @@ class LogicalCostTable:
         payload = {
             "level": self.level,
             "layout": self.layout.kind,
-            "stabilizer_reps": self.stabilizer_reps,
+            "stabilizer_reps": STABILIZER_REPS,
             "footprint_qubits": self.footprint,
             "pair_time_s": self.pair_time,
             "primitives": {
@@ -201,13 +202,12 @@ def _teleport_cnot_steps(basis: _GateBasis) -> list[Step]:
 
 
 def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
-                 stabilizer_reps: int, footprint_below: int,
+                 footprint_below: int,
                  swap_step_time: float) -> LogicalCostTable:
-    reps = stabilizer_reps
     m_p = layout.m_p
 
     prep_zero_steps = tuple(
-        _stabilizer_steps(basis, 4, "cnot", count=6 * reps)
+        _stabilizer_steps(basis, 4, "cnot", count=6 * STABILIZER_REPS)
         + _stabilizer_steps(basis, 3, "cnot", count=1))
     prep_zero = CostEntry(prep_zero_steps, qubits=11 * footprint_below,
                           parallel_ops=4)
@@ -227,7 +227,8 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
     phi_steps = (
         prep_zero_steps
         + (Step(f"transversal hadamard ({basis.tag} single)", basis.single),)
-        + tuple(_stabilizer_steps(basis, 7, "toffoli", count=reps)))
+        + tuple(_stabilizer_steps(basis, 7, "toffoli",
+                                 count=STABILIZER_REPS)))
     phi_time = sum(s.total for s in phi_steps)
 
     toffoli_tele_steps = (
@@ -279,15 +280,14 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
 
     return LogicalCostTable(
         level=level, layout=layout, entries=MappingProxyType(entries),
-        stabilizer_reps=reps, footprint=11 * footprint_below,
+        footprint=11 * footprint_below,
         pair_time=pair_up, phi_plus_prep_time=phi_time,
         toffoli_teleport_time=toffoli_tele_time,
         cnot_teleport_time=sum(s.total for s in teleport_cnot_steps),
         swap_step_time=swap_step_time)
 
 
-def level1_costs(params: DeviceParams, layout: ArchLayout,
-                 stabilizer_reps: int = 3) -> LogicalCostTable:
+def level1_costs(params: DeviceParams, layout: ArchLayout) -> LogicalCostTable:
     """Level-1 cost table over the physical gate set of ``params``.
 
     On the photonically switched layout the Bell-pair slot is the remote
@@ -295,8 +295,6 @@ def level1_costs(params: DeviceParams, layout: ArchLayout,
     nearest-neighbor layouts carry no link term in their gate costs (the grid
     pays for distribution separately, per travel-distance swap steps).
     """
-    if stabilizer_reps not in (1, 2, 3):
-        raise ValidationError("stabilizer_reps must be 1, 2, or 3")
     pair = 0.0
     if isinstance(layout, MusiqcLayout):
         pair = params.t_remote_entangle / layout.m_t
@@ -304,8 +302,7 @@ def level1_costs(params: DeviceParams, layout: ArchLayout,
                        toffoli=params.t_toffoli, measure=params.t_measure,
                        pair=pair, tag="physical")
     swap = params.t_two_gate + 2 * params.t_single_gate + params.t_measure
-    return _build_table(basis, level=1, layout=layout,
-                        stabilizer_reps=stabilizer_reps, footprint_below=1,
+    return _build_table(basis, level=1, layout=layout, footprint_below=1,
                         swap_step_time=swap)
 
 
@@ -331,7 +328,6 @@ def lift_level(table: LogicalCostTable) -> LogicalCostTable:
         pair=pair,
         tag=f"level-{table.level}")
     return _build_table(basis, level=table.level + 1, layout=layout,
-                        stabilizer_reps=table.stabilizer_reps,
                         footprint_below=table.footprint,
                         swap_step_time=table.swap_step_time)
 
@@ -350,12 +346,6 @@ def toffoli_cost(table: LogicalCostTable) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ConcatSelection:
-    level: int
-    logical_error_per_op: float
-
-
 def logical_error_at_level(level: int, eps_phys: float,
                            eps_threshold: float) -> float:
     """Concatenated logical error rate: eth * (eps/eth)^(2^level)."""
@@ -366,15 +356,16 @@ def logical_error_at_level(level: int, eps_phys: float,
 
 #: Highest concatenation level the factoring roll-up selects.
 MAX_CONCAT_LEVEL = 3
+#: The factoring roll-up's defaults, both model inputs, not measured device
+#: properties: the physical error per operation and the code's
+#: concatenation threshold.
+EPS_PHYS = 1e-7
+EPS_THRESHOLD = 1e-4
 
 
 def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
-                          eps_threshold: float = 1e-4) -> ConcatSelection:
-    """Smallest concatenation level whose logical error meets 1 / (K Q).
-
-    ``eps_threshold`` is a model input (the code's concatenation threshold),
-    defaulting to 1e-4; it is not a measured device property.
-    """
+                          eps_threshold: float = EPS_THRESHOLD) -> int:
+    """Smallest concatenation level whose logical error meets 1 / (K Q)."""
     if k_ops < 1 or q_logical < 1:
         raise ValidationError("K and Q must be at least 1")
     if not 0 <= eps_phys < math.inf:       # also rejects NaN
@@ -385,9 +376,8 @@ def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
         raise ValidationError("eps_phys must be below eps_threshold")
     target = 1.0 / (k_ops * q_logical)
     for level in range(1, MAX_CONCAT_LEVEL + 1):
-        err = logical_error_at_level(level, eps_phys, eps_threshold)
-        if err <= target:
-            return ConcatSelection(level=level, logical_error_per_op=err)
+        if logical_error_at_level(level, eps_phys, eps_threshold) <= target:
+            return level
     raise InsufficientConcatenation(
         f"no level up to {MAX_CONCAT_LEVEL} reaches a logical error of "
         f"{target:.3g} (K={k_ops}, Q={q_logical}, eps={eps_phys:g})")

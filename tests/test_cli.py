@@ -507,6 +507,16 @@ def test_seed_out_of_range_exit(capsys, argv, seed):
     assert err.startswith("error: seed") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", [29, 62])
+def test_hypercell_ports_at_exact_powers_of_two(capsys, k):
+    # t = 3 / 2**k puts c/p at exactly 2**k: k - 1 layers give 2**k ports,
+    # where a rounded log once built 2**(k + 1), or none past 2**62
+    code, out, _ = run_cli(capsys, "hypercell", "--ratio", "1",
+                           "--t", repr(3 / 2**k), "--json")
+    assert code == 0
+    assert json.loads(out)["ports"] == 2**k
+
+
 def test_hypercell_scan_csv(capsys):
     code, out, _ = run_cli(capsys, "hypercell", "--scan",
                            "--eps-grid", "1e-6,1e-4", "--ratio-grid", "1,10")

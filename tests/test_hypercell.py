@@ -261,6 +261,14 @@ def test_tree_port_ceiling():
         TreeConfig(layers=62)
 
 
+def test_design_layers_at_exact_powers_of_two():
+    # c/p = 2**k ports take k - 1 layers; math.log(2**k, 2) rounds above k
+    # at k = 29, 31, 39, ..., whose ceiling once added a layer and doubled
+    # the tree
+    for k in range(1, 62):
+        assert design_layers(2.0**-k, 1.0) == max(1, k - 1), k
+
+
 def test_boundary_scan_on_default_grids():
     rows = boundary_scan((1e-6, 1e-5, 1e-4, 1e-3), (0.1, 1.0, 10.0, 100.0))
     assert len(rows) == 16
