@@ -23,12 +23,12 @@ census*, derived here rather than hard-coded:
 
 The census is built once per lattice (:func:`cell_lattice`): the analytic
 expectation reads its cached linear sum and its list of sources that can
-flip the check.  The Monte Carlo samples those sources as independent
-Bernoulli faults, but draws only the faults that fire: a source's firings
-over a chunk of samples form a Bernoulli process with Geometric gaps, and
-one block of uniforms per chunk gives the gaps of every source at once.  A
-sample's check flips when an odd number of faults land on it, so the cost
-follows the expected number of faults rather than samples times sources.
+flip the check.  The Monte Carlo treats those sources as independent
+Bernoulli faults.  A sample's check flips when an odd number of them fire,
+which happens with probability q = (1 - prod(1 - 2 p_i)) / 2, so the number
+of flipped samples is Binomial(samples, q) and is drawn once.  That law
+checks the float product against the census's exact Fractions; it does not
+check the census's propagation, which it takes as given.
 
 Error model: every gate is followed by a depolarizing channel (each of the 15
 two-qubit or 3 one-qubit Pauli faults with probability eps/15 or eps/3), and
@@ -43,13 +43,9 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import TYPE_CHECKING
+from functools import cache, cached_property
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Coord = tuple[int, int, int]
 
@@ -178,18 +174,33 @@ def _gadget_faults():
             yield [(3, qubit, pauli)], readout
 
 
+@cache
+def _gadget_residuals() -> tuple[tuple[tuple[int, int], LinearError], ...]:
+    """The gadget faults that leave a residual Z, as (class, weight) pairs.
+
+    The class is (z on face qubit, z on edge qubit) from
+    :func:`_gadget_outcome`, the weight the fault's :class:`LinearError`
+    from :func:`_gadget_faults`, in that enumeration's order.  The
+    enumeration runs once per process.
+    """
+    residuals = []
+    for faults, weight in _gadget_faults():
+        key = _gadget_outcome(faults)
+        if key != (0, 0):
+            residuals.append((key, weight))
+    return tuple(residuals)
+
+
 def teleported_cnot_classes() -> dict[tuple[int, int], LinearError]:
     """Residual Z-error classes of one link, first order, exact weights.
 
     Keys are (z on face qubit, z on edge qubit); the identity class is
-    omitted.  Each class sums the weights of the gadget faults
-    (:func:`_gadget_faults`) that leave it behind.
+    omitted.  Each class sums the weights of the gadget faults that leave it
+    behind (:func:`_gadget_residuals`).
     """
     classes: dict[tuple[int, int], LinearError] = {}
-    for faults, weight in _gadget_faults():
-        key = _gadget_outcome(faults)
-        if key != (0, 0):
-            classes[key] = classes.get(key, LinearError()) + weight
+    for key, weight in _gadget_residuals():
+        classes[key] = classes.get(key, LinearError()) + weight
     return classes
 
 
@@ -272,9 +283,9 @@ class Link:
 class ErrorSource:
     kind: str                    # "birth_pair" | "cnot_link" | "readout"
     flip: LinearError            # probability of flipping the cell check
-    # the link residual classes (z on face, z on edge) that flip the check,
-    # whose weights ``flip`` sums; empty for the other kinds
-    classes: frozenset = frozenset()
+    # the weights of the link-gadget faults that flip the check, which
+    # ``flip`` sums; empty for the other kinds
+    fault_weights: tuple[LinearError, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -308,14 +319,14 @@ class CellLattice:
 
     The cell check is supported on the six faces of the cell at the origin.
     ``sources`` lists every error source whose residual can reach those
-    faces, with its exact first-order flip probability; ``shell_sources``
-    lists the two-hop links kept for locality checks (none of them flip),
-    built on first read.  The census is built once: ``flipping_sources``
-    keeps the sources with a non-zero flip, in census order,
-    ``flips_by_kind`` their flips grouped by source kind, ``linear`` is the
-    sum of their flips, and
-    ``linear_coefficients`` the eps and r coefficients of 2 * ``linear``,
-    whose ratio is the threshold's ``threshold_r_weight``.
+    faces, with its exact first-order flip probability; ``shell_links`` and
+    ``shell_sources`` list the two-hop links kept for locality checks (none
+    of them flip), built on first read.  The census is built once:
+    ``flipping_sources`` keeps the sources with a non-zero flip, in census
+    order, ``flips_by_kind`` their flips grouped by source kind, ``linear``
+    is the sum of their flips, and ``linear_coefficients`` the eps and r
+    coefficients of 2 * ``linear``, whose ratio is the threshold's
+    ``threshold_r_weight``.
     """
 
     def __init__(self):
@@ -327,7 +338,6 @@ class CellLattice:
                       for pos, face in enumerate(coupling_order(edge), 1)]
         self.collar_faces = sorted(
             {lk.face for lk in self.links} - self._in_cell)
-        self.shell_links = self._shell_links()
         self.link_classes = teleported_cnot_classes()
         self.birth_class = matched_pair_class()
         self.sources = self._census()
@@ -340,6 +350,20 @@ class CellLattice:
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
         self.linear_coefficients = (2 * self.linear.eps, 2 * self.linear.r)
+
+    @cached_property
+    def shell_links(self) -> list[Link]:
+        """The links of the collar faces' other edges; only locality checks
+        read them."""
+        cell_edge_set = set(self.cell_edges)
+        out = []
+        for face in self.collar_faces:
+            for edge in edges_of_face(face):
+                if edge in cell_edge_set:
+                    continue
+                for pos, f in enumerate(coupling_order(edge), 1):
+                    out.append(Link.at(f, edge, pos))
+        return out
 
     @cached_property
     def shell_sources(self) -> list[ErrorSource]:
@@ -382,17 +406,6 @@ class CellLattice:
                     edges.append(tuple(e))
         return sorted(edges)
 
-    def _shell_links(self) -> list[Link]:
-        cell_edge_set = set(self.cell_edges)
-        out = []
-        for face in self.collar_faces:
-            for edge in edges_of_face(face):
-                if edge in cell_edge_set:
-                    continue
-                for pos, f in enumerate(coupling_order(edge), 1):
-                    out.append(Link.at(f, edge, pos))
-        return out
-
     # -- propagation ------------------------------------------------------
     def _propagated_faces(self, edge: Coord, after_position: int) -> list[Coord]:
         """Faces reached by a residual Z on ``edge`` placed after a position.
@@ -408,14 +421,16 @@ class CellLattice:
         return sum(1 for f in z_faces if f in self._in_cell) % 2
 
     def _link_source(self, link: Link) -> ErrorSource:
-        """A teleported-CNOT link and the residual classes that flip the check."""
+        """A teleported-CNOT link and the gadget faults that flip the check."""
         later = self._propagated_faces(link.edge, link.position)
-        classes = frozenset(
-            (z_c, z_t) for z_c, z_t in self.link_classes
-            if self._flip_parity(([link.face] if z_c else [])
-                                 + (later if z_t else [])))
+        classes = [(z_c, z_t) for z_c, z_t in self.link_classes
+                   if self._flip_parity(([link.face] if z_c else [])
+                                        + (later if z_t else []))]
         flip = sum((self.link_classes[key] for key in classes), LinearError())
-        return ErrorSource(kind="cnot_link", flip=flip, classes=classes)
+        fault_weights = tuple(weight for key, weight in _gadget_residuals()
+                              if key in classes)
+        return ErrorSource(kind="cnot_link", flip=flip,
+                           fault_weights=fault_weights)
 
     def _census(self) -> list[ErrorSource]:
         sources = []
@@ -525,144 +540,40 @@ def threshold_margin(budget: ErrorBudget):
 # numpy and the Philox streams are imported inside these functions, so the
 # analytic layer above loads without numpy.
 
-MC_CHUNK = 1 << 16
-#: Most gaps drawn at once, so a chunk's temporary arrays stay near
-#: ``MC_CHUNK`` values however many sources there are; one group holds
-#: every source at about one firing per sample.
-_GROUP_GAPS = 2 * MC_CHUNK
-#: Spare gaps per source beyond its expected firings (see ``_gap_counts``).
-_SPARE_SIGMAS = 3.0
-_SPARE_GAPS = 4
+#: Most samples of one Monte Carlo call: numpy draws the flipped count as an
+#: int64 and rejects a count of 2**63 or more.
+MAX_MC_SAMPLES = 2**62
 
 
-def _flip_probabilities(budget: ErrorBudget, mode: str) -> np.ndarray:
-    """Flip probabilities of the sources that can fire at this budget."""
-    import numpy as np
+def _flip_probabilities(budget: ErrorBudget, mode: str) -> list[float]:
+    """Flip probabilities of the census's sources at this budget.
 
-    lattice = cell_lattice()
+    In ``"classes"`` mode each source with a non-zero flip is one
+    probability.  In ``"gadget"`` mode each link-gadget fault that flips
+    the check is its own source (``ErrorSource.fault_weights``), so the
+    within-link second-order cancellations are kept, and the birth pairs
+    and readouts stay one source each; the class-mode probabilities are the
+    first-order sums of the gadget-mode ones.
+    """
+    sources = cell_lattice().flipping_sources    # no shell link flips
     if mode == "classes":
-        probs = [float(src.flip.evaluate(budget.eps, budget.r))
-                 for src in lattice.flipping_sources]
+        weights = [src.flip for src in sources]
     elif mode == "gadget":
-        probs = _gadget_mode_probabilities(budget)
+        weights = [weight for src in sources
+                   for weight in (src.fault_weights or (src.flip,))]
     else:
         raise ValidationError(f"unknown MC mode {mode!r}")
-    arr = np.asarray(probs, dtype=float)
-    if not np.all((arr >= 0) & (arr <= 1)):
+    probs = [float(weight.evaluate(budget.eps, budget.r))
+             for weight in weights]
+    if not all(0 <= p <= 1 for p in probs):
         raise ValidationError("flip probabilities outside [0, 1]; budget too large")
-    return arr[arr > 0]
-
-
-def _gadget_mode_probabilities(budget: ErrorBudget) -> list[float]:
-    """Per-internal-fault flip probabilities (explicit-gadget cross-check).
-
-    Every individual fault location of every link gadget becomes its own
-    independent Bernoulli source, so within-link second-order cancellations
-    are retained; the class-mode probabilities are their first-order sums.
-    """
-    lattice = cell_lattice()
-    eps, r = float(budget.eps), float(budget.r)
-    outcomes = [(_gadget_outcome(faults), weight)
-                for faults, weight in _gadget_faults()]
-    probs: list[float] = []
-    for src in lattice.flipping_sources:    # no shell link flips the check
-        if src.kind == "cnot_link":
-            probs.extend(weight.evaluate(eps, r) for key, weight in outcomes
-                         if key in src.classes)
-    for src in lattice.flipping_sources:
-        if src.kind != "cnot_link":
-            probs.append(float(src.flip.evaluate(budget.eps, budget.r)))
     return probs
 
 
-def _gap_counts(samples, probs):
-    """Gaps to draw per source so that they rarely end inside ``samples``.
-
-    A source's firings in ``samples`` samples are Binomial(samples, p); the
-    count covers their mean plus ``_SPARE_SIGMAS`` standard deviations plus
-    ``_SPARE_GAPS``, and never more than ``samples`` (each gap is at least 1).
-    """
-    import numpy as np
-
-    mean = samples * probs
-    spare = _SPARE_SIGMAS * np.sqrt(mean * (1.0 - probs)) + _SPARE_GAPS
-    return np.minimum(np.ceil(mean + spare), samples).astype(np.int64)
-
-
-def _add_firings(hits, rng, log_q, counts, samples):
-    """Add consecutive sources' firings to ``hits``; return each one's end.
-
-    Source i draws ``counts[i]`` Geometric(p_i) gaps by inversion,
-    floor(log(1 - u) / log(1 - p_i)) + 1, from one block of uniforms;
-    ``log_q`` holds log(1 - p_i).  Gaps are capped at ``samples + 1``, which
-    already passes the end.  Each source's first gap is lowered by the sum
-    of the previous source's gaps, so one cumulative sum restarts at every
-    source and yields 1-based sample positions; those past ``samples`` land
-    in the last slot of ``hits``, which has ``samples + 2`` slots.  Returns
-    each source's last position.
-    """
-    import numpy as np
-
-    gaps = rng.random(int(counts.sum()))
-    np.negative(gaps, out=gaps)
-    np.log1p(gaps, out=gaps)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        gaps /= np.repeat(log_q, counts)
-    np.floor(gaps, out=gaps)
-    np.fmin(gaps, samples, out=gaps)    # p = 0 gives inf, or nan at u = 0
-    positions = gaps.astype(np.int64)
-    positions += 1
-    starts = np.cumsum(counts) - counts
-    ends = np.add.reduceat(positions, starts)
-    positions[starts[1:]] -= ends[:-1]
-    np.cumsum(positions, out=positions)
-    np.minimum(positions, samples + 1, out=positions)
-    # uint8 counts wrap, which keeps their parity
-    np.add.at(hits, positions, np.uint8(1))
-    return ends
-
-
-def _chunk_flip_parity_sum(probs: np.ndarray, seed: int, chunk_index: int,
-                           chunk_samples: int) -> int:
-    """Number of flipped-check samples in one deterministic chunk.
-
-    Source i fires in each sample independently with probability p_i, so its
-    firings form a Bernoulli process whose gaps are Geometric(p_i).  The
-    chunk draws the gaps of all sources together, consecutive sources in
-    groups of at most ``_GROUP_GAPS`` gaps, each source enough to pass the
-    chunk's end but for a rare shortfall (:func:`_gap_counts`); a source
-    that runs short draws more gaps on its own.  A sample's check flips when
-    an odd number of firings land on it.
-    """
-    import numpy as np
-
-    from .rng import philox_stream
-
-    rng = philox_stream(seed, chunk_index)
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(-probs)     # -inf at p = 1: every gap is 1
-    counts = _gap_counts(chunk_samples, probs)
-    total = np.cumsum(counts)
-    hits = np.zeros(chunk_samples + 2, dtype=np.uint8)
-    lo = 0
-    while lo < len(probs):
-        base = total[lo - 1] if lo else 0
-        hi = max(int(np.searchsorted(total, base + _GROUP_GAPS, side="right")),
-                 lo + 1)
-        ends = _add_firings(hits, rng, log_q[lo:hi], counts[lo:hi],
-                            chunk_samples)
-        for i in np.flatnonzero(ends < chunk_samples):
-            # refill: the source's gaps ended inside the chunk, so it draws
-            # gaps for the rest of the chunk, placed after its last firing
-            end = int(ends[i])
-            source = slice(lo + i, lo + i + 1)
-            while end < chunk_samples:
-                rest = chunk_samples - end
-                end += int(_add_firings(hits[end:], rng, log_q[source],
-                                        _gap_counts(rest, probs[source]),
-                                        rest)[0])
-        lo = hi
-    return int(np.count_nonzero(hits[1:chunk_samples + 1] & 1))
+def _odd_parity_probability(probs) -> float:
+    """Probability that an odd number of independent Bernoulli(p_i) fire,
+    (1 - prod(1 - 2 p_i)) / 2."""
+    return (1.0 - math.prod(1.0 - 2.0 * p for p in probs)) / 2.0
 
 
 def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
@@ -670,26 +581,22 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     """Monte Carlo estimate of the cell-check expectation.
 
     Each source with a non-zero flip probability fires independently in
-    every sample (in ``"gadget"`` mode each internal fault of every link
-    gadget is its own source).  Only the faults that fire are drawn, as the
-    Geometric gaps between a source's firings, all sources of a chunk in one
-    draw, so the cost follows the number of faults, not samples times
-    sources.  The sample stream is split into fixed chunks, each driven by
-    its own counter-based (Philox) stream derived from ``seed`` and the
-    chunk index, so the estimate is independent of how chunks are
-    distributed over workers.
+    every sample (in ``"gadget"`` mode each flipping fault of every link
+    gadget is its own source), and a sample's check flips when an odd
+    number fire.  The samples are independent, so the flipped count is
+    Binomial(samples, q) with q from :func:`_odd_parity_probability`: the
+    independent-source model's exact law, drawn once from stream 0 of
+    ``seed`` (:func:`ionarch.rng.philox_stream`) at a cost that does not
+    grow with ``samples``.  It checks the float product against the
+    census's exact Fractions, not the census's propagation.
     """
-    if samples < 1:
-        raise ValidationError("samples must be positive")
-    probs = _flip_probabilities(budget, mode)
-    flipped = 0
-    done = 0
-    index = 0
-    while done < samples:
-        take = min(MC_CHUNK, samples - done)
-        flipped += _chunk_flip_parity_sum(probs, seed, index, take)
-        done += take
-        index += 1
+    if not 1 <= samples <= MAX_MC_SAMPLES:
+        raise ValidationError(
+            f"samples must lie in [1, 2**62], got {samples}")
+    from .rng import philox_stream
+
+    q = _odd_parity_probability(_flip_probabilities(budget, mode))
+    flipped = int(philox_stream(seed, 0).binomial(samples, q))
     estimate = 1.0 - 2.0 * flipped / samples
     if samples > 1:
         var = (1.0 - estimate**2) * samples / (samples - 1)

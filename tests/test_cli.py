@@ -186,13 +186,45 @@ def test_cli_outputs_pinned(capsys):
                         "3", "--eps", "1e-4", "--ratio", "0")
     assert out == ("eps,r,analytic_first_order,analytic_product,mc_estimate,"
                    "mc_stderr,samples,seed\n"
-                   "0.0001,0,0.98976,0.989810299,0.99,0.00446317375,1000,3\n")
+                   "0.0001,0,0.98976,0.989810299,0.982,0.00597592769,1000,3\n")
     _, out, _ = run_cli(capsys, "threshold", "--eps", "29/10000", "--ratio",
                         "0", "--json")
     assert out == ('{"below_threshold": false, "eps": 0.0029, '
                    '"expectation_first_order": 0.70304, '
                    '"expectation_product": 0.7418325145711535, '
                    '"margin": 0.0, "r": 0.0}\n')
+
+
+def test_mc_cluster_without_errors_reads_exactly_one(capsys):
+    code, out, _ = run_cli(capsys, "mc-cluster", "--eps", "0", "--ratio", "0",
+                           "--json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["mc_estimate"] == 1.0 and row["mc_stderr"] == 0.0
+
+
+def test_mc_cluster_takes_samples_up_to_its_bound(capsys):
+    # the dense budget fires about 21 faults a sample; its flipped count is
+    # drawn once, so 2**62 samples take no longer than a thousand
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the large-ratio warning
+        code, out, _ = run_cli(capsys, "mc-cluster", "--samples",
+                               str(2**62), "--eps", "0.0666", "--ratio",
+                               "0.2", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out)["samples"] == 2**62
+
+
+@pytest.mark.parametrize("samples", [str(2**62 + 1), str(2**63), "0"])
+def test_mc_cluster_samples_out_of_range_exit(tmp_path, capsys, samples):
+    # from the flag and from the config key alike
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"run.samples = {samples}\n", encoding="utf-8")
+    for argv in (("--samples", samples), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, "mc-cluster", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: samples") and err.count("\n") == 1
 
 
 def test_parser_reuse_keeps_calls_apart(tmp_path, capsys):

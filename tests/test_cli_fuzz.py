@@ -9,10 +9,11 @@ strict JSON, without ``Infinity`` or ``NaN``.  A rejected run (2 or 3) must
 write one stderr line, nothing on stdout, and leave its ``--out`` and
 ``--log`` paths as they were.
 
-``--samples``, ``--trials`` and ``--pairs`` cost in proportion to what they
-ask for, which is their purpose, so their upper ends stay out of the
-grammar: they draw only from small and invalid counts.  Warnings are
-recorded rather than printed; they are not the one error line.
+``--trials`` and ``--pairs`` cost in proportion to what they ask for, which
+is their purpose, so their upper ends stay out of the grammar: they draw
+only from small and invalid counts.  ``mc-cluster --samples`` costs the
+same at any count, so it draws its bound 2**62 and the counts past it too.
+Warnings are recorded rather than printed; they are not the one error line.
 """
 
 import contextlib
@@ -41,6 +42,9 @@ numbers = st.sampled_from(EDGE_FLOATS + FRACTIONS + ["1e-4", "0.06"]
                           + ILL_TYPED)
 ints = st.sampled_from(EDGE_INTS + ["1", "7", "128", "1.5"] + ILL_TYPED)
 small_counts = st.sampled_from(["0", "-1", "1", "5", "1.5"] + ILL_TYPED)
+sample_counts = st.sampled_from(["0", "-1", "1", "5", str(2**62),
+                                str(2**62 + 1), str(2**63), "1.5"]
+                               + ILL_TYPED)
 grids = st.lists(floats, min_size=1, max_size=3).map(",".join)
 
 
@@ -63,7 +67,7 @@ GRAMMAR = {
         "--eps-grid": grids, "--ratio-grid": grids, "--json": None,
     },
     "mc-cluster": {
-        "--samples": small_counts, "--seed": ints, "--eps": floats,
+        "--samples": sample_counts, "--seed": ints, "--eps": floats,
         "--ratio": floats, "--json": None,
     },
     "netsim": {

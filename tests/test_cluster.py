@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -5,10 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ionarch.cluster import (MC_CHUNK, CellLattice, ErrorBudget, LinearError,
-                             _chunk_flip_parity_sum, _flip_probabilities,
-                             cell_lattice, coupling_order,
-                             matched_pair_class, mc_stabilizer_expectation,
+from ionarch.cluster import (MAX_MC_SAMPLES, CellLattice, ErrorBudget,
+                             LinearError, _flip_probabilities,
+                             _odd_parity_probability, cell_lattice,
+                             coupling_order, matched_pair_class,
+                             mc_stabilizer_expectation,
                              stabilizer_expectation_analytic,
                              teleported_cnot_classes, threshold_margin)
 from ionarch.errors import ValidationError
@@ -65,6 +67,30 @@ def test_lattice_counts():
     assert len(flipping_links) == 18 + 6        # all in-cell plus 6 odd collar
     flipping_births = [s for s in kinds["birth_pair"] if not s.flip.is_zero()]
     assert len(flipping_births) == 6            # only the in-cell births
+
+
+def test_link_fault_weights_sum_to_flip():
+    # each link keeps the gadget faults that flip the check, and its flip is
+    # exactly their sum; the other kinds keep none
+    lat = cell_lattice()
+    for src in lat.sources:
+        if src.kind == "cnot_link":
+            assert sum(src.fault_weights, LinearError()) == src.flip
+            assert all(not w.is_zero() for w in src.fault_weights)
+        else:
+            assert src.fault_weights == ()
+    budget = ErrorBudget(eps=1e-4, r=1e-4)
+    gadget = _flip_probabilities(budget, "gadget")
+    classes = _flip_probabilities(budget, "classes")
+    assert len(classes) == len(lat.flipping_sources)
+    assert len(gadget) > len(classes)
+    assert math.fsum(gadget) == pytest.approx(math.fsum(classes), rel=1e-12)
+
+
+def test_census_builds_the_shell_on_first_read():
+    lat = CellLattice()
+    assert "shell_links" not in vars(lat)
+    assert len(lat.shell_sources) == len(lat.shell_links) > 0
 
 
 def test_schedule_invariants():
@@ -255,72 +281,58 @@ def test_mc_matches_first_order_r():
     assert abs(mc["estimate"] - expected) <= 3 * mc["stderr"]
 
 
-def test_mc_deterministic_and_partition_independent():
+def test_mc_deterministic():
     budget = ErrorBudget(eps=3e-4, r=1e-4)
-    a = mc_stabilizer_expectation(budget, 3 * MC_CHUNK + 17, seed=5)
-    b = mc_stabilizer_expectation(budget, 3 * MC_CHUNK + 17, seed=5)
+    a = mc_stabilizer_expectation(budget, 200_000, seed=5)
+    b = mc_stabilizer_expectation(budget, 200_000, seed=5)
     assert a == b
-    # worker-order independence: sum per-chunk counts in shuffled order
-    probs = _flip_probabilities(budget, "classes")
-    chunks = [(i, MC_CHUNK) for i in range(3)] + [(3, 17)]
-    counts = [_chunk_flip_parity_sum(probs, 5, i, size) for i, size in chunks]
-    shuffled = counts[:]
-    random.Random(0).shuffle(shuffled)
-    assert sum(shuffled) == a["flipped"]
 
 
-def _chunk_flips(probs, chunks=4, seed=17):
-    probs = np.asarray(probs, dtype=float)
-    return sum(_chunk_flip_parity_sum(probs, seed, i, MC_CHUNK)
-               for i in range(chunks))
+def _odd_parity_exact(probs):
+    # sum over every set of sources that fire of its probability, counting
+    # the sets of odd size, in exact arithmetic
+    probs = [F(p) for p in probs]
+    total = F(0)
+    for fired in itertools.product((0, 1), repeat=len(probs)):
+        if sum(fired) % 2:
+            term = F(1)
+            for p, f in zip(probs, fired):
+                term *= p if f else 1 - p
+            total += term
+    return total
 
 
-def _assert_flip_rate(flipped, probs, samples):
-    # a sample flips when an odd number of independent sources fire
-    expected = (1 - np.prod([1 - 2 * p for p in probs])) / 2
-    sigma = math.sqrt(expected * (1 - expected) / samples)
-    assert abs(flipped / samples - expected) <= 6 * sigma, probs
+def test_odd_parity_probability_degenerate():
+    # the cases the draw must get exactly: a source that always fires, two
+    # that cancel, none at all, and a fair coin among the sources
+    assert _odd_parity_probability([1.0]) == 1.0
+    for probs in ([1.0, 1.0], [], [0.0, 0.0, 0.0], [1e-300, 5e-324]):
+        assert _odd_parity_probability(probs) == 0.0, probs
+    for probs in ([0.5], [0.5, 1.0], [1e-300, 0.5, 0.3], [0.95, 0.6, 0.5]):
+        assert _odd_parity_probability(probs) == 0.5, probs
 
 
-def test_chunk_sampler_high_and_degenerate_probabilities():
-    # the gates above fire at most a few faults per sample; here most
-    # positions of a chunk are hit, so placing two firings of one source on
-    # one sample or miscounting the parity would show, and mixed magnitudes
-    # put gaps past the chunk next to sources that fire every sample
-    chunks = 4
-    samples = chunks * MC_CHUNK
-    for probs in [(0.3, 0.6, 0.95), (0.95,), (0.5, 0.05, 0.2, 0.7),
-                  (1e-300, 1e-6, 0.5, 1.0)]:
-        _assert_flip_rate(_chunk_flips(probs, chunks), probs, samples)
-    assert _chunk_flips([1.0]) == samples
-    assert _chunk_flips([1.0, 1.0]) == 0
-    assert _chunk_flips([1e-300, 5e-324]) == 0
-    assert _chunk_flips([0.0, 0.0, 0.0]) == 0
-    assert _chunk_flips([]) == 0
-    # a short last chunk is sampled in full too
-    assert _chunk_flip_parity_sum(np.array([1.0]), 17, 4, 17) == 17
+def test_odd_parity_probability_matches_enumeration():
+    rng = random.Random(4)
+    cases = [(0.3, 0.6, 0.95), (0.95,), (0.5, 0.05, 0.2, 0.7),
+             (1e-300, 1e-6, 0.5, 1.0), (1e-6, 2e-6, 3e-4)]
+    cases += [[rng.random() for _ in range(rng.randrange(1, 9))]
+              for _ in range(30)]
+    for probs in cases:
+        exact = _odd_parity_exact(probs)
+        assert _odd_parity_probability(probs) == pytest.approx(
+            float(exact), rel=1e-12, abs=1e-15), probs
 
 
-def test_chunk_sampler_refill(monkeypatch):
-    # with no spare gaps a source draws about its mean number of firings, so
-    # about half the sources run short and draw the rest of the chunk alone
-    import ionarch.cluster as cluster
-
-    monkeypatch.setattr(cluster, "_SPARE_SIGMAS", 0.0)
-    monkeypatch.setattr(cluster, "_SPARE_GAPS", 0)
-    sizes = []
-    add_firings = cluster._add_firings
-
-    def recording(hits, rng, log_q, counts, samples):
-        sizes.append(len(counts))
-        return add_firings(hits, rng, log_q, counts, samples)
-
-    monkeypatch.setattr(cluster, "_add_firings", recording)
-    probs = (0.3, 0.6, 0.05, 1e-3)
-    chunks = 4
-    flipped = _chunk_flips(probs, chunks)
-    assert sizes.count(1) > 0 and sizes.count(len(probs)) == chunks
-    _assert_flip_rate(flipped, probs, chunks * MC_CHUNK)
+def test_mc_samples_bound():
+    # the count is drawn once, so the largest count costs what a small one
+    # does; past 2**62 it is refused before any draw
+    budget = ErrorBudget(eps=1e-4, r=1e-4)
+    mc = mc_stabilizer_expectation(budget, MAX_MC_SAMPLES, seed=1)
+    assert mc["samples"] == 2**62 and 0 < mc["flipped"] < 2**62
+    for samples in (0, -1, MAX_MC_SAMPLES + 1, 2**63, 10**30):
+        with pytest.raises(ValidationError, match="samples"):
+            mc_stabilizer_expectation(budget, samples, seed=1)
 
 
 def test_mc_gadget_mode_cross_validation():
@@ -334,11 +346,11 @@ def test_mc_gadget_mode_cross_validation():
 
 
 def test_mc_gadget_mode_pinned():
-    # the per-fault sources, their order and the sampler, pinned by one run
+    # the per-fault sources and the draw, pinned by one run
     mc = mc_stabilizer_expectation(ErrorBudget(eps=1e-4, r=1e-4), 100000, 5,
                                    mode="gadget")
-    assert mc["flipped"] == 1352
-    assert mc["estimate"] == 0.97296
+    assert mc["flipped"] == 1297
+    assert mc["estimate"] == 0.97406
 
 
 def test_mc_vs_product_grid():
