@@ -49,6 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="resource estimation and simulation for modular "
                     "trapped-ion architectures")
     sub = parser.add_subparsers(dest="command", required=True)
+    #: The subcommands' parsers by name, which ``main`` calls directly.
+    parser.commands = sub.choices
 
     p = sub.add_parser("estimate-adder", help="n-bit adder time and resources")
     p.add_argument("--n", type=int, required=True)
@@ -193,27 +195,50 @@ def _scan_grids(args) -> tuple[list[float], list[float]]:
 def _cmd_threshold(args, cfg) -> int:
     from . import cluster
 
-    def threshold_row(eps, ratio, product=False) -> dict:
-        budget = cluster.ErrorBudget(eps=eps, r=ratio)
-        margin = float(cluster.threshold_margin(budget))
-        row = {"eps": float(eps), "r": float(ratio), "margin": margin,
-               "below_threshold": margin > 0,
-               "expectation_first_order": float(
-                   cluster.first_order_expectation(budget))}
-        if product:     # point mode only; the scan's columns leave it out
-            row["expectation_product"] = float(
-                cluster.stabilizer_expectation_analytic(budget)["product"])
-        return row
+    def budget(eps, ratio):
+        # every budget of the command is built on this one line, which a
+        # large ratio's warning names
+        return cluster.ErrorBudget(eps=eps, r=ratio)
+
+    def threshold_row(eps, ratio, margin, first_order) -> dict:
+        return {"eps": float(eps), "r": float(ratio), "margin": margin,
+                "below_threshold": margin > 0,
+                "expectation_first_order": first_order}
 
     if args.scan:
+        # A budget at every point would check each eps at the first point of
+        # its row and each ratio in the first row, and warn at every point
+        # whose ratio is large: budgets are built at just those points, so
+        # the first bad point's error and the warnings stay the same.  Each
+        # row is the point row without the product, its margin and
+        # first-order value computed as threshold_margin and
+        # first_order_expectation compute them on floats, each eps and ratio
+        # term once.
         eps_grid, ratio_grid = _scan_grids(args)
-        rows = [threshold_row(eps, ratio)
-                for eps in eps_grid for ratio in ratio_grid]
+        lattice = cluster.cell_lattice()
+        threshold_eps, r_weight = lattice.threshold_floats
+        eps_coef, r_coef = lattice.linear.float_coefficients
+        columns = [(ratio, r_weight * ratio, r_coef * ratio,
+                    ratio > cluster.RATIO_WARNING_LEVEL)
+                   for ratio in ratio_grid]
+        rows = []
+        for i, eps in enumerate(eps_grid):
+            slack, eps_term = threshold_eps - eps, eps_coef * eps
+            for j, (ratio, r_margin, r_term, warns) in enumerate(columns):
+                if warns or i == 0 or j == 0:
+                    budget(eps, ratio)
+                rows.append(threshold_row(eps, ratio, slack - r_margin,
+                                          1 - 2 * (eps_term + r_term)))
         _emit(args, payload={"rows": rows}, csv_text=estimator.rows_to_csv(rows))
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
-    _emit(args, payload=threshold_row(eps, ratio, product=True))
+    point = budget(eps, ratio)
+    row = threshold_row(eps, ratio, float(cluster.threshold_margin(point)),
+                        float(cluster.first_order_expectation(point)))
+    row["expectation_product"] = float(
+        cluster.stabilizer_expectation_analytic(point)["product"])
+    _emit(args, payload=row)
     return 0
 
 
@@ -321,16 +346,36 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser does, in one argparse level.
+
+    When ``argv`` starts with a known subcommand, the rest goes straight to
+    that subcommand's parser, the one the top-level parser would hand it
+    to.  Anything else (no argument, a leading ``-h``, an unknown command)
+    takes the full parser, which reports it.
+    """
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     The parser is built on the first call and reused by every later call in
     the process; a parse keeps no state between calls, so each starts from
-    the defaults.  A rejected command line returns 2 like any other bad
-    input; ``--help`` exits 0 through ``SystemExit``.
+    the defaults.  A call that names a known subcommand first is parsed by
+    that subcommand's parser alone (``_parse_args``), with the namespace
+    and the errors the full parser gives.  A rejected command line returns 2
+    like any other bad input; ``--help`` exits 0 through ``SystemExit``.
     """
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(argv)
         cfg = config.load_config(getattr(args, "config", None))
         return _COMMANDS[args.command](args, cfg)
     except InsufficientConcatenation as exc:

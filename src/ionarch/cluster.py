@@ -68,7 +68,8 @@ class LinearError:
         return LinearError(self.eps + other.eps, self.r + other.r)
 
     @cached_property
-    def _float_coefficients(self) -> tuple[float, float]:
+    def float_coefficients(self) -> tuple[float, float]:
+        """The coefficients a and b as floats, converted once per form."""
         return float(self.eps), float(self.r)
 
     def evaluate(self, eps, r):
@@ -79,12 +80,17 @@ class LinearError:
         per form; every other input takes the Fraction operators.
         """
         if type(eps) is float and type(r) is float:
-            eps_coef, r_coef = self._float_coefficients
+            eps_coef, r_coef = self.float_coefficients
             return eps_coef * eps + r_coef * r
         return self.eps * eps + self.r * r
 
     def is_zero(self) -> bool:
         return self.eps == 0 and self.r == 0
+
+
+#: Memory error ratio above which an ``ErrorBudget`` warns that first-order
+#: bookkeeping is unreliable.
+RATIO_WARNING_LEVEL = 0.05
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ class ErrorBudget:
         if not 0 <= float(self.r) < math.inf:
             raise ValidationError(
                 f"memory error ratio {self.r} must be finite and non-negative")
-        if float(self.r) > 0.05:
+        if float(self.r) > RATIO_WARNING_LEVEL:
             # level 3 skips this method and the generated __init__, so the
             # warning names the line that built the budget
             warnings.warn(

@@ -182,18 +182,26 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
     }
 
 
-def _row(n: int, layout: ArchLayout, level: int, depth_total: int,
+def _layout_columns(layout: ArchLayout) -> tuple:
+    """What a layout's report rows take from it, resolved once per layout:
+    its kind, its adder circuit and its qubit and parallel-op formulas."""
+    circuit = "qrca" if isinstance(layout, NnLayout) else "qcla"
+    return layout.kind, circuit, layout.qubits, layout.parallel_ops
+
+
+def _row(n: int, columns: tuple, level: int, depth_total: int,
          toffoli_steps: int, time_s: float) -> dict:
+    kind, circuit, qubits, parallel_ops = columns
     return {
         "n": n,
-        "layout": layout.kind,
-        "circuit": "qrca" if isinstance(layout, NnLayout) else "qcla",
+        "layout": kind,
+        "circuit": circuit,
         "level": level,
         "depth_total": depth_total,
         "toffoli_steps": toffoli_steps,
         "time_s": time_s,
-        "qubits": layout.qubits(n),
-        "parallel_ops": layout.parallel_ops(n),
+        "qubits": qubits(n),
+        "parallel_ops": parallel_ops(n),
     }
 
 
@@ -202,8 +210,8 @@ def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
     """One report row, its keys in CSV column order."""
     table = table_at_level(params, layout, level)
     profile = adder_depth(n, layout)
-    return _row(n, layout, level, profile.total, profile.toffoli_steps,
-                _adder_time(n, table, profile))
+    return _row(n, _layout_columns(layout), level, profile.total,
+                profile.toffoli_steps, _adder_time(n, table, profile))
 
 
 def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
@@ -211,7 +219,8 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
 
     Returns the rows (sorted by n then layout) and the smallest scanned n at
     which the switched-layout lookahead adder beats the nearest-neighbor
-    ripple-carry adder, if any.  The rows equal ``adder_row``'s.
+    ripple-carry adder, if any.  The rows equal ``adder_row``'s; what they
+    take from each layout (``_layout_columns``) is resolved once per scan.
     """
     n_values = sorted(set(map(int, n_values)))
     if not n_values:
@@ -222,6 +231,8 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
     musiqc_table = table_at_level(params, musiqc, 1)
     qla_table = table_at_level(params, qla, 1)
     nn_steps = table_at_level(params, nn, 1).adder_step_times
+    musiqc_columns, qla_columns, nn_columns = map(_layout_columns,
+                                                  (musiqc, qla, nn))
     # n enters a lookahead row's depth and time only through the floor-logs
     # of n, n - 1, n // 3 and (n - 1) // 3, so each combination of their bit
     # lengths (a depth class) is priced once
@@ -246,9 +257,11 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
         # _adder_time prices them
         nn_depth = 2 * n + 3
         nn_time = _steps_time(nn_steps, nn_depth, 0, 0)
-        rows += (_row(n, musiqc, 1, depth_total, toffoli_steps, musiqc_time),
-                 _row(n, qla, 1, depth_total, toffoli_steps, qla_time),
-                 _row(n, nn, 1, nn_depth, nn_depth, nn_time))
+        rows += (_row(n, musiqc_columns, 1, depth_total, toffoli_steps,
+                      musiqc_time),
+                 _row(n, qla_columns, 1, depth_total, toffoli_steps,
+                      qla_time),
+                 _row(n, nn_columns, 1, nn_depth, nn_depth, nn_time))
         if crossover_n is None and musiqc_time < nn_time:
             crossover_n = n
     return {"rows": rows, "crossover_n": crossover_n}

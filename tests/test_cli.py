@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ionarch
-from ionarch import cli
+from ionarch import cli, cluster, estimator
 from ionarch.cli import build_parser, main
 from ionarch.config import parse_config_text
 from ionarch.errors import ValidationError
@@ -168,6 +168,99 @@ def test_threshold_scan_reports_first_bad_point(capsys, grids, message):
         code, out, err = run_cli(capsys, "threshold", "--scan", "--eps-grid",
                                  grids[0], "--ratio-grid", grids[1])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _oracle_scan(eps_text, ratio_text):
+    """The threshold scan as a loop over points, the scan's reference: an
+    ``ErrorBudget``, ``threshold_margin`` and ``first_order_expectation``
+    at every point.  Returns the CSV and the ``--json`` text."""
+    rows = []
+    for eps in map(float, eps_text.split(",")):
+        for ratio in map(float, ratio_text.split(",")):
+            budget = cluster.ErrorBudget(eps=eps, r=ratio)
+            margin = float(cluster.threshold_margin(budget))
+            rows.append({"eps": eps, "r": ratio, "margin": margin,
+                         "below_threshold": margin > 0,
+                         "expectation_first_order": float(
+                             cluster.first_order_expectation(budget))})
+    return (estimator.rows_to_csv(rows),
+            json.dumps({"rows": rows}, sort_keys=True, allow_nan=False) + "\n")
+
+
+#: The benchmark's threshold-scan grids (perfbench/workloads.py): 40 x 40.
+_BENCH_EPS_GRID = ",".join(f"{k}e-4" for k in range(40))
+_BENCH_RATIO_GRID = ",".join(f"{5 * k}e-5" for k in range(40))
+
+
+def test_threshold_scan_matches_the_point_loop_byte_for_byte(capsys):
+    grids = ("--eps-grid", _BENCH_EPS_GRID, "--ratio-grid", _BENCH_RATIO_GRID)
+    csv_text, json_text = _oracle_scan(_BENCH_EPS_GRID, _BENCH_RATIO_GRID)
+    assert run_cli(capsys, "threshold", "--scan", *grids) == (0, csv_text, "")
+    assert run_cli(capsys, "threshold", "--scan", *grids, "--json") == (
+        0, json_text, "")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ((), "ceba7e8eb220820e6b328b924db3764c1290deb890e1aac9eb876e53eb8f0432"),
+    (("--eps-grid", _BENCH_EPS_GRID, "--ratio-grid", _BENCH_RATIO_GRID),
+     "85d58549fec7ba958fbc7b8840fdb00df0a0e2e1bc33a1d23be0f72784fa1702"),
+])
+def test_threshold_scan_json_pinned(capsys, argv, digest):
+    # the benchmark pins the scan's CSV; this pins its JSON form
+    code, out, _ = run_cli(capsys, "threshold", "--scan", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _caught(action, call):
+    """The warnings ``call()`` raises under the filter ``action``, as
+    (category, message) pairs, and what it returned or the error it
+    raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        try:
+            result = call()
+        except ValidationError as exc:
+            result = f"error: {exc}\n"
+    return [(w.category, str(w.message)) for w in caught], result
+
+
+def _assert_scan_as_point_loop(capsys, eps_text, ratio_text):
+    """The scan warns and fails as the point loop does, under both the
+    ``always`` and the ``default`` filters."""
+    for action in ("always", "default"):
+        # the = form keeps a grid such as -1,0 from reading as a flag
+        cli_warned, (code, out, err) = _caught(action, lambda: run_cli(
+            capsys, "threshold", "--scan", f"--eps-grid={eps_text}",
+            f"--ratio-grid={ratio_text}"))
+        oracle_warned, oracle = _caught(
+            action, lambda: _oracle_scan(eps_text, ratio_text))
+        assert cli_warned == oracle_warned, (action, eps_text, ratio_text)
+        if isinstance(oracle, str):
+            assert (code, out, err) == (2, "", oracle), (eps_text, ratio_text)
+        else:
+            assert (code, out, err) == (0, oracle[0], "")
+
+
+def test_threshold_scan_warns_as_the_point_loop(capsys):
+    # large and small ratios mixed, one of them twice
+    _assert_scan_as_point_loop(capsys, "0,1e-4,2e-3",
+                               "0.06,0,0.07,1e-3,0.06")
+
+
+@pytest.mark.parametrize("ratios", [["0.06", "1e-4", "0.07"],
+                                    ["0", "1e-4", "1e-3"]])
+@pytest.mark.parametrize("bad_eps", [None, 0, 1, 2])
+@pytest.mark.parametrize("bad_ratio", [None, 0, 1, 2])
+def test_threshold_scan_fails_as_the_point_loop(capsys, ratios, bad_eps,
+                                                bad_ratio):
+    # a bad value in each position, on grids with and without large ratios
+    eps, ratio = ["1e-4", "0", "2e-3"], list(ratios)
+    if bad_eps is not None:
+        eps[bad_eps] = "nan" if bad_eps == 1 else "0.5"
+    if bad_ratio is not None:
+        ratio[bad_ratio] = "inf" if bad_ratio == 1 else "-1"
+    _assert_scan_as_point_loop(capsys, ",".join(eps), ",".join(ratio))
 
 
 def test_mc_cluster_deterministic_bytes(capsys):

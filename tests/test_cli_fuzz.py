@@ -14,6 +14,10 @@ is their purpose, so their upper ends stay out of the grammar: they draw
 only from small and invalid counts.  ``mc-cluster --samples`` costs the
 same at any count, so it draws its bound 2**62 and the counts past it too.
 Warnings are recorded rather than printed; they are not the one error line.
+
+The same argvs, and a few off the grammar's path, also check ``main``'s
+route: a call that names a known subcommand first skips the top-level
+parser, and must parse as ``build_parser().parse_args`` does.
 """
 
 import contextlib
@@ -27,7 +31,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ionarch.cli import main
+from ionarch import cli
+from ionarch.cli import build_parser, main
+from ionarch.errors import ValidationError
 
 EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e308",
                "2147483648"]
@@ -155,3 +161,48 @@ def test_cli_grammar_fuzz(command, data):
                 assert path.read_text(encoding="utf-8") == "keep\n", argv
             else:
                 assert not path.exists(), argv
+
+
+#: Command lines off the grammar's path: none, a leading help flag, an
+#: unknown command, a trailing extra word, an abbreviated flag and a "--"
+#: before a flag.
+ROUTE_EDGES = [
+    [], ["-h"], ["bogus"],
+    ["estimate-adder", "--n", "128", "--arch", "qla", "extra"],
+    ["estimate-shor", "--n", "1024", "--ar", "qla"],
+    ["estimate-adder", "--", "--n"],
+]
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the namespace (its values as reprs, so
+    that a nan equals a nan), the rejection's message, or the help exit
+    and its text."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return sorted((key, repr(value))
+                          for key, value in vars(parse(argv)).items())
+    except ValidationError as exc:
+        return f"error: {exc}"
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+def _assert_route_parses_as_the_full_parser(argv):
+    assert (_parsed(cli._parse_args, argv)
+            == _parsed(build_parser().parse_args, argv)), argv
+
+
+@pytest.mark.parametrize("argv", ROUTE_EDGES)
+def test_main_route_edges_parse_as_the_full_parser(argv):
+    _assert_route_parses_as_the_full_parser(argv)
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+@settings(max_examples=100, derandomize=True, deadline=timedelta(seconds=5))
+@given(data=st.data())
+def test_main_route_parses_as_the_full_parser(command, data):
+    argv, _, _ = data.draw(invocations(command))
+    argv += data.draw(st.sampled_from([[]] * 3 + [["extra"], ["--help"]]))
+    _assert_route_parses_as_the_full_parser(argv)
