@@ -129,14 +129,14 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-def _emit(args, payload: dict, csv_text: str | None = None) -> None:
-    """Write the CSV, or the JSON payload when there is none or with
-    ``--json``, to ``--out`` if given and to stdout otherwise.
+def _emit(args, payload: dict, rows: list | None = None) -> None:
+    """Write ``rows`` as CSV, or the JSON payload when there are no rows or
+    with ``--json``, to ``--out`` if given and to stdout otherwise.
 
-    A payload holding an infinite or NaN float is rejected before anything
-    is written: JSON has no such numbers.
+    The CSV is built only when it is written.  A payload holding an infinite or NaN float is rejected before
+    anything is written: JSON has no such numbers.
     """
-    if csv_text is None or args.json:
+    if rows is None or args.json:
         try:
             text = json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
         except ValueError:
@@ -144,7 +144,7 @@ def _emit(args, payload: dict, csv_text: str | None = None) -> None:
                 "the result holds an infinite or NaN number, which JSON "
                 "cannot carry") from None
     else:
-        text = csv_text
+        text = estimator.rows_to_csv(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -156,7 +156,7 @@ def _cmd_estimate_adder(args, cfg) -> int:
     params = config.device_from_config(cfg)
     layout = layout_from_name(args.arch)
     row = estimator.adder_row(args.n, layout, params, level=args.level)
-    _emit(args, payload=row, csv_text=estimator.rows_to_csv([row]))
+    _emit(args, payload=row, rows=[row])
     return 0
 
 
@@ -216,7 +216,8 @@ def _cmd_threshold(args, cfg) -> int:
         # term once.
         eps_grid, ratio_grid = _scan_grids(args)
         lattice = cluster.cell_lattice()
-        threshold_eps, r_weight = lattice.threshold_floats
+        threshold_eps = float(cluster.THRESHOLD_EPS)
+        r_weight = float(lattice.threshold_r_weight)
         eps_coef, r_coef = lattice.linear.float_coefficients
         columns = [(ratio, r_weight * ratio, r_coef * ratio,
                     ratio > cluster.RATIO_WARNING_LEVEL)
@@ -229,7 +230,7 @@ def _cmd_threshold(args, cfg) -> int:
                     budget(eps, ratio)
                 rows.append(threshold_row(eps, ratio, slack - r_margin,
                                           1 - 2 * (eps_term + r_term)))
-        _emit(args, payload={"rows": rows}, csv_text=estimator.rows_to_csv(rows))
+        _emit(args, payload={"rows": rows}, rows=rows)
         return 0
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
@@ -255,7 +256,7 @@ def _cmd_mc_cluster(args, cfg) -> int:
            "analytic_product": analytic["product"],
            "mc_estimate": mc["estimate"], "mc_stderr": mc["stderr"],
            "samples": samples, "seed": seed}
-    _emit(args, payload=row, csv_text=estimator.rows_to_csv([row]))
+    _emit(args, payload=row, rows=[row])
     return 0
 
 
@@ -284,7 +285,7 @@ def _cmd_netsim(args, cfg) -> int:
         result = netsim.run_link_sim(link, pairs, seed, ports=args.m_p,
                                      m_t=args.m_t,
                                      log_sink=write if args.log else None)
-    _emit(args, payload=netsim.summary(result))
+    _emit(args, payload=result)
     return 0
 
 
@@ -297,8 +298,7 @@ def _cmd_hypercell(args, cfg) -> int:
         raise ValidationError("--seed seeds the Monte Carlo; give --trials")
     if args.scan:
         rows = hypercell.boundary_scan(*_scan_grids(args))
-        _emit(args, payload={"rows": rows},
-              csv_text=estimator.rows_to_csv(rows))
+        _emit(args, payload={"rows": rows}, rows=rows)
         return 0
     tau_d = 1.0
     tau_e = args.ratio * tau_d

@@ -88,6 +88,10 @@ class LinearError:
         return self.eps == 0 and self.r == 0
 
 
+#: Upper end of the gate error's depolarizing-model range [0, 1/15], which
+#: ``ErrorBudget`` and ``hypercell.HypercellBudget`` both check.
+MAX_GATE_ERROR = 1 / 15
+
 #: Memory error ratio above which an ``ErrorBudget`` warns that first-order
 #: bookkeeping is unreliable.
 RATIO_WARNING_LEVEL = 0.05
@@ -101,7 +105,7 @@ class ErrorBudget:
     r: float
 
     def __post_init__(self):
-        if not 0 <= float(self.eps) <= 1 / 15:
+        if not 0 <= float(self.eps) <= MAX_GATE_ERROR:
             raise ValidationError(
                 f"gate error {self.eps} outside the depolarizing-model range [0, 1/15]")
         if not 0 <= float(self.r) < math.inf:
@@ -383,11 +387,6 @@ class CellLattice:
         176 / (512/5) = 55/32."""
         return self.linear.r / self.linear.eps
 
-    @cached_property
-    def threshold_floats(self) -> tuple[float, float]:
-        """``THRESHOLD_EPS`` and ``threshold_r_weight`` as floats."""
-        return float(THRESHOLD_EPS), float(self.threshold_r_weight)
-
     # -- geometry ---------------------------------------------------------
     @staticmethod
     def _cell_faces() -> list[Coord]:
@@ -474,14 +473,10 @@ class CellLattice:
         return sched
 
 
-_LATTICE = None
-
-
+@cache
 def cell_lattice() -> CellLattice:
-    global _LATTICE
-    if _LATTICE is None:
-        _LATTICE = CellLattice()
-    return _LATTICE
+    """The one ``CellLattice`` of the process, built on the first call."""
+    return CellLattice()
 
 
 # ---------------------------------------------------------------------------
@@ -526,18 +521,13 @@ THRESHOLD_EPS = Fraction(29, 10000)
 def threshold_margin(budget: ErrorBudget):
     """Signed distance below the threshold condition eps + (55/32) r < 2.9e-3.
 
-    The r weight is the census's (``CellLattice.threshold_r_weight``).
-    Positive means below threshold.  Exact when called with Fraction inputs.
-    On two floats it computes what the Fraction operators do with a float,
-    the float of each constant against the input, from constants converted
-    once; every other input takes the Fraction operators.
+    The r weight w is the census's (``CellLattice.threshold_r_weight``).
+    Positive means below threshold.  Exact when called with Fraction inputs;
+    on floats the Fraction operators convert each constant to a float, so
+    two floats give (float(THRESHOLD_EPS) - eps) - float(w) * r.
     """
-    eps, r = budget.eps, budget.r
-    lattice = cell_lattice()
-    if type(eps) is float and type(r) is float:
-        threshold_eps, r_weight = lattice.threshold_floats
-        return (threshold_eps - eps) - r_weight * r
-    return THRESHOLD_EPS - eps - lattice.threshold_r_weight * r
+    return (THRESHOLD_EPS - budget.eps
+            - cell_lattice().threshold_r_weight * budget.r)
 
 
 # ---------------------------------------------------------------------------

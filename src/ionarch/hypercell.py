@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .cluster import THRESHOLD_EPS
+from .cluster import MAX_GATE_ERROR, THRESHOLD_EPS
 from .errors import DomainError, ValidationError
 
 MAX_PORTS = 2**62
@@ -91,7 +91,7 @@ class HypercellBudget:
                 "t, tau_e, tau_d must be positive and finite")
         if self.t > self.tau_e:
             raise ValidationError("t must not exceed tau_e (p = t/tau_e <= 1)")
-        if not 0 <= self.eps <= 1 / 15:
+        if not 0 <= self.eps <= MAX_GATE_ERROR:
             raise ValidationError(
                 f"gate error eps {self.eps} outside the depolarizing-model "
                 "range [0, 1/15]")
@@ -212,7 +212,8 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     born uniformly inside the construction window [0, t), the connecting pair
     inside [t, 2t).  The root-to-root error accumulates one age/tau_D memory
     term per path pair plus one eps swap term per intermediate register, and
-    is averaged over trials where the port connection heralds.
+    is averaged over trials where the port connection heralds; with no such
+    trial ``mean_accumulated_error`` is ``None``, which JSON prints as null.
 
     Costs and connections are drawn from their exact laws, so the work does
     not grow with the tree.  The 2E staged links of a trial (E per tree)
@@ -296,7 +297,7 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
 
     return {
         "success_rate": successes / trials,
-        "mean_accumulated_error": err_sum / successes if successes else float("nan"),
+        "mean_accumulated_error": err_sum / successes if successes else None,
         "mean_cost_attempts": total_cost / trials,
         "trials": trials,
         "path_pairs": n_path_pairs,

@@ -289,9 +289,9 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
 
     The link runs over ``ports`` optical ports, each ``m_t``-fold time
     multiplexed, at the link's physical success probability; every herald
-    takes ``HERALD_LATENCY`` to return.  Returns the makespan, the mean
-    latency per pair, the attempt count, the success and heralded-success
-    counts, and the share of the makespan not spent on heralds.  The
+    takes ``HERALD_LATENCY`` to return.  Returns what ``netsim`` prints:
+    the makespan, the mean latency per pair, the attempt count, the success
+    count and the share of the makespan not spent on heralds.  The
     callable ``log_sink`` receives the event log as text in chunks of whole
     newline-terminated lines, once per chunk of whole ticks of attempts
     (about ``LOG_CHUNK_BYTES`` each), so the concatenation of its arguments
@@ -312,16 +312,8 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
         "mean_pair_latency_s": makespan / n_pairs,
         "attempts": run["attempts"],
         "successes": len(times),
-        "heralded_successes": run["heralds_ok"],
         "link_wait_fraction": max(0.0, 1.0 - busy / makespan) if makespan else 0.0,
     }
-
-
-def summary(result: dict) -> dict:
-    """The scalar results of ``run_link_sim``, as ``netsim`` prints them."""
-    keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes",
-            "link_wait_fraction")
-    return {key: result[key] for key in keys}
 
 
 def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,

@@ -15,8 +15,9 @@ import ionarch
 from ionarch import cli, cluster, estimator
 from ionarch.cli import build_parser, main
 from ionarch.config import parse_config_text
+from ionarch.device import DeviceParams, LinkModel, LinkType
 from ionarch.errors import ValidationError
-from ionarch.netsim import MAX_PAIRS
+from ionarch.netsim import MAX_PAIRS, run_link_sim
 
 
 def run_cli(capsys, *argv):
@@ -415,6 +416,11 @@ def test_netsim_summary_schema(capsys):
     payload = json.loads(out)
     assert "mean_pair_latency_s" in payload
     assert payload["successes"] == 40
+    # netsim prints run_link_sim's result as it is returned
+    link = LinkModel(LinkType.TYPE_I, DeviceParams(repetition_rate=500000))
+    result = run_link_sim(link, 40, 1)
+    assert set(result) == set(payload)
+    assert result == payload
 
 
 def test_netsim_zero_probability_exit(capsys):
@@ -493,8 +499,6 @@ def engine_log(on_engine):
     """The event engine's log of `netsim --pairs 30 --seed 9
     --repetition-rate-hz 500000`, as the bytes of a log file."""
     from ionarch.config import device_from_config
-    from ionarch.device import LinkModel, LinkType
-    from ionarch.netsim import run_link_sim
     link = LinkModel(LinkType.TYPE_I,
                      device_from_config({}, repetition_rate=500000.0))
     chunks = []
@@ -728,6 +732,42 @@ def test_hypercell_point_output_pinned(capsys):
     _, out, _ = run_cli(capsys, "hypercell", "--ratio", "0.1", "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "94f53ac0256ef0b7399ddcfe715ebef5d327f0f4e3e520805d7f547aa4599bf8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate-adder", "--n", "128", "--arch", "qla"),
+    ("threshold", "--scan"),
+    ("mc-cluster", "--samples", "1000"),
+    ("hypercell", "--scan"),
+])
+def test_csv_built_only_when_written(monkeypatch, capsys, argv):
+    # --json prints the payload, so the CSV of the same rows is not built
+    calls = []
+    rows_to_csv = estimator.rows_to_csv
+
+    def counted(rows):
+        calls.append(rows)
+        return rows_to_csv(rows)
+
+    monkeypatch.setattr(estimator, "rows_to_csv", counted)
+    code, csv_out, _ = run_cli(capsys, *argv)
+    assert (code, len(calls)) == (0, 1)
+    assert csv_out == rows_to_csv(calls[0])
+    code, _, _ = run_cli(capsys, *argv, "--json")
+    assert (code, len(calls)) == (0, 1)
+
+
+def test_hypercell_mc_without_connection_reads_null(capsys):
+    # at p = 1e-4 the 4 ports of a one-layer tree connect a trial with
+    # probability 4e-4, and none of the 200 trials of seed 1 does: the mean
+    # error over connected trials has no value and reads null
+    code, out, err = run_cli(capsys, "hypercell", "--trials", "200", "--t",
+                             "1e-4", "--layers", "1", "--ratio", "1")
+    assert (code, err) == (0, "")
+    mc = json.loads(out)["mc"]
+    assert mc["success_rate"] == 0.0 and mc["mean_accumulated_error"] is None
+    assert (mc["trials"], mc["ports"], mc["path_pairs"]) == (200, 4, 5)
+    assert mc["mean_cost_attempts"] > 0
 
 
 _NON_FINITE_RESULT = ("error: the result holds an infinite or NaN number, "

@@ -167,7 +167,6 @@ def test_threshold_r_weight_from_census():
     lattice = cell_lattice()
     assert lattice.linear_coefficients == (F(512, 5), F(176))
     assert lattice.threshold_r_weight == F(55, 32)
-    assert lattice.threshold_floats == (0.0029, 1.71875)
 
 
 def test_threshold_margin_exact():

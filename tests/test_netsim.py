@@ -8,8 +8,7 @@ from ionarch import netsim
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
                             link_success_probability)
 from ionarch.errors import DomainError, ValidationError, ZeroSuccessProbability
-from ionarch.netsim import (EventKind, run_link_sim, run_toffoli_pipeline,
-                            summary)
+from ionarch.netsim import EventKind, run_link_sim, run_toffoli_pipeline
 from ionarch.steane import (PAIRS_PER_OPERAND, level1_costs, table_at_level,
                             toffoli_cost)
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
@@ -64,6 +63,25 @@ def test_request_over_completion_guard():
 # ---------------------------------------------------------------------------
 # link simulation
 
+def _recording(run):
+    """``run`` and the list of the results it returns."""
+    results = []
+
+    def call(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+    return call, results
+
+
+def recorded_link_runs(monkeypatch):
+    """The results of every closed-form link run from here on, in order:
+    ``heralds_ok`` counts a request's heralded successes, drained ones
+    included, which ``run_link_sim`` does not return."""
+    run, runs = _recording(netsim._closed_form_link_run)
+    monkeypatch.setattr(netsim, "_closed_form_link_run", run)
+    return runs
+
+
 def test_mean_latency_matches_geometric_oracle():
     # geometric-distribution oracle: mean completion spacing is 1/(R p)
     p, rate, n = 0.05, 0.5e6, 10000
@@ -75,10 +93,11 @@ def test_mean_latency_matches_geometric_oracle():
     assert result["successes"] == n
 
 
-def test_attempt_success_fraction_binomial():
+def test_attempt_success_fraction_binomial(monkeypatch):
     p = 0.05
+    runs = recorded_link_runs(monkeypatch)
     result = run_link_sim(slow_rep_link(p), 2000, seed=17, ports=1, m_t=1)
-    k, n = result["heralded_successes"], result["attempts"]
+    k, n = runs[0]["heralds_ok"], result["attempts"]
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(k / n - p) <= 3 * sigma
 
@@ -140,21 +159,10 @@ def test_conservation_pairs_and_circuits():
     assert result["successes"] <= result["attempts"]
 
 
-def _recording(run):
-    """``run`` and the list of the results it returns."""
-    results = []
-
-    def call(*args, **kwargs):
-        results.append(run(*args, **kwargs))
-        return results[-1]
-    return call, results
-
-
 def test_batched_path_matches_event_engine(monkeypatch):
     # the event engine, swapped in for the closed form, is its oracle: same
     # seed, same draws, identical results, completion times and event logs
-    keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes",
-            "heralded_successes")
+    keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes")
     closed_form = netsim._closed_form_link_run
     for p, m_p, m_t, seed in [(0.05, 1, 1, 3), (0.05, 2, 10, 7),
                               (0.01, 2, 3, 11), (0.002, 2, 10, 13)]:
@@ -171,20 +179,22 @@ def test_batched_path_matches_event_engine(monkeypatch):
         assert engine_log == batched_log, (p, m_p, m_t)
         assert (engine_runs[0]["completions"]
                 == batched_runs[0]["completions"]), (p, m_p, m_t)
+        assert (engine_runs[0]["heralds_ok"]
+                == batched_runs[0]["heralds_ok"]), (p, m_p, m_t)
 
 
-def test_link_sim_outputs_pinned():
+def test_link_sim_outputs_pinned(monkeypatch):
     # recorded when the link began drawing one geometric gap per success:
     # run_link_sim's single request stays on stream 0, and a log sink changes
     # no output bit
+    runs = recorded_link_runs(monkeypatch)
     pins = {3: (5857, 0.00058201, 301), 21: (6367, 0.0006340100000000001, 304)}
     for seed, (attempts, makespan, heralded) in pins.items():
         for log_sink in ([].append, None):
             result = run_link_sim(slow_rep_link(0.05), 300, seed=seed,
                                   log_sink=log_sink)
             assert (result["attempts"], result["makespan_s"],
-                    result["heralded_successes"]) == (attempts, makespan,
-                                                      heralded)
+                    runs[-1]["heralds_ok"]) == (attempts, makespan, heralded)
 
 
 def test_closed_form_draws_one_gap_per_success(monkeypatch):
@@ -204,8 +214,9 @@ def test_closed_form_draws_one_gap_per_success(monkeypatch):
     monkeypatch.setattr(netsim, "philox_stream",
                         lambda *args: CountingStream(stream(*args)))
     n, ions = 10_000, MusiqcLayout.m_p * MusiqcLayout.m_t
+    runs = recorded_link_runs(monkeypatch)
     result = run_link_sim(slow_rep_link(1e-4), n, seed=2)
-    drained = result["heralded_successes"] - n
+    drained = runs[0]["heralds_ok"] - n
     assert 0 <= drained < 2 * ions
     assert sum(draws) == n + drained + 1
     assert result["attempts"] > 1000 * sum(draws)
@@ -254,8 +265,7 @@ def test_log_sink_receives_the_collected_lines(on_engine):
     streamed, text = event_log(slow_rep_link(), 30, seed=4)
     _, collected = on_engine(event_log, slow_rep_link(), 30, seed=4)
     assert text == collected
-    plain = run_link_sim(slow_rep_link(), 30, seed=4)
-    assert summary(streamed) == summary(plain)
+    assert streamed == run_link_sim(slow_rep_link(), 30, seed=4)
 
 
 def _logged_run(run, *args, **kwargs):
@@ -477,9 +487,8 @@ def test_zero_probability_rejected():
 
 def test_summary_json_schema():
     result = run_link_sim(slow_rep_link(), 20, seed=2)
-    assert set(summary(result)) == {"makespan_s", "mean_pair_latency_s",
-                                    "attempts", "successes",
-                                    "link_wait_fraction"}
+    assert set(result) == {"makespan_s", "mean_pair_latency_s", "attempts",
+                           "successes", "link_wait_fraction"}
 
 
 # ---------------------------------------------------------------------------
