@@ -133,8 +133,9 @@ def _emit(args, payload: dict, rows: list | None = None) -> None:
     """Write ``rows`` as CSV, or the JSON payload when there are no rows or
     with ``--json``, to ``--out`` if given and to stdout otherwise.
 
-    The CSV is built only when it is written.  A payload holding an infinite or NaN float is rejected before
-    anything is written: JSON has no such numbers.
+    The CSV is built only when it is written.  A payload holding an
+    infinite or NaN float is rejected before anything is written: JSON has
+    no such numbers.
     """
     if rows is None or args.json:
         try:

@@ -10,16 +10,18 @@ consuming one Bell pair.  The parity check of one lattice cell is the product
 of X on its six face qubits; only residual Z components matter for it.
 
 The analytic expectation and the Monte Carlo both consume the same *error
-census*, derived here rather than hard-coded:
+census*, derived here rather than hard-coded.  One rule moves every fault:
+:func:`_push`, the CNOT update of a Pauli frame held as int bitsets.
 
-* the per-link residual error classes (Z on the face qubit, on the edge
-  qubit, or both) are obtained by exhaustively injecting every possible fault
-  of the error model into the four-qubit teleported-CNOT gadget and
-  propagating frames to the end, with exact rational weights;
-* which classes flip the cell check is obtained by propagating residual Z
-  components through the remainder of the five-step schedule (a Z on an edge
-  spreads once onto each face register that couples to that edge later; a Z
-  on a face stays put).
+* Each link's residual error classes (Z on the face qubit, on the edge
+  qubit, or both) come from pushing every single fault of its gadget to the
+  end, with exact rational weights: the four-qubit teleported CNOT, whose
+  readout-conditioned corrections act as CNOTs by deferred measurement, or
+  the birth Bell pair with one memory round on each half.
+* Which classes flip the cell check follows by linearity: a Z on the link's
+  face and one on its edge are pushed through the CNOTs of the edge's later
+  couplings and read as a parity over the cell's faces; a class flips the
+  check iff the bits of its Z components XOR to one.
 
 The census is built once per lattice (:func:`cell_lattice`): the analytic
 expectation reads its cached linear sum and its list of sources that can
@@ -120,85 +122,86 @@ class ErrorBudget:
 
 
 # ---------------------------------------------------------------------------
-# teleported-CNOT gadget: exhaustive single-fault enumeration
+# Pauli frames and the two gadgets: exhaustive single-fault enumeration
 
-def _gadget_outcome(faults) -> tuple[int, int]:
-    """Propagate injected faults through the link gadget; return (z_C, z_T).
+def _push(x: int, z: int, cnots) -> tuple[int, int]:
+    """Push the Pauli frame (x, z) through ``cnots``, (control, target) bit
+    pairs in time order.  Bit i of ``x`` (``z``) is an X (Z) on qubit i; a
+    CNOT copies X from control to target and Z from target to control
+    (Aaronson and Gottesman, PRA 70, 052328)."""
+    for c, t in cnots:
+        x ^= (x >> c & 1) << t
+        z ^= (z >> t & 1) << c
+    return x, z
 
-    Qubits: C = face cluster qubit (control), T = edge cluster qubit
-    (target), a = face-side ancilla, b = edge-side ancilla.  Sequence: Bell
-    pair (a, b); memory window; CNOT(C, a) and CNOT(b, T); memory window;
-    measure a in Z (conditions an X on T) and b in X (conditions a Z on C).
-    Fault times: 0 after the Bell pair, 1 after the first memory window,
-    2 after the CNOTs, 3 at the measurements.
-    """
-    x = dict.fromkeys("CabT", 0)
-    z = dict.fromkeys("CabT", 0)
 
-    def inject(q, p):
-        if p in ("X", "Y"):
-            x[q] ^= 1
-        if p in ("Z", "Y"):
-            z[q] ^= 1
+# Gadget qubits: C = face cluster qubit (control), a = face-side ancilla,
+# b = edge-side ancilla, T = edge cluster qubit (target).
+_C, _A, _B, _T = range(4)
 
-    def cnot(c, t):
-        x[t] ^= x[c]
-        z[c] ^= z[t]
+#: The link gadget's CNOTs after each fault time: 0 follows the Bell pair
+#: (a, b), 1 the memory window before CNOT(C, a) and CNOT(b, T), 2 those
+#: CNOTs, 3 the readouts.  The Z readout of a conditions an X on T and the X
+#: readout of b a Z on C: by deferred measurement, CNOT(a, T) and CNOT(C, b).
+_GADGET_LAYERS = ((), ((_C, _A), (_B, _T)), (), ((_A, _T), (_C, _B)))
 
-    for time in (0, 1, 2, 3):
-        for f_time, qubit, pauli in faults:
-            if f_time == time:
-                inject(qubit, pauli)
-        if time == 1:
-            cnot("C", "a")
-            cnot("b", "T")
-    if x["a"]:     # flipped Z-basis readout -> wrong X correction on T
-        x["T"] ^= 1
-    if z["b"]:     # flipped X-basis readout -> wrong Z correction on C
-        z["C"] ^= 1
-    return z["C"], z["T"]
+
+def _outcome(faults, layers) -> tuple[int, int]:
+    """(z_C, z_T) at the end, each (time, qubit, Pauli) fault pushed through
+    the CNOTs of ``layers[time:]``; frames add, so each is pushed alone."""
+    z = 0
+    for time, qubit, pauli in faults:
+        z ^= _push((pauli in "XY") << qubit, (pauli in "YZ") << qubit,
+                   itertools.chain(*layers[time:]))[1]
+    return z >> _C & 1, z >> _T & 1
 
 
 def _gadget_faults():
     """Every single fault of the link gadget with its first-order weight.
 
-    Yields ``(faults, weight)``: the (time, qubit, Pauli) list to inject into
-    :func:`_gadget_outcome` and its probability as a :class:`LinearError`.
-    Sources: the Bell-pair depolarizing fault, one memory round on all four
-    qubits before and after the CNOTs, the two CNOT faults, and the two
-    readout faults.
+    Yields ``(faults, weight)``: the (time, qubit, Pauli) list to inject
+    through :data:`_GADGET_LAYERS` and its probability as a
+    :class:`LinearError`.  Sources: the Bell-pair depolarizing fault, one
+    memory round on all four qubits before and after the CNOTs, the two
+    CNOT faults, and the two readout faults.
     """
     two_qubit = LinearError(eps=Fraction(1, 15))
     for pa, pb in _TWO_QUBIT_FAULTS:
-        yield [(0, "a", pa), (0, "b", pb)], two_qubit
-        yield [(2, "C", pa), (2, "a", pb)], two_qubit
-        yield [(2, "b", pa), (2, "T", pb)], two_qubit
+        yield [(0, _A, pa), (0, _B, pb)], two_qubit
+        yield [(2, _C, pa), (2, _A, pb)], two_qubit
+        yield [(2, _B, pa), (2, _T, pb)], two_qubit
     memory = LinearError(r=Fraction(1, 3))
     for time in (1, 2):
-        for qubit in "CabT":
+        for qubit in (_C, _A, _B, _T):
             for pauli in _PAULIS:
                 yield [(time, qubit, pauli)], memory
     readout = LinearError(eps=Fraction(1, 3))
-    for qubit in "ab":
+    for qubit in (_A, _B):
         for pauli in _PAULIS:
             yield [(3, qubit, pauli)], readout
 
 
-@cache
-def _gadget_residuals() -> tuple[tuple[tuple[int, int], LinearError], ...]:
-    """The gadget faults that leave a residual Z, as (class, weight) pairs.
+def _birth_faults():
+    """Every single fault of a birth Bell pair (face half C, edge half T):
+    the 15 pair faults and one memory round on each half, no CNOT."""
+    two_qubit = LinearError(eps=Fraction(1, 15))
+    for pc, pt in _TWO_QUBIT_FAULTS:
+        yield [(0, _C, pc), (0, _T, pt)], two_qubit
+    memory = LinearError(r=Fraction(1, 3))
+    for qubit in (_C, _T):
+        for pauli in _PAULIS:
+            yield [(0, qubit, pauli)], memory
 
-    The class is (z on face qubit, z on edge qubit) from
-    :func:`_gadget_outcome`, the weight the fault's :class:`LinearError`
-    from :func:`_gadget_faults`, in that enumeration's order.  The
-    enumeration runs once per process.
-    """
-    residuals = []
-    for faults, weight in _gadget_faults():
-        key = _gadget_outcome(faults)
-        if key != (0, 0):
-            residuals.append((key, weight))
-    return tuple(residuals)
+
+@cache
+def _residuals(kind: str) -> tuple[tuple[tuple[int, int], LinearError], ...]:
+    """The faults of a ``kind`` link that leave a residual Z, as (class,
+    weight) pairs in enumeration order; the class is (z on face qubit, z on
+    edge qubit).  Each kind's enumeration runs once per process."""
+    faults, layers = ((_gadget_faults(), _GADGET_LAYERS) if kind == "cnot_link"
+                      else (_birth_faults(), ()))
+    return tuple((key, weight) for fault, weight in faults
+                 if (key := _outcome(fault, layers)) != (0, 0))
 
 
 def teleported_cnot_classes() -> dict[tuple[int, int], LinearError]:
@@ -206,10 +209,10 @@ def teleported_cnot_classes() -> dict[tuple[int, int], LinearError]:
 
     Keys are (z on face qubit, z on edge qubit); the identity class is
     omitted.  Each class sums the weights of the gadget faults that leave it
-    behind (:func:`_gadget_residuals`).
+    behind.
     """
     classes: dict[tuple[int, int], LinearError] = {}
-    for key, weight in _gadget_residuals():
+    for key, weight in _residuals("cnot_link"):
         classes[key] = classes.get(key, LinearError()) + weight
     return classes
 
@@ -217,17 +220,11 @@ def teleported_cnot_classes() -> dict[tuple[int, int], LinearError]:
 def matched_pair_class() -> LinearError:
     """Residual error of a matched (birth) Bell pair, as an equivalent single Z.
 
-    On a Bell state Z on either half is the same error, so the 15 pair faults
-    collapse to one class: Z present iff exactly one half carries a Z
-    component.  One memory round on both halves is attributed to the pair.
+    ZZ stabilizes the Bell pair, so its (1, 1) class leaves no error and a Z
+    on either half is the same error.
     """
-    total = LinearError()
-    for pa, pb in _TWO_QUBIT_FAULTS:
-        if (pa in ("Y", "Z")) ^ (pb in ("Y", "Z")):
-            total = total + LinearError(eps=Fraction(1, 15))
-    for _half in range(2):
-        total = total + LinearError(r=Fraction(2, 3))   # Z or Y of the X,Y,Z round
-    return total
+    return sum((weight for key, weight in _residuals("birth_pair")
+                if key != (1, 1)), LinearError())
 
 
 MEASUREMENT_FLIP = LinearError(eps=Fraction(2, 3))   # Z or Y before an X readout
@@ -251,8 +248,9 @@ def coupling_order(edge: Coord) -> list[Coord]:
 
     For an edge along axis a with transverse axes b = a+1, c = a+2 (cyclic),
     the order is +b (the matched birth partner), +c, -c, -b.  This pattern is
-    translation invariant, gives every register one Bell pair per step, and
-    never touches a qubit twice in one step.
+    translation invariant, gives every register one link Bell pair per step,
+    with the birth pair added at step 1, and never touches a qubit twice in
+    one step.
     """
     a = _odd_axes(edge)[0]
     b, c = (a + 1) % 3, (a + 2) % 3
@@ -324,6 +322,18 @@ class CreationSchedule:
                     touched.add(q)
 
 
+@cache
+def _link_source(kind: str, face_bit: int, edge_bit: int) -> ErrorSource:
+    """A ``kind`` link whose face Z flips the check iff ``face_bit`` and edge
+    Z iff ``edge_bit``: class (z_c, z_t) flips it iff z_c face_bit XOR
+    z_t edge_bit.  A CNOT link keeps its flipping gadget faults for the
+    gadget-mode Monte Carlo; a birth pair stays one source there."""
+    weights = tuple(weight for (z_c, z_t), weight in _residuals(kind)
+                    if z_c & face_bit ^ z_t & edge_bit)
+    return ErrorSource(kind=kind, flip=sum(weights, LinearError()),
+                       fault_weights=weights if kind == "cnot_link" else ())
+
+
 class CellLattice:
     """One lattice cell, its one-hop collar, and a two-hop shell of links.
 
@@ -349,7 +359,6 @@ class CellLattice:
         self.collar_faces = sorted(
             {lk.face for lk in self.links} - self._in_cell)
         self.link_classes = teleported_cnot_classes()
-        self.birth_class = matched_pair_class()
         self.sources = self._census()
         self.flipping_sources = [src for src in self.sources
                                  if not src.flip.is_zero()]
@@ -378,7 +387,7 @@ class CellLattice:
     @cached_property
     def shell_sources(self) -> list[ErrorSource]:
         """The shell links as error sources; only locality checks read them."""
-        return [self._link_source(lk) for lk in self.shell_links]
+        return [self._source(lk) for lk in self.shell_links]
 
     @cached_property
     def threshold_r_weight(self) -> Fraction:
@@ -412,45 +421,27 @@ class CellLattice:
         return sorted(edges)
 
     # -- propagation ------------------------------------------------------
-    def _propagated_faces(self, edge: Coord, after_position: int) -> list[Coord]:
-        """Faces reached by a residual Z on ``edge`` placed after a position.
+    def _link_bits(self, link: Link) -> tuple[int, int]:
+        """Whether a residual Z on the link's face, and one on its edge,
+        flips the check.
 
-        A Z on the target of a CNOT spreads to the control, so the residual
-        spreads once onto every face register that couples to this edge at a
-        later position; Z components on faces never spread further.
+        Local bits: 0 is the edge, 1-4 its faces in coupling order.  Each Z
+        is pushed through the CNOTs (face -> edge) of the edge's later
+        couplings and read as its parity over the in-cell faces.
         """
-        order = coupling_order(edge)
-        return order[after_position:]
+        order = coupling_order(link.edge)
+        in_cell = sum(1 << bit for bit, face in enumerate(order, 1)
+                      if face in self._in_cell)
+        later = [(bit, 0) for bit in range(link.position + 1, 5)]
+        return tuple((_push(0, z, later)[1] & in_cell).bit_count() & 1
+                     for z in (1 << link.position, 1))
 
-    def _flip_parity(self, z_faces: list[Coord]) -> int:
-        return sum(1 for f in z_faces if f in self._in_cell) % 2
-
-    def _link_source(self, link: Link) -> ErrorSource:
-        """A teleported-CNOT link and the gadget faults that flip the check."""
-        later = self._propagated_faces(link.edge, link.position)
-        classes = [(z_c, z_t) for z_c, z_t in self.link_classes
-                   if self._flip_parity(([link.face] if z_c else [])
-                                        + (later if z_t else []))]
-        flip = sum((self.link_classes[key] for key in classes), LinearError())
-        fault_weights = tuple(weight for key, weight in _gadget_residuals()
-                              if key in classes)
-        return ErrorSource(kind="cnot_link", flip=flip,
-                           fault_weights=fault_weights)
+    def _source(self, link: Link) -> ErrorSource:
+        kind = "birth_pair" if link.position == 1 else "cnot_link"
+        return _link_source(kind, *self._link_bits(link))
 
     def _census(self) -> list[ErrorSource]:
-        sources = []
-        for link in self.links:
-            if link.position == 1:
-                # The two placements of the equivalent-Z error (on the face,
-                # or on the edge at birth with forward propagation) differ by
-                # a stabilizer of the final state and agree on the check
-                # parity; the face placement is used, with the edge placement
-                # asserted equal in the test suite.
-                flip = (self.birth_class if link.face in self._in_cell
-                        else LinearError())
-                sources.append(ErrorSource(kind="birth_pair", flip=flip))
-            else:
-                sources.append(self._link_source(link))
+        sources = [self._source(link) for link in self.links]
         sources += [ErrorSource(kind="readout", flip=MEASUREMENT_FLIP)
                     ] * len(self.cell_faces)
         sources += [ErrorSource(kind="readout", flip=LinearError())

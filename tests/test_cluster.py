@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ionarch.cluster import (MAX_MC_SAMPLES, CellLattice, ErrorBudget,
-                             LinearError, _flip_probabilities,
-                             _odd_parity_probability, cell_lattice,
+from ionarch.cluster import (_A, _B, _C, _GADGET_LAYERS, _T,
+                             MAX_MC_SAMPLES, CellLattice, ErrorBudget,
+                             LinearError, _birth_faults, _flip_probabilities,
+                             _gadget_faults, _odd_parity_probability,
+                             _outcome, _residuals, cell_lattice,
                              coupling_order, matched_pair_class,
                              mc_stabilizer_expectation,
                              stabilizer_expectation_analytic,
@@ -45,7 +47,135 @@ def test_type2_probs_numeric():
     assert probs(F(0), F(3, 1000))["p_ZI"] == F(1, 100)
     assert probs(F(0), F(3, 1000))["p_IZ"] == F(1, 500)
     assert all(v == 0 for v in probs(0.0, 0.0).values())
-    assert lattice.birth_class.evaluate(F(0), F(0)) == 0
+    assert matched_pair_class().evaluate(F(0), F(0)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the frame push against hand-written propagation rules
+
+def _hand_gadget_outcome(faults):
+    # the link gadget propagated by hand: two frame dicts, injection and
+    # CNOT rules, then the two readout-conditioned corrections
+    x = dict.fromkeys((_C, _A, _B, _T), 0)
+    z = dict.fromkeys((_C, _A, _B, _T), 0)
+
+    def inject(q, p):
+        if p in ("X", "Y"):
+            x[q] ^= 1
+        if p in ("Z", "Y"):
+            z[q] ^= 1
+
+    def cnot(c, t):
+        x[t] ^= x[c]
+        z[c] ^= z[t]
+
+    for time in (0, 1, 2, 3):
+        for f_time, qubit, pauli in faults:
+            if f_time == time:
+                inject(qubit, pauli)
+        if time == 1:
+            cnot(_C, _A)
+            cnot(_B, _T)
+    if x[_A]:     # flipped Z-basis readout -> wrong X correction on T
+        x[_T] ^= 1
+    if z[_B]:     # flipped X-basis readout -> wrong Z correction on C
+        z[_C] ^= 1
+    return z[_C], z[_T]
+
+
+def _hand_birth_z(faults):
+    # a birth pair's equivalent single Z: present iff exactly one half
+    # carries a Z component
+    halves = {_C: 0, _T: 0}
+    for _time, qubit, pauli in faults:
+        halves[qubit] ^= pauli in ("Y", "Z")
+    return halves[_C] ^ halves[_T]
+
+
+def _hand_later_faces(link):
+    # a Z on the edge spreads once onto every face coupled to it later
+    return coupling_order(link.edge)[link.position:]
+
+
+def test_gadget_push_matches_hand_rule():
+    faults = list(_gadget_faults())
+    assert len(faults) == 75
+    for fault, _weight in faults:
+        assert _outcome(fault, _GADGET_LAYERS) == _hand_gadget_outcome(
+            fault), fault
+    residuals = [(_hand_gadget_outcome(fault), weight)
+                 for fault, weight in faults]
+    assert _residuals("cnot_link") == tuple(
+        (key, weight) for key, weight in residuals if key != (0, 0))
+
+
+def test_birth_classes_match_exactly_one_half():
+    faults = list(_birth_faults())
+    assert len(faults) == 15 + 6
+    for fault, _weight in faults:
+        z_c, z_t = _outcome(fault, ())
+        assert z_c ^ z_t == _hand_birth_z(fault), fault
+    classes = {}
+    for key, weight in _residuals("birth_pair"):
+        classes[key] = classes.get(key, LinearError()) + weight
+    assert classes == {(1, 0): LinearError(eps=F(4, 15), r=F(2, 3)),
+                       (0, 1): LinearError(eps=F(4, 15), r=F(2, 3)),
+                       (1, 1): LinearError(eps=F(4, 15))}
+    assert matched_pair_class() == sum(
+        (weight for fault, weight in faults if _hand_birth_z(fault)),
+        LinearError())
+
+
+def test_link_bits_match_coupling_order():
+    lat = cell_lattice()
+    in_cell = set(lat.cell_faces)
+    for link in lat.links + lat.shell_links:
+        face_bit = int(link.face in in_cell)
+        edge_bit = sum(f in in_cell for f in _hand_later_faces(link)) % 2
+        assert lat._link_bits(link) == (face_bit, edge_bit), link
+
+
+def _hand_source(link, in_cell):
+    # the census's rules before the frame push: birth pairs booked on the
+    # face with the hand-rule class, links judged class by class
+    if link.position == 1:
+        weights = [weight for fault, weight in _birth_faults()
+                   if link.face in in_cell and _hand_birth_z(fault)]
+        return "birth_pair", sum(weights, LinearError()), ()
+    later = _hand_later_faces(link)
+
+    def flips(z_c, z_t):
+        return sum(f in in_cell for f in ([link.face] if z_c else [])
+                   + (later if z_t else [])) % 2
+
+    weights = tuple(weight for fault, weight in _gadget_faults()
+                    if flips(*_hand_gadget_outcome(fault)))
+    return "cnot_link", sum(weights, LinearError()), weights
+
+
+def test_census_matches_hand_rules():
+    # every census and shell source has the hand rules' kind, flip and
+    # flipping gadget faults, in the same order
+    lat = cell_lattice()
+    in_cell = set(lat.cell_faces)
+    for links, sources in ((lat.links, lat.sources[:len(lat.links)]),
+                           (lat.shell_links, lat.shell_sources)):
+        assert len(links) == len(sources)
+        for link, src in zip(links, sources):
+            assert (src.kind, src.flip, src.fault_weights) == _hand_source(
+                link, in_cell), link
+
+
+def test_shell_births_are_birth_pairs():
+    lat = cell_lattice()
+    kinds = {}
+    for link, src in zip(lat.shell_links, lat.shell_sources):
+        assert src.kind == ("birth_pair" if link.position == 1
+                            else "cnot_link"), link
+        kinds[src.kind] = kinds.get(src.kind, 0) + 1
+        if src.kind == "birth_pair":
+            assert src.fault_weights == ()
+    assert kinds == {"birth_pair": 72, "cnot_link": 216}
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +235,18 @@ def test_schedule_invariants():
         if len(links) == 4:   # faces of the cell couple to 4 cell edges
             steps = sorted(lk.cnot_step or 1 for lk in links)
             assert steps == [1, 2, 3, 4], face
+    # one link Bell pair per register per step; the birth pairs, one per
+    # register, are added at step 1, where 18 registers host both
+    births = [q for link in lat.links if link.position == 1
+              for q in (link.face, link.edge)]
+    assert len(births) == len(set(births))
+    for step in (1, 2, 3):
+        hosts = [q for link in lat.links
+                 if link.position > 1 and link.bell_step == step
+                 for q in (link.face, link.edge)]
+        assert len(hosts) == len(set(hosts)), step
+        if step == 1:
+            assert len(set(hosts) & set(births)) == 18
     # ancilla lifetime: bell at s, cnot at s+1, measured at s+2
     for link in lat.links:
         if link.position > 1:
