@@ -10,14 +10,19 @@ consuming one Bell pair.  The parity check of one lattice cell is the product
 of X on its six face qubits; only residual Z components matter for it.
 
 The analytic expectation and the Monte Carlo both consume the same *error
-census*, derived here rather than hard-coded.  One rule moves every fault:
-:func:`_push`, the CNOT update of a Pauli frame held as int bitsets.
+census*, derived here rather than hard-coded.  Each source kind is one
+gadget (:data:`_GADGETS`): its CNOT layers and its fault locations, each a
+(time, qubits, weight) triple.  One generator, :func:`_faults`, lists every
+single fault of a gadget, and one rule moves every fault: :func:`_push`, the
+CNOT update of a Pauli frame held as int bitsets.
 
-* Each link's residual error classes (Z on the face qubit, on the edge
+* Each source's residual error classes (Z on the face qubit, on the edge
   qubit, or both) come from pushing every single fault of its gadget to the
-  end, with exact rational weights: the four-qubit teleported CNOT, whose
-  readout-conditioned corrections act as CNOTs by deferred measurement, or
-  the birth Bell pair with one memory round on each half.
+  end, with exact rational weights.  The three gadgets are the four-qubit
+  teleported CNOT, whose readout-conditioned corrections act as CNOTs by
+  deferred measurement; the birth Bell pair with one memory round on each
+  half; and the cell readout, one gate fault on the face qubit before its
+  X readout.
 * Which classes flip the cell check follows by linearity: a Z on the link's
   face and one on its edge are pushed through the CNOTs of the edge's later
   couplings and read as a parity over the cell's faces; a class flips the
@@ -32,10 +37,12 @@ of flipped samples is Binomial(samples, q) and is drawn once.  That law
 checks the float product against the census's exact Fractions; it does not
 check the census's propagation, which it takes as given.
 
-Error model: every gate is followed by a depolarizing channel (each of the 15
-two-qubit or 3 one-qubit Pauli faults with probability eps/15 or eps/3), and
-each qubit suffers X, Y, Z memory faults with probability r/3 per time step,
-where r is the step duration over the decoherence time.
+Error model: a fault location fires each of its non-identity Paulis with
+one of three weights, each written once: ``_PAIR``, each of the 15
+two-qubit Paulis at eps/15 after a two-qubit gate or Bell pair; ``_GATE``,
+X, Y or Z at eps/3 on a qubit before its readout; and ``_MEMORY``, X, Y or
+Z at r/3 per qubit and time step, where r is the step duration over the
+decoherence time.
 """
 
 from __future__ import annotations
@@ -50,11 +57,6 @@ from functools import cache, cached_property
 from .errors import ValidationError
 
 Coord = tuple[int, int, int]
-
-_PAULIS = ("X", "Y", "Z")
-_TWO_QUBIT_FAULTS = [p for p in itertools.product("IXYZ", repeat=2)
-                     if p != ("I", "I")]
-
 
 # ---------------------------------------------------------------------------
 # exact linear error forms
@@ -122,7 +124,13 @@ class ErrorBudget:
 
 
 # ---------------------------------------------------------------------------
-# Pauli frames and the two gadgets: exhaustive single-fault enumeration
+# Pauli frames and the census gadgets: exhaustive single-fault enumeration
+
+#: The error model's three location weights (see the module docstring).
+_PAIR = LinearError(eps=Fraction(1, 15))
+_GATE = LinearError(eps=Fraction(1, 3))
+_MEMORY = LinearError(r=Fraction(1, 3))
+
 
 def _push(x: int, z: int, cnots) -> tuple[int, int]:
     """Push the Pauli frame (x, z) through ``cnots``, (control, target) bit
@@ -145,6 +153,32 @@ _C, _A, _B, _T = range(4)
 #: readout of b a Z on C: by deferred measurement, CNOT(a, T) and CNOT(C, b).
 _GADGET_LAYERS = ((), ((_C, _A), (_B, _T)), (), ((_A, _T), (_C, _B)))
 
+#: Each census source kind as one gadget: its CNOT layers and its fault
+#: locations (time, qubits, weight), pair faults first, then memory faults
+#: by time and qubit, then readout faults.  A birth pair's halves are the
+#: face C and the edge T; a cell readout reads the face C.
+_GADGETS = {
+    "cnot_link": (_GADGET_LAYERS, (
+        (0, (_A, _B), _PAIR), (2, (_C, _A), _PAIR), (2, (_B, _T), _PAIR),
+        *((time, (qubit,), _MEMORY) for time in (1, 2)
+          for qubit in (_C, _A, _B, _T)),
+        (3, (_A,), _GATE), (3, (_B,), _GATE))),
+    "birth_pair": ((), ((0, (_C, _T), _PAIR), (0, (_C,), _MEMORY),
+                        (0, (_T,), _MEMORY))),
+    "readout": ((), ((0, (_C,), _GATE),)),
+}
+
+
+def _faults(kind: str):
+    """Every single fault of a ``kind`` gadget with its first-order weight:
+    yields ``(faults, weight)``, the (time, qubit, Pauli) list to inject
+    through the gadget's layers and its probability."""
+    for time, qubits, weight in _GADGETS[kind][1]:
+        # every Pauli on the location's qubits but the leading identity
+        for paulis in list(itertools.product("IXYZ", repeat=len(qubits)))[1:]:
+            yield [(time, qubit, pauli)
+                   for qubit, pauli in zip(qubits, paulis)], weight
+
 
 def _outcome(faults, layers) -> tuple[int, int]:
     """(z_C, z_T) at the end, each (time, qubit, Pauli) fault pushed through
@@ -156,51 +190,13 @@ def _outcome(faults, layers) -> tuple[int, int]:
     return z >> _C & 1, z >> _T & 1
 
 
-def _gadget_faults():
-    """Every single fault of the link gadget with its first-order weight.
-
-    Yields ``(faults, weight)``: the (time, qubit, Pauli) list to inject
-    through :data:`_GADGET_LAYERS` and its probability as a
-    :class:`LinearError`.  Sources: the Bell-pair depolarizing fault, one
-    memory round on all four qubits before and after the CNOTs, the two
-    CNOT faults, and the two readout faults.
-    """
-    two_qubit = LinearError(eps=Fraction(1, 15))
-    for pa, pb in _TWO_QUBIT_FAULTS:
-        yield [(0, _A, pa), (0, _B, pb)], two_qubit
-        yield [(2, _C, pa), (2, _A, pb)], two_qubit
-        yield [(2, _B, pa), (2, _T, pb)], two_qubit
-    memory = LinearError(r=Fraction(1, 3))
-    for time in (1, 2):
-        for qubit in (_C, _A, _B, _T):
-            for pauli in _PAULIS:
-                yield [(time, qubit, pauli)], memory
-    readout = LinearError(eps=Fraction(1, 3))
-    for qubit in (_A, _B):
-        for pauli in _PAULIS:
-            yield [(3, qubit, pauli)], readout
-
-
-def _birth_faults():
-    """Every single fault of a birth Bell pair (face half C, edge half T):
-    the 15 pair faults and one memory round on each half, no CNOT."""
-    two_qubit = LinearError(eps=Fraction(1, 15))
-    for pc, pt in _TWO_QUBIT_FAULTS:
-        yield [(0, _C, pc), (0, _T, pt)], two_qubit
-    memory = LinearError(r=Fraction(1, 3))
-    for qubit in (_C, _T):
-        for pauli in _PAULIS:
-            yield [(0, qubit, pauli)], memory
-
-
 @cache
 def _residuals(kind: str) -> tuple[tuple[tuple[int, int], LinearError], ...]:
-    """The faults of a ``kind`` link that leave a residual Z, as (class,
+    """The faults of a ``kind`` gadget that leave a residual Z, as (class,
     weight) pairs in enumeration order; the class is (z on face qubit, z on
     edge qubit).  Each kind's enumeration runs once per process."""
-    faults, layers = ((_gadget_faults(), _GADGET_LAYERS) if kind == "cnot_link"
-                      else (_birth_faults(), ()))
-    return tuple((key, weight) for fault, weight in faults
+    layers = _GADGETS[kind][0]
+    return tuple((key, weight) for fault, weight in _faults(kind)
                  if (key := _outcome(fault, layers)) != (0, 0))
 
 
@@ -225,9 +221,6 @@ def matched_pair_class() -> LinearError:
     """
     return sum((weight for key, weight in _residuals("birth_pair")
                 if key != (1, 1)), LinearError())
-
-
-MEASUREMENT_FLIP = LinearError(eps=Fraction(2, 3))   # Z or Y before an X readout
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +316,12 @@ class CreationSchedule:
 
 
 @cache
-def _link_source(kind: str, face_bit: int, edge_bit: int) -> ErrorSource:
-    """A ``kind`` link whose face Z flips the check iff ``face_bit`` and edge
-    Z iff ``edge_bit``: class (z_c, z_t) flips it iff z_c face_bit XOR
+def _gadget_source(kind: str, face_bit: int, edge_bit: int) -> ErrorSource:
+    """A ``kind`` gadget whose face Z flips the check iff ``face_bit`` and
+    edge Z iff ``edge_bit``: class (z_c, z_t) flips it iff z_c face_bit XOR
     z_t edge_bit.  A CNOT link keeps its flipping gadget faults for the
-    gadget-mode Monte Carlo; a birth pair stays one source there."""
+    gadget-mode Monte Carlo; a birth pair or a readout stays one source
+    there."""
     weights = tuple(weight for (z_c, z_t), weight in _residuals(kind)
                     if z_c & face_bit ^ z_t & edge_bit)
     return ErrorSource(kind=kind, flip=sum(weights, LinearError()),
@@ -358,7 +352,6 @@ class CellLattice:
                       for pos, face in enumerate(coupling_order(edge), 1)]
         self.collar_faces = sorted(
             {lk.face for lk in self.links} - self._in_cell)
-        self.link_classes = teleported_cnot_classes()
         self.sources = self._census()
         self.flipping_sources = [src for src in self.sources
                                  if not src.flip.is_zero()]
@@ -438,14 +431,12 @@ class CellLattice:
 
     def _source(self, link: Link) -> ErrorSource:
         kind = "birth_pair" if link.position == 1 else "cnot_link"
-        return _link_source(kind, *self._link_bits(link))
+        return _gadget_source(kind, *self._link_bits(link))
 
     def _census(self) -> list[ErrorSource]:
         sources = [self._source(link) for link in self.links]
-        sources += [ErrorSource(kind="readout", flip=MEASUREMENT_FLIP)
-                    ] * len(self.cell_faces)
-        sources += [ErrorSource(kind="readout", flip=LinearError())
-                    ] * len(self.collar_faces)
+        sources += [_gadget_source("readout", 1, 0)] * len(self.cell_faces)
+        sources += [_gadget_source("readout", 0, 0)] * len(self.collar_faces)
         return sources
 
     # -- schedule export ---------------------------------------------------

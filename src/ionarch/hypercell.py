@@ -223,8 +223,9 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     m ports of a trial connect with probability 1 - (1 - p)**m, so a chunk's
     connected count is one binomial draw, and only connected trials draw
     their pair birth times.
-    Trials run in fixed chunks, each on its own counter-based stream, so the
-    result does not depend on how chunks are spread over workers.
+    Trials run in chunks of ``MC_TRIAL_CHUNK``, and chunk k draws from
+    stream k of ``seed`` (:func:`ionarch.rng.philox_stream`), so the seed
+    and the chunk size fix the result.
     """
     # imported here, so the analytics and the scan load without numpy
     import numpy as np

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from ionarch.cluster import (_A, _B, _C, _GADGET_LAYERS, _T,
                              MAX_MC_SAMPLES, CellLattice, ErrorBudget,
-                             LinearError, _birth_faults, _flip_probabilities,
-                             _gadget_faults, _odd_parity_probability,
+                             LinearError, _faults, _flip_probabilities,
+                             _odd_parity_probability,
                              _outcome, _residuals, cell_lattice,
                              coupling_order, matched_pair_class,
                              mc_stabilizer_expectation,
@@ -35,10 +36,10 @@ def test_birth_pair_class_exact():
 
 def test_type2_probs_numeric():
     # the census's link classes and birth class, evaluated at a budget
-    lattice = cell_lattice()
+    classes = teleported_cnot_classes()
 
     def probs(eps, r):
-        return {name: lattice.link_classes[key].evaluate(eps, r)
+        return {name: classes[key].evaluate(eps, r)
                 for name, key in (("p_ZI", (1, 0)), ("p_IZ", (0, 1)),
                                   ("p_ZZ", (1, 1)))}
 
@@ -52,6 +53,42 @@ def test_type2_probs_numeric():
 
 # ---------------------------------------------------------------------------
 # the frame push against hand-written propagation rules
+
+_HAND_TWO_QUBIT_FAULTS = [p for p in itertools.product("IXYZ", repeat=2)
+                          if p != ("I", "I")]
+
+
+def _hand_gadget_faults():
+    # the link gadget's faults written out by hand: the Bell-pair fault and
+    # the two CNOT faults interleaved, one memory round on all four qubits
+    # before and after the CNOTs, then the two readout faults
+    two_qubit = LinearError(eps=F(1, 15))
+    for pa, pb in _HAND_TWO_QUBIT_FAULTS:
+        yield [(0, _A, pa), (0, _B, pb)], two_qubit
+        yield [(2, _C, pa), (2, _A, pb)], two_qubit
+        yield [(2, _B, pa), (2, _T, pb)], two_qubit
+    memory = LinearError(r=F(1, 3))
+    for time in (1, 2):
+        for qubit in (_C, _A, _B, _T):
+            for pauli in "XYZ":
+                yield [(time, qubit, pauli)], memory
+    readout = LinearError(eps=F(1, 3))
+    for qubit in (_A, _B):
+        for pauli in "XYZ":
+            yield [(3, qubit, pauli)], readout
+
+
+def _hand_birth_faults():
+    # a birth Bell pair's faults written out by hand: the 15 pair faults
+    # and one memory round on each half
+    two_qubit = LinearError(eps=F(1, 15))
+    for pc, pt in _HAND_TWO_QUBIT_FAULTS:
+        yield [(0, _C, pc), (0, _T, pt)], two_qubit
+    memory = LinearError(r=F(1, 3))
+    for qubit in (_C, _T):
+        for pauli in "XYZ":
+            yield [(0, qubit, pauli)], memory
+
 
 def _hand_gadget_outcome(faults):
     # the link gadget propagated by hand: two frame dicts, injection and
@@ -98,7 +135,7 @@ def _hand_later_faces(link):
 
 
 def test_gadget_push_matches_hand_rule():
-    faults = list(_gadget_faults())
+    faults = list(_faults("cnot_link"))
     assert len(faults) == 75
     for fault, _weight in faults:
         assert _outcome(fault, _GADGET_LAYERS) == _hand_gadget_outcome(
@@ -110,7 +147,7 @@ def test_gadget_push_matches_hand_rule():
 
 
 def test_birth_classes_match_exactly_one_half():
-    faults = list(_birth_faults())
+    faults = list(_faults("birth_pair"))
     assert len(faults) == 15 + 6
     for fault, _weight in faults:
         z_c, z_t = _outcome(fault, ())
@@ -126,6 +163,33 @@ def test_birth_classes_match_exactly_one_half():
         LinearError())
 
 
+def test_faults_match_hand_generators():
+    # one enumeration by location lists the hand generators' faults with
+    # the same weights, block by block: only the order of the equal-weight
+    # pair faults moves
+    def multiset(items):
+        return Counter((tuple(fault), weight) for fault, weight in items)
+
+    for kind, hand in (("cnot_link", _hand_gadget_faults),
+                       ("birth_pair", _hand_birth_faults)):
+        faults, expected = list(_faults(kind)), list(hand())
+        assert multiset(faults) == multiset(expected), kind
+        assert [weight for _, weight in faults] == [
+            weight for _, weight in expected], kind
+
+
+def test_readout_flips_derived():
+    # a cell readout is a gadget too: Z or Y before the X readout of a cell
+    # face flips the check, and a collar face's readout flips nothing
+    assert [fault for fault, _ in _faults("readout")] == [
+        [(0, _C, pauli)] for pauli in "XYZ"]
+    lat = cell_lattice()
+    readouts = [s for s in lat.sources if s.kind == "readout"]
+    assert [s.flip for s in readouts] == (
+        [LinearError(eps=F(2, 3))] * 6 + [LinearError()] * 24)
+    assert all(s.fault_weights == () for s in readouts)
+
+
 def test_link_bits_match_coupling_order():
     lat = cell_lattice()
     in_cell = set(lat.cell_faces)
@@ -139,7 +203,7 @@ def _hand_source(link, in_cell):
     # the census's rules before the frame push: birth pairs booked on the
     # face with the hand-rule class, links judged class by class
     if link.position == 1:
-        weights = [weight for fault, weight in _birth_faults()
+        weights = [weight for fault, weight in _hand_birth_faults()
                    if link.face in in_cell and _hand_birth_z(fault)]
         return "birth_pair", sum(weights, LinearError()), ()
     later = _hand_later_faces(link)
@@ -148,7 +212,7 @@ def _hand_source(link, in_cell):
         return sum(f in in_cell for f in ([link.face] if z_c else [])
                    + (later if z_t else [])) % 2
 
-    weights = tuple(weight for fault, weight in _gadget_faults()
+    weights = tuple(weight for fault, weight in _hand_gadget_faults()
                     if flips(*_hand_gadget_outcome(fault)))
     return "cnot_link", sum(weights, LinearError()), weights
 

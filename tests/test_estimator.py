@@ -231,6 +231,17 @@ def test_crossover_scan(params):
     assert 32 <= scan["crossover_n"] <= 256
 
 
+def test_crossover_from_the_lookahead_domain(params):
+    # scanned from the smallest lookahead n, the switched lookahead adder
+    # first beats the nearest-neighbor ripple-carry adder at n = 19, below
+    # the n = 32 where the scan above starts
+    scan = crossover_scan(range(7, 257), params=params)
+    assert scan["crossover_n"] == 19
+    times = {row["layout"]: row["time_s"] for row in scan["rows"]
+             if row["n"] == 18}
+    assert times["nn"] < times["musiqc"]
+
+
 def test_crossover_large_n_ratio(params):
     nn_table = table_at_level(params, NnLayout(), 1)
     m_table = table_at_level(params, MusiqcLayout(), 1)
