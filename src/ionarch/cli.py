@@ -236,10 +236,10 @@ def _cmd_threshold(args, cfg) -> int:
     eps = _parse_number(args.eps) if args.eps is not None else 0.0
     ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
     point = budget(eps, ratio)
+    analytic = cluster.stabilizer_expectation_analytic(point)
     row = threshold_row(eps, ratio, float(cluster.threshold_margin(point)),
-                        float(cluster.first_order_expectation(point)))
-    row["expectation_product"] = float(
-        cluster.stabilizer_expectation_analytic(point)["product"])
+                        float(analytic["first_order"]))
+    row["expectation_product"] = float(analytic["product"])
     _emit(args, payload=row)
     return 0
 

@@ -191,7 +191,6 @@ MC_TRIAL_CHUNK = 256
 # (1-p)/p (n + 10 sqrt(n)) above about 2**63; each part stays 8x below that
 _NEGBIN_LIMIT = 2.0**60
 _MAX_NEGBIN_PARTS_PER_TRIAL = 1024
-_MAX_SINGLE_SHOT_COST = 2**62
 
 
 def _negbin_max_count(p: float) -> float:
@@ -216,10 +215,16 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     trial ``mean_accumulated_error`` is ``None``, which JSON prints as null.
 
     Costs and connections are drawn from their exact laws, so the work does
-    not grow with the tree.  The 2E staged links of a trial (E per tree)
-    cost 2E + NegBinomial(2E, p) attempts; NegBinomial is additive in its
-    count, so a chunk draws its trials' sum, split into equal parts that
-    numpy can draw.  A single-shot tree is built Geometric(p**E) times.  The
+    not grow with the tree.  Both modes retry independent units until each
+    succeeds, each failure costing a fixed number of attempts, so a trial
+    with E = m - 2 links per tree costs
+    2E + m + scale * NegBinomial(units, q) attempts: staged mode retries
+    its (units, q, scale) = (2E, p, 1) links, and single-shot mode its
+    (2, p**E, E) trees, each built Geometric(p**E) = 1 + NegBinomial(1, p**E)
+    times.  NegBinomial is additive in its count, so a chunk draws its
+    trials' sum, split into equal parts that numpy can draw; a q that
+    underflows to 0, or a trial that needs more than
+    ``_MAX_NEGBIN_PARTS_PER_TRIAL`` parts, raises :class:`DomainError`.  The
     m ports of a trial connect with probability 1 - (1 - p)**m, so a chunk's
     connected count is one binomial draw, and only connected trials draw
     their pair birth times.
@@ -228,8 +233,6 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     and the chunk size fix the result.
     """
     # imported here, so the analytics and the scan load without numpy
-    import numpy as np
-
     from .rng import philox_stream
 
     if trials < 1:
@@ -247,22 +250,16 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     if p < 1:
         connect_prob = -math.expm1(m * math.log1p(-p))
         if staged:
-            max_count = _negbin_max_count(p)
-            if max_count * _MAX_NEGBIN_PARTS_PER_TRIAL < 2 * tree_edges:
-                raise DomainError(
-                    f"staged trees need about {2 * tree_edges / p:.3g} "
-                    "attempts per trial, beyond the sampler's range")
+            units, q, scale = 2 * tree_edges, p, 1
         else:
-            log_rebuilds = -tree_edges * math.log(p)    # log of 1 / p**E
-            if (log_rebuilds > math.log(_MAX_SINGLE_SHOT_COST)
-                    or 2 * tree_edges * math.exp(log_rebuilds) + m
-                    > _MAX_SINGLE_SHOT_COST):
-                raise DomainError(
-                    f"single-shot trees need about p**-{tree_edges} = "
-                    f"e**{log_rebuilds:.4g} rebuilds; the expected cost "
-                    "passes 2**62 attempts")
-            # Geometric(w) by inversion: floor(Exp / -log(1 - w)) + 1
-            rebuild_rate = -math.log1p(-math.exp(-log_rebuilds))
+            units, q, scale = 2, p**tree_edges, tree_edges
+        max_count = _negbin_max_count(q)
+        if max_count * _MAX_NEGBIN_PARTS_PER_TRIAL < units:
+            attempts = scale * units / q if q else math.inf
+            raise DomainError(
+                f"{'staged' if staged else 'single-shot'} trees need about "
+                f"{attempts:.3g} attempts per trial, beyond the sampler's "
+                "range")
 
     successes = 0
     total_cost = 0
@@ -272,20 +269,14 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     while done < trials:
         take = min(MC_TRIAL_CHUNK, trials - done)
         rng = philox_stream(seed, chunk_index)
+        total_cost += take * (2 * tree_edges + m)
         if p == 1:
-            total_cost += take * (2 * tree_edges + m)
             connected = take
         else:
-            if staged:
-                count = take * 2 * tree_edges
-                parts = math.ceil(count / max_count)
-                failures = rng.negative_binomial(count / parts, p, size=parts)
-                total_cost += take * (2 * tree_edges + m) + sum(failures.tolist())
-            else:
-                builds = np.floor(rng.standard_exponential((take, 2))
-                                  / rebuild_rate) + 1.0
-                total_cost += (tree_edges * sum(map(int, builds.ravel().tolist()))
-                               + take * m)
+            count = take * units
+            parts = math.ceil(count / max_count)
+            failures = rng.negative_binomial(count / parts, q, size=parts)
+            total_cost += scale * sum(failures.tolist())
             # connect the two surfaces: m port pairs, one window; each trial
             # connects with probability connect_prob
             connected = int(rng.binomial(take, connect_prob))

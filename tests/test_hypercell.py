@@ -238,6 +238,72 @@ def test_mc_single_shot_out_of_range_raises():
     assert time.perf_counter() - start < 1.0
 
 
+def test_mc_single_shot_costs_past_2_pow_62():
+    # p**E = 1e-17 at 5 layers: an expected 1.24e19 attempts per trial,
+    # past 2**62, still splits into NegBinomial parts that numpy draws
+    config = TreeConfig(layers=5)
+    edges, m = _tree_edges(config), config.ports
+    budget = HypercellBudget(t=1e-17 ** (1 / edges), tau_e=1.0, tau_d=1.0,
+                             eps=1e-5)
+    window = budget.p**edges
+    trials = 2000
+    result = mc_tree_build(config, budget, trials=trials, seed=5,
+                           staged=False)
+    assert result["mean_cost_attempts"] > 2**62
+    _near(result["mean_cost_attempts"], 2 * edges / window + m,
+          2 * edges**2 * (1 - window) / window**2, trials)
+
+
+def test_mc_single_shot_underflowing_window_raises():
+    # 0.5**(2**21 - 2) underflows to 0: no rebuild count can be drawn
+    budget = HypercellBudget(t=0.5, tau_e=1.0, tau_d=1.0, eps=1e-5)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="single-shot"):
+        mc_tree_build(TreeConfig(layers=20), budget, trials=10, seed=1,
+                      staged=False)
+    assert time.perf_counter() - start < 1.0
+
+
+def _negbin_pmf(n, q, k):
+    return math.comb(k + n - 1, k) * q**n * (1 - q) ** k
+
+
+@pytest.mark.parametrize("staged", [True, False])
+def test_mc_cost_law_per_trial(staged):
+    # a one-trial call draws one trial's cost: m + 2E + NegBinomial(2E, p)
+    # staged, m + E (2 + NegBinomial(2, p**E)) single-shot
+    config = TreeConfig(layers=1)
+    p = 0.5
+    budget = HypercellBudget(t=p, tau_e=1.0, tau_d=1.0, eps=1e-5)
+    edges, m = _tree_edges(config), config.ports
+    units, q, scale = (2 * edges, p, 1) if staged else (2, p**edges, edges)
+    calls = 2000
+    counts = {}
+    for seed in range(calls):
+        cost = mc_tree_build(config, budget, trials=1, seed=seed,
+                             staged=staged)["mean_cost_attempts"]
+        k, rest = divmod(int(cost) - m - 2 * edges, scale)
+        assert cost == int(cost) and rest == 0 and k >= 0, cost
+        counts[k] = counts.get(k, 0) + 1
+    # one bin per failure count while the tail keeps 10 expected draws,
+    # then the tail as the last bin
+    expected, observed = [], []
+    tail, k = 1.0, 0
+    while calls * (tail - _negbin_pmf(units, q, k)) >= 10:
+        expected.append(calls * _negbin_pmf(units, q, k))
+        observed.append(counts.pop(k, 0))
+        tail -= _negbin_pmf(units, q, k)
+        k += 1
+    expected.append(calls * tail)
+    observed.append(sum(counts.values()))
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    # upper 1e-4 quantile of chi-square with `dof` degrees of freedom
+    # (Wilson-Hilferty, z = 3.719)
+    dof = len(expected) - 1
+    spread = math.sqrt(2 / (9 * dof))
+    assert chi2 < dof * (1 - spread**2 + 3.719 * spread) ** 3, (chi2, dof)
+
+
 def test_mc_staged_out_of_range_raises():
     budget = HypercellBudget(t=1e-25, tau_e=1.0, tau_d=1.0, eps=1e-5)
     with pytest.raises(DomainError):
