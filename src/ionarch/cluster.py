@@ -337,10 +337,10 @@ class CellLattice:
     ``shell_sources`` list the two-hop links kept for locality checks (none
     of them flip), built on first read.  The census is built once:
     ``flipping_sources`` keeps the sources with a non-zero flip, in census
-    order, ``flips_by_kind`` their flips grouped by source kind, ``linear``
-    is the sum of their flips, and ``linear_coefficients`` the eps and r
-    coefficients of 2 * ``linear``, whose ratio is the threshold's
-    ``threshold_r_weight``.
+    order, ``flips_by_kind`` their flips grouped by source kind, and
+    ``linear`` is the sum of their flips: the first-order expectation is
+    1 - 2 * ``linear``, and the ratio of its r and eps coefficients is the
+    threshold's ``threshold_r_weight``.
     """
 
     def __init__(self):
@@ -361,7 +361,6 @@ class CellLattice:
             for kind in ("birth_pair", "cnot_link", "readout")}
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
-        self.linear_coefficients = (2 * self.linear.eps, 2 * self.linear.r)
 
     @cached_property
     def shell_links(self) -> list[Link]:
@@ -480,20 +479,16 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     grouped by kind and the groups multiplied in birth-pair, CNOT-link,
     readout order; ``first_order`` is ``first_order_expectation``.  Sources
     whose flip is zero contribute a factor of exactly one and are skipped.
+    Returns those two keys, which ``threshold`` and ``mc-cluster`` print.
     """
     eps, r = budget.eps, budget.r
-    lattice = cell_lattice()
     product = 1
-    for flips in lattice.flips_by_kind.values():
+    for flips in cell_lattice().flips_by_kind.values():
         factor = 1
         for flip in flips:
             factor *= 1 - 2 * flip.evaluate(eps, r)
         product *= factor
-    return {
-        "first_order": first_order_expectation(budget),
-        "product": product,
-        "linear_coefficients": lattice.linear_coefficients,
-    }
+    return {"first_order": first_order_expectation(budget), "product": product}
 
 
 #: Published fault-tolerance threshold of the cell-check criterion.

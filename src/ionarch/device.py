@@ -55,8 +55,9 @@ class DeviceParams:
         for name in ("t_single_gate", "t_two_gate", "t_toffoli", "t_measure",
                      "t_remote_entangle", "reinit_time", "gamma"):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
+            if not 0 < value < math.inf:
+                raise ValidationError(
+                    f"{name} must be positive and finite, got {value}")
         for name in ("p_excite", "solid_angle_fraction", "detector_efficiency"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

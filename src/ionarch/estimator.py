@@ -115,21 +115,16 @@ def _adder_time(n: int, table: LogicalCostTable,
     return time
 
 
-def adder_execution_time(n: int, layout: ArchLayout,
-                         table: LogicalCostTable) -> float:
-    """Wall-clock execution time (seconds) of one n-bit addition.
+def adder_execution_time(n: int, table: LogicalCostTable) -> float:
+    """Wall-clock execution time (seconds) of one n-bit addition on the
+    layout that ``table`` is built for, ``table.layout``.
 
     Every step of ``adder_depth`` costs its gate plus the layout's folded
     error-correction rounds.  A CNOT step is the distance-independent remote
     CNOT on the switched layout and a local teleport elsewhere; the grid
     additionally pays the swap-step count for entanglement distribution.
-    ``table`` must be built for ``layout``.
     """
-    if table.layout != layout:
-        raise ValidationError(
-            f"a {table.layout.kind} cost table cannot price the "
-            f"{layout.kind} layout")
-    return _adder_time(n, table, adder_depth(n, layout))
+    return _adder_time(n, table, adder_depth(n, table.layout))
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not
@@ -169,7 +164,7 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
     k_ops, q_logical = shor_k_q(n)
     level = required_concat_level(k_ops, q_logical, eps_phys, eps_threshold)
     table = table_at_level(params, layout, level)
-    time_s = n * n * adder_execution_time(n, layout, table)
+    time_s = n * n * adder_execution_time(n, table)
     units = math.ceil(2.0 * math.sqrt(n))
     qubits = (units * layout.qubits(n)
               * SHOR_LEVEL_QUBIT_FACTOR ** (level - 1))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
 
 import numpy as np
 
@@ -37,17 +36,8 @@ from .rng import philox_stream
 from .steane import PAIRS_PER_OPERAND, LogicalCostTable
 
 
-class EventKind(Enum):
-    ATTEMPT_START = "AttemptStart"
-    HERALD = "Herald"
-
-
-def _herald_kind(ok: bool) -> str:
-    return f"{EventKind.HERALD.value}({'ok' if ok else 'fail'})"
-
-
-# An event-log line is the time stamp followed by the fields:
-# "time,kind,register,port,request".
+# An event-log line is "time,kind,register,port,request", its kind one of
+# AttemptStart, Herald(fail) and Herald(ok), and its time stamp _STAMP.
 _STAMP = "%.9e"
 # 10**k for 0 <= k <= 22: each is a float exactly (5**22 < 2**53)
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -99,10 +89,6 @@ def _format_stamps(times: np.ndarray) -> list:
     for i in np.flatnonzero(~exact).tolist():
         stamps[i] = _STAMP % t[i]
     return stamps
-
-
-def _log_fields(kind: str, elu: int, port: int, request: int) -> str:
-    return f",{kind},{elu},{port},{request}"
 
 
 def _check_multiplexity(ports: int, m_t: int):
@@ -160,12 +146,12 @@ def _log_ticks(emit, successes: list, attempts: int, ports: list,
     again.  Memory stays O(successes + ions + one block), not O(attempts).
     """
     def fields(kind):
-        return [_log_fields(kind, 0, port, request) + "\n" for port in ports]
+        return [f",{kind},0,{port},{request}\n" for port in ports]
 
     # a leading empty field puts a stamp before every line of the join
-    attempt = [""] + fields(EventKind.ATTEMPT_START.value)
-    fail = [""] + fields(_herald_kind(False))
-    ok = [""] + fields(_herald_kind(True))
+    attempt = [""] + fields("AttemptStart")
+    fail = [""] + fields("Herald(fail)")
+    ok = [""] + fields("Herald(ok)")
     n_ions = len(ports)
     n_ticks = -(-attempts // n_ions)
     last_width = attempts - (n_ticks - 1) * n_ions

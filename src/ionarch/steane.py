@@ -121,9 +121,6 @@ class LogicalCostTable:
     #: comm units always operate on bare ions, so this does not lift.
     swap_step_time: float = 0.0
 
-    def entry(self, primitive: Primitive) -> CostEntry:
-        return self.entries[primitive]
-
     def time(self, primitive: Primitive) -> float:
         return self.entries[primitive].time
 
@@ -266,10 +263,6 @@ def _build_table(basis: _GateBasis, level: int, layout: ArchLayout,
         Primitive.REMOTE_CNOT: remote,
         Primitive.ERROR_CORRECT_ROUND: ec_round,
     }
-    for prim, entry in entries.items():
-        if entry.time <= 0:
-            raise ValidationError(f"non-positive cost for {prim}")
-
     # Bell-pair slot one level up: seven pairs consumed per encoded pair,
     # pipelined over m_p channels, plus a transversal consolidation step.
     if basis.pair > 0.0:
@@ -338,7 +331,7 @@ def toffoli_cost(table: LogicalCostTable) -> dict:
     ``qubits`` counts the ancilla overhead beyond the three operand logical
     qubits: three resource logical qubits plus the seven cat ions.
     """
-    entry = table.entry(Primitive.TOFFOLI)
+    entry = table.entries[Primitive.TOFFOLI]
     return {
         "time": entry.time,
         "qubits": entry.qubits,

@@ -4,18 +4,26 @@
 draws a request's Geometric(p) gaps in bulk.  This engine runs the same
 request attempt by attempt on an event queue, from the same stream, so the
 tests can require bit-equal completions, attempt counts, herald counts and
-event logs.  ``engine_link_run`` has the closed form's signature, and the
-``on_engine`` fixture of ``conftest.py`` swaps it in for the closed form.
+event logs.  The engine writes its log lines itself, reading nothing from
+``ionarch.netsim``, so the comparison checks the line text as well as the
+stamps and the event order.  ``engine_link_run`` has the closed form's
+signature, and the ``on_engine`` fixture of ``conftest.py`` swaps it in for
+the closed form.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from enum import Enum
 
 from ionarch.errors import ValidationError
-from ionarch.netsim import _STAMP, EventKind, _herald_kind, _log_fields
 from ionarch.rng import philox_stream
+
+
+class EventKind(Enum):
+    ATTEMPT_START = "AttemptStart"
+    HERALD = "Herald"
 
 
 @dataclass(frozen=True)
@@ -28,11 +36,11 @@ class SimEvent:
     success: bool | None = None
 
     def log_line(self) -> str:
+        """``time,kind,register,port,request``, the time as ``%.9e``."""
         kind = self.kind.value
         if self.kind is EventKind.HERALD:
-            kind = _herald_kind(self.success)
-        return (_STAMP % self.time
-                + _log_fields(kind, self.elu, self.port, self.request))
+            kind += "(ok)" if self.success else "(fail)"
+        return f"{self.time:.9e},{kind},{self.elu},{self.port},{self.request}"
 
 
 class EventQueue:

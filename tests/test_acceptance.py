@@ -84,7 +84,7 @@ def test_criterion_03_adder_table():
         table = table_at_level(PARAMS, layout, 1)
         tol = 0.10 if kind == "nn" else 0.25
         for n, target in times[kind].items():
-            value = adder_execution_time(n, layout, table)
+            value = adder_execution_time(n, table)
             assert abs(value / target - 1) <= tol, (kind, n, value)
     for n in (1, 128, 1024, 16384):
         resources = {kind: (layout.qubits(n), layout.parallel_ops(n))
@@ -120,13 +120,13 @@ def test_criterion_05_crossover():
     # the lookahead adder on switched hardware dominates at large n
     nn_table = table_at_level(PARAMS, NnLayout(), 1)
     m_table = table_at_level(PARAMS, MusiqcLayout(), 1)
-    ratio = (adder_execution_time(16384, NnLayout(), nn_table)
-             / adder_execution_time(16384, MusiqcLayout(), m_table))
+    ratio = (adder_execution_time(16384, nn_table)
+             / adder_execution_time(16384, m_table))
     assert ratio > 100
     q_table = table_at_level(PARAMS, QlaLayout(), 1)
     for n in (128, 1024, 16384):
-        r = (adder_execution_time(n, MusiqcLayout(), m_table)
-             / adder_execution_time(n, QlaLayout(), q_table))
+        r = (adder_execution_time(n, m_table)
+             / adder_execution_time(n, q_table))
         assert 1.1 <= r <= 1.35
 
 
@@ -135,10 +135,9 @@ def test_criterion_06_threshold():
     assert threshold_margin(ErrorBudget(eps=F(29, 10000), r=F(0))) == 0
     assert threshold_margin(
         ErrorBudget(eps=F(0), r=F(29, 10000) * F(32, 55))) == 0
-    analytic = stabilizer_expectation_analytic(ErrorBudget(eps=F(0), r=F(0)))
-    c_eps, c_r = analytic["linear_coefficients"]
-    assert c_eps == F(512, 5)
-    assert c_r == 176
+    linear = cell_lattice().linear
+    assert 2 * linear.eps == F(512, 5)
+    assert 2 * linear.r == 176
 
 
 @report(7, "Monte Carlo vs analytic bookkeeping")

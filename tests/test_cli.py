@@ -892,6 +892,19 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         assert "unknown key" in err and err.count("\n") == 1
 
 
+def test_config_rejects_infinite_durations(tmp_path, capsys):
+    # an infinite two-qubit gate once priced the nn adder at nan and the
+    # musiqc one at inf, both with exit 0
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("device.t_two_gate_us = inf\n", encoding="utf-8")
+    for arch in ("nn", "musiqc"):
+        code, out, err = run_cli(capsys, "estimate-adder", "--n", "128",
+                                 "--arch", arch, "--level", "2",
+                                 "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert "must be positive and finite" in err and err.count("\n") == 1
+
+
 def test_config_parser():
     parsed = parse_config_text(
         "# comment\ndevice.gamma_hz = 20e6\nrun.seed = 12  # trailing\n")

@@ -335,10 +335,12 @@ def test_birth_placement_equivalence():
 
 
 def test_census_linear_coefficients():
+    # the first-order expectation is 1 - (512/5) eps - 176 r
+    lattice = cell_lattice()
+    assert 2 * lattice.linear.eps == F(512, 5)
+    assert 2 * lattice.linear.r == 176
     analytic = stabilizer_expectation_analytic(ErrorBudget(eps=F(0), r=F(0)))
-    c_eps, c_r = analytic["linear_coefficients"]
-    assert c_eps == F(512, 5)
-    assert c_r == 176
+    assert set(analytic) == {"first_order", "product"}
 
 
 def test_factor_product_expands_symbolically():
@@ -371,7 +373,7 @@ def test_expectation_values():
 def test_threshold_r_weight_from_census():
     # the census's coefficients 512/5 and 176 give the published 55/32
     lattice = cell_lattice()
-    assert lattice.linear_coefficients == (F(512, 5), F(176))
+    assert (2 * lattice.linear.eps, 2 * lattice.linear.r) == (F(512, 5), 176)
     assert lattice.threshold_r_weight == F(55, 32)
 
 

@@ -43,9 +43,12 @@ def test_device_params_reject_nan(name):
         DeviceParams(**{name: math.nan})
 
 
-def test_repetition_rate_must_be_finite():
-    with pytest.raises(ValidationError):
-        DeviceParams(repetition_rate=math.inf)
+@pytest.mark.parametrize("name", [
+    "t_single_gate", "t_two_gate", "t_toffoli", "t_measure",
+    "t_remote_entangle", "reinit_time", "gamma", "repetition_rate"])
+def test_durations_and_rates_must_be_finite(name):
+    with pytest.raises(ValidationError, match="must be positive and finite"):
+        DeviceParams(**{name: math.inf})
 
 
 def test_zero_factor_gives_zero_probability():

@@ -155,7 +155,7 @@ def test_adder_times_reproduce_published_values(params):
         table = table_at_level(params, layout, 1)
         tol = 0.10 if isinstance(layout, NnLayout) else 0.25
         for n, target in TABLE_TIMES[layout.kind].items():
-            time = adder_execution_time(n, layout, table)
+            time = adder_execution_time(n, table)
             assert time == pytest.approx(target, rel=tol), (layout.kind, n)
 
 
@@ -163,8 +163,8 @@ def test_musiqc_qla_time_ratio(params):
     m_table = table_at_level(params, MusiqcLayout(), 1)
     q_table = table_at_level(params, QlaLayout(), 1)
     for n in (128, 1024, 16384):
-        ratio = (adder_execution_time(n, MusiqcLayout(), m_table)
-                 / adder_execution_time(n, QlaLayout(), q_table))
+        ratio = (adder_execution_time(n, m_table)
+                 / adder_execution_time(n, q_table))
         assert 1.1 <= ratio <= 1.35
 
 
@@ -173,11 +173,11 @@ def test_musiqc_qla_time_ratio(params):
 def test_adder_time_monotone_in_durations(n, scale):
     layout = MusiqcLayout()
     base_params = DeviceParams()
-    base = adder_execution_time(n, layout, table_at_level(base_params, layout, 1))
+    base = adder_execution_time(n, table_at_level(base_params, layout, 1))
     for field in ("t_single_gate", "t_two_gate", "t_measure",
                   "t_remote_entangle"):
         slower = DeviceParams(**{field: getattr(base_params, field) * scale})
-        time = adder_execution_time(n, layout, table_at_level(slower, layout, 1))
+        time = adder_execution_time(n, table_at_level(slower, layout, 1))
         assert time >= base - 1e-15
 
 
@@ -185,14 +185,14 @@ def test_musiqc_path_has_no_distance_parameter(params):
     # one step-cost formula serves every layout; on the switched layout a
     # CNOT step is the remote CNOT, which takes no distance
     assert list(inspect.signature(adder_execution_time).parameters) == [
-        "n", "layout", "table"]
+        "n", "table"]
     layout = MusiqcLayout()
     table = table_at_level(params, layout, 1)
     profile = adder_depth(128, layout)
     assert profile == qcla_depth(128)
     assert adder_depth(128, NnLayout()) == DepthProfile(0, 0, 2 * 128 + 3)
     ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
-    assert adder_execution_time(128, layout, table) == (
+    assert adder_execution_time(128, table) == (
         profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
         + profile.cnot_steps * (table.time(Primitive.REMOTE_CNOT) + ec)
         + profile.x_steps * (table.time(Primitive.TRANSVERSAL_SINGLE) + ec))
@@ -245,8 +245,8 @@ def test_crossover_from_the_lookahead_domain(params):
 def test_crossover_large_n_ratio(params):
     nn_table = table_at_level(params, NnLayout(), 1)
     m_table = table_at_level(params, MusiqcLayout(), 1)
-    ratio = (adder_execution_time(16384, NnLayout(), nn_table)
-             / adder_execution_time(16384, MusiqcLayout(), m_table))
+    ratio = (adder_execution_time(16384, nn_table)
+             / adder_execution_time(16384, m_table))
     assert ratio > 100
 
 
@@ -277,7 +277,7 @@ def test_adder_time_matches_oracle_bit_for_bit(params):
             table = table_at_level(params, layout, level)
             for n in [*range(7, 4097), 2**20 + 1, 2**40]:
                 want = adder_time_oracle(n, layout, table)
-                assert adder_execution_time(n, layout, table) == want, (
+                assert adder_execution_time(n, table) == want, (
                     layout.kind, level, n)
                 row = adder_row(n, layout, params, level=level)
                 assert row["time_s"] == want, (layout.kind, level, n)
@@ -319,13 +319,6 @@ def test_crossover_scan_takes_n_up_to_the_adder_bound(params):
         adder_row(n, layout, params) for layout in layouts]
     with pytest.raises(ValidationError, match=r"at most 2\*\*1022"):
         crossover_scan([7, n + 1], params=params)
-
-
-def test_adder_time_rejects_another_layouts_table(params):
-    table = table_at_level(params, MusiqcLayout(), 1)
-    for layout in (QlaLayout(), NnLayout()):
-        with pytest.raises(ValidationError, match="musiqc cost table"):
-            adder_execution_time(128, layout, table)
 
 
 def csv_cell_oracle(value) -> str:

@@ -8,12 +8,12 @@ from ionarch import netsim
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
                             link_success_probability)
 from ionarch.errors import DomainError, ValidationError, ZeroSuccessProbability
-from ionarch.netsim import EventKind, run_link_sim, run_toffoli_pipeline
+from ionarch.netsim import run_link_sim, run_toffoli_pipeline
 from ionarch.steane import (PAIRS_PER_OPERAND, level1_costs, table_at_level,
                             toffoli_cost)
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
-from link_engine_oracle import (EntanglementRequest, EventQueue, SimEvent,
-                                engine_link_run)
+from link_engine_oracle import (EntanglementRequest, EventKind, EventQueue,
+                                SimEvent, engine_link_run)
 
 
 def slow_rep_link(p_success=0.05, rep_rate=0.5e6):
@@ -152,6 +152,19 @@ def test_event_log_format_and_causality():
     assert times == sorted(times)
     # one AttemptStart and one Herald line per attempt, nothing else
     assert len(lines) == 2 * result["attempts"]
+
+
+def test_oracle_log_lines_pinned():
+    # the oracle's lines, written against literals, hold the log text that
+    # the closed form's is compared with byte for byte
+    attempt = SimEvent(0.0, EventKind.ATTEMPT_START, 0, 3, 12)
+    assert attempt.log_line() == "0.000000000e+00,AttemptStart,0,3,12"
+    fail = SimEvent(1.5e-6, EventKind.HERALD, 0, 1, 0, success=False)
+    assert fail.log_line() == "1.500000000e-06,Herald(fail),0,1,0"
+    ok = SimEvent(7.41e97, EventKind.HERALD, 0, 0, 13, success=True)
+    assert ok.log_line() == "7.410000000e+97,Herald(ok),0,0,13"
+    late = SimEvent(2.0**400, EventKind.ATTEMPT_START, 0, 9, 4)
+    assert late.log_line() == "2.582249878e+120,AttemptStart,0,9,4"
 
 
 def test_conservation_pairs_and_circuits():

@@ -44,13 +44,13 @@ def hand_counted_prep_zero_time():
 
 def test_audit_trail_sums_to_time(musiqc_table):
     for prim in Primitive:
-        entry = musiqc_table.entry(prim)
+        entry = musiqc_table.entries[prim]
         assert sum(s.total for s in entry.steps) == entry.time
         assert entry.time > 0
 
 
 def test_prep_zero_qubits_and_time(musiqc_table):
-    entry = musiqc_table.entry(Primitive.PREP_ZERO)
+    entry = musiqc_table.entries[Primitive.PREP_ZERO]
     assert entry.qubits == 11
     assert entry.time == pytest.approx(hand_counted_prep_zero_time())
 
@@ -86,7 +86,7 @@ def test_remote_cnot_schedule(musiqc_table):
     for ports in (1, 2, 3, 7):
         assert steane._pair_slots(ports) == slots_by_enumeration(7, ports)
     assert steane._pair_slots(3) == 3
-    link = musiqc_table.entry(Primitive.REMOTE_CNOT).steps[0]
+    link = musiqc_table.entries[Primitive.REMOTE_CNOT].steps[0]
     assert link.label.startswith("bell-pair slot")
     assert link.count == slots_by_enumeration(7, MusiqcLayout.m_p)
 
@@ -97,14 +97,14 @@ def test_remote_cnot_zero_link_is_local(params):
     for layout in LAYOUTS:
         for level in (1, 2, 3):
             table = table_at_level(params, layout, level)
-            steps = table.entry(Primitive.REMOTE_CNOT).steps
+            steps = table.entries[Primitive.REMOTE_CNOT].steps
             teleport = steps[-4:]
             assert all(s.label.startswith(("teleport", "conditioned"))
                        for s in teleport)
             assert sum(s.total for s in teleport) == table.cnot_teleport_time
     for layout in (QlaLayout(), NnLayout()):
         table = table_at_level(params, layout, 1)
-        local = table.entry(Primitive.REMOTE_CNOT)
+        local = table.entries[Primitive.REMOTE_CNOT]
         assert len(local.steps) == 4
         assert local.time == table.cnot_teleport_time
         expected = (table.time(Primitive.TRANSVERSAL_CNOT)
@@ -133,8 +133,8 @@ def test_lift_qubit_factor(musiqc_table):
     """Direct recomposition oracle: one level multiplies footprints by 11."""
     lifted = lift_level(musiqc_table)
     assert lifted.footprint == 11 * musiqc_table.footprint
-    assert lifted.entry(Primitive.PREP_ZERO).qubits \
-        == 11 * musiqc_table.entry(Primitive.PREP_ZERO).qubits
+    assert lifted.entries[Primitive.PREP_ZERO].qubits \
+        == 11 * musiqc_table.entries[Primitive.PREP_ZERO].qubits
 
 
 def test_lift_time_monotone(params):
@@ -148,7 +148,7 @@ def test_lift_time_monotone(params):
 def test_lift_audit_references_base_level(musiqc_table):
     lifted = lift_level(musiqc_table)
     for prim in Primitive:
-        for step in lifted.entry(prim).steps:
+        for step in lifted.entries[prim].steps:
             assert "physical" not in step.label
             assert "level-1" in step.label
 
@@ -156,7 +156,7 @@ def test_lift_audit_references_base_level(musiqc_table):
 def test_level1_audit_references_physical(musiqc_table):
     for prim in Primitive:
         assert all("physical" in s.label or "bell-pair" in s.label
-                   for s in musiqc_table.entry(prim).steps)
+                   for s in musiqc_table.entries[prim].steps)
 
 
 def test_table_json_roundtrip(musiqc_table):
@@ -226,7 +226,7 @@ def test_tables_shared_per_device_layout_level():
 def test_shared_table_is_read_only(params):
     table = table_at_level(params, MusiqcLayout(), 1)
     with pytest.raises(TypeError):
-        table.entries[Primitive.TOFFOLI] = table.entry(Primitive.PREP_ZERO)
+        table.entries[Primitive.TOFFOLI] = table.entries[Primitive.PREP_ZERO]
     with pytest.raises(TypeError):
         del table.entries[Primitive.TOFFOLI]
 
