@@ -133,9 +133,9 @@ def _emit(args, payload: dict, rows: list | None = None) -> None:
     """Write ``rows`` as CSV, or the JSON payload when there are no rows or
     with ``--json``, to ``--out`` if given and to stdout otherwise.
 
-    The CSV is built only when it is written.  A payload holding an
+    The CSV is built only when it is written.  A result holding an
     infinite or NaN float is rejected before anything is written: JSON has
-    no such numbers.
+    no such numbers, and no cost, rate or error of a table can be one.
     """
     if rows is None or args.json:
         try:
@@ -146,6 +146,10 @@ def _emit(args, payload: dict, rows: list | None = None) -> None:
                 "cannot carry") from None
     else:
         text = estimator.rows_to_csv(rows)
+        # rows_to_csv writes such a float as inf, -inf or nan, words that no
+        # header or text cell of a table holds
+        if "inf" in text or "nan" in text:
+            raise ValidationError("the result holds an infinite or NaN number")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -4,7 +4,9 @@ Carry-lookahead depth and the repeater-grid communication-step count are
 evaluated in exact integer/rational arithmetic; resource formulas are exact
 integers.  Execution times combine the per-primitive costs of a
 :class:`~ionarch.steane.LogicalCostTable` with the layout's calibrated
-folded-error-correction count, one round per circuit time step.
+folded-error-correction count, one round per circuit time step.  One adder
+pricer, ``_adder_pricer``, gives every adder time: ``adder_execution_time``
+(and so ``shor_estimate``), ``adder_row`` and ``crossover_scan``.
 """
 
 from __future__ import annotations
@@ -72,16 +74,15 @@ def _check_adder_n(n: int) -> None:
             f"n must be at most 2**1022, got a {n.bit_length()}-bit n")
 
 
-def adder_depth(n: int, layout: ArchLayout) -> DepthProfile:
-    """Circuit depth of the n-bit adder the layout runs, 1 <= n <= 2**1022.
-
-    Ripple-carry on the nearest-neighbor layout: 2n+3 Toffoli-dominated
-    steps.  Carry-lookahead on the others (``qcla_depth``).
-    """
-    _check_adder_n(n)
-    if isinstance(layout, NnLayout):
-        return DepthProfile(x_steps=0, cnot_steps=0, toffoli_steps=2 * n + 3)
-    return qcla_depth(n)
+def _comm_quarters(n: int) -> int:
+    """Four times ``qla_comm_steps(n)``, an integer."""
+    if n <= 6:
+        raise NTooSmall(f"communication-step formula requires n > 6, got {n}")
+    quarters = 0
+    for x in (n, n - 1, n // 3, (n - 1) // 3):
+        t = floor_log2(x)
+        quarters += t * (t + 17)
+    return quarters
 
 
 def qla_comm_steps(n: int) -> Fraction:
@@ -91,40 +92,91 @@ def qla_comm_steps(n: int) -> Fraction:
     n, n-1, n/3 and (n-1)/3.  The expression is kept as an exact fraction;
     callers round up only for reporting.
     """
-    if n <= 6:
-        raise NTooSmall(f"communication-step formula requires n > 6, got {n}")
-    quarters = 0
-    for x in (n, n - 1, n // 3, (n - 1) // 3):
-        t = floor_log2(x)
-        quarters += t * (t + 17)
-    return Fraction(quarters, 4)
+    return Fraction(_comm_quarters(n), 4)
 
 
-def _steps_time(step_times: tuple[float, float, float], toffoli_steps: int,
-                cnot_steps: int, x_steps: int) -> float:
-    toffoli, cnot, single = step_times
-    return toffoli_steps * toffoli + cnot_steps * cnot + x_steps * single
+def _adder_pricer(table: LogicalCostTable):
+    """The one adder pricer: n -> (depth_total, toffoli_steps, time_s) of the
+    n-bit adder on ``table.layout`` at ``table.level``; the caller checks n.
+
+    Every step costs its gate plus the layout's folded error-correction
+    rounds (``table.adder_step_times``, read once).  Ripple-carry, 2n+3
+    Toffoli steps, on the nearest-neighbor layout; carry-lookahead
+    (``qcla_depth``) on the others, plus the grid's swap steps for
+    entanglement distribution (``qla_comm_steps``).
+    """
+    toffoli, cnot, single = table.adder_step_times
+    layout = table.layout
+    if isinstance(layout, NnLayout):
+        def price(n):
+            depth = 2 * n + 3
+            return depth, depth, depth * toffoli
+        return price
+    swap = table.swap_step_time if isinstance(layout, QlaLayout) else None
+
+    def price(n):
+        profile = qcla_depth(n)
+        time = (profile.toffoli_steps * toffoli + profile.cnot_steps * cnot
+                + profile.x_steps * single)
+        if swap is not None:
+            # the quarter count is an integer far below 2**53, so this is
+            # the float of qla_comm_steps(n) exactly
+            time += _comm_quarters(n) / 4 * swap
+        return profile.total, profile.toffoli_steps, time
+
+    return price
 
 
-def _adder_time(n: int, table: LogicalCostTable,
-                profile: DepthProfile) -> float:
-    time = _steps_time(table.adder_step_times, profile.toffoli_steps,
-                       profile.cnot_steps, profile.x_steps)
-    if isinstance(table.layout, QlaLayout):
-        time += float(qla_comm_steps(n)) * table.swap_step_time
-    return time
+def _adder_rows(table: LogicalCostTable, n_values) -> list[dict]:
+    """The report rows of ``n_values`` on ``table``'s layout and level, keys
+    in CSV column order, priced by ``_adder_pricer``; the caller checks n.
+
+    A lookahead adder's depth and time depend on n only through the bit
+    lengths of n, n - 1, n // 3 and (n - 1) // 3 (its depth class), so each
+    class is priced once per call.
+    """
+    price = _adder_pricer(table)
+    layout = table.layout
+    ripple = isinstance(layout, NnLayout)
+    kind, level = layout.kind, table.level
+    circuit = "qrca" if ripple else "qcla"
+    qubits, parallel_ops = layout.qubits, layout.parallel_ops
+    classes = {}
+    rows = []
+    for n in n_values:
+        if ripple:
+            priced = price(n)
+        else:
+            key = (n.bit_length(), (n - 1).bit_length(),
+                   (n // 3).bit_length(), ((n - 1) // 3).bit_length())
+            priced = classes.get(key)
+            if priced is None:
+                priced = classes[key] = price(n)
+        depth_total, toffoli_steps, time_s = priced
+        rows.append({
+            "n": n,
+            "layout": kind,
+            "circuit": circuit,
+            "level": level,
+            "depth_total": depth_total,
+            "toffoli_steps": toffoli_steps,
+            "time_s": time_s,
+            "qubits": qubits(n),
+            "parallel_ops": parallel_ops(n),
+        })
+    return rows
 
 
 def adder_execution_time(n: int, table: LogicalCostTable) -> float:
     """Wall-clock execution time (seconds) of one n-bit addition on the
-    layout that ``table`` is built for, ``table.layout``.
+    layout that ``table`` is built for, ``table.layout``, 1 <= n <= 2**1022,
+    as the one adder pricer, ``_adder_pricer``, prices it.
 
-    Every step of ``adder_depth`` costs its gate plus the layout's folded
-    error-correction rounds.  A CNOT step is the distance-independent remote
-    CNOT on the switched layout and a local teleport elsewhere; the grid
-    additionally pays the swap-step count for entanglement distribution.
+    A CNOT step is the distance-independent remote CNOT on the switched
+    layout and a local teleport elsewhere.
     """
-    return _adder_time(n, table, adder_depth(n, table.layout))
+    _check_adder_n(n)
+    return _adder_pricer(table)(n)[2]
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not
@@ -177,36 +229,11 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
     }
 
 
-def _layout_columns(layout: ArchLayout) -> tuple:
-    """What a layout's report rows take from it, resolved once per layout:
-    its kind, its adder circuit and its qubit and parallel-op formulas."""
-    circuit = "qrca" if isinstance(layout, NnLayout) else "qcla"
-    return layout.kind, circuit, layout.qubits, layout.parallel_ops
-
-
-def _row(n: int, columns: tuple, level: int, depth_total: int,
-         toffoli_steps: int, time_s: float) -> dict:
-    kind, circuit, qubits, parallel_ops = columns
-    return {
-        "n": n,
-        "layout": kind,
-        "circuit": circuit,
-        "level": level,
-        "depth_total": depth_total,
-        "toffoli_steps": toffoli_steps,
-        "time_s": time_s,
-        "qubits": qubits(n),
-        "parallel_ops": parallel_ops(n),
-    }
-
-
 def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
               level: int = 1) -> dict:
-    """One report row, its keys in CSV column order."""
-    table = table_at_level(params, layout, level)
-    profile = adder_depth(n, layout)
-    return _row(n, _layout_columns(layout), level, profile.total,
-                profile.toffoli_steps, _adder_time(n, table, profile))
+    """One report row, its keys in CSV column order, 1 <= n <= 2**1022."""
+    _check_adder_n(n)
+    return _adder_rows(table_at_level(params, layout, level), (n,))[0]
 
 
 def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
@@ -214,68 +241,36 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
 
     Returns the rows (sorted by n then layout) and the smallest scanned n at
     which the switched-layout lookahead adder beats the nearest-neighbor
-    ripple-carry adder, if any.  The rows equal ``adder_row``'s; what they
-    take from each layout (``_layout_columns``) is resolved once per scan.
+    ripple-carry adder, if any.  The rows are ``adder_row``'s, from one
+    ``_adder_rows`` call per layout, so a scan prices each lookahead depth
+    class once per layout.
     """
     n_values = sorted(set(map(int, n_values)))
     if not n_values:
         raise ValidationError("n_values must be non-empty")
     _check_adder_n(n_values[-1])
+    _check_adder_n(n_values[0])
     params = params or DeviceParams()
-    musiqc, qla, nn = MusiqcLayout(), QlaLayout(), NnLayout()
-    musiqc_table = table_at_level(params, musiqc, 1)
-    qla_table = table_at_level(params, qla, 1)
-    nn_steps = table_at_level(params, nn, 1).adder_step_times
-    musiqc_columns, qla_columns, nn_columns = map(_layout_columns,
-                                                  (musiqc, qla, nn))
-    # n enters a lookahead row's depth and time only through the floor-logs
-    # of n, n - 1, n // 3 and (n - 1) // 3, so each combination of their bit
-    # lengths (a depth class) is priced once
-    classes = {}
-    rows = []
+    # below the lookahead domain, n <= 6, only the ripple row exists
+    lookahead = [n for n in n_values if n > 6]
+    musiqc_rows, qla_rows = (
+        _adder_rows(table_at_level(params, layout, 1), lookahead)
+        for layout in (MusiqcLayout(), QlaLayout()))
+    nn_rows = _adder_rows(table_at_level(params, NnLayout(), 1), n_values)
+    rows = nn_rows[:len(n_values) - len(lookahead)]
     crossover_n = None
-    for n in n_values:
-        if n <= 6:      # below the lookahead domain only the ripple row exists
-            rows.append(adder_row(n, nn, params))
-            continue
-        key = (n.bit_length(), (n - 1).bit_length(), (n // 3).bit_length(),
-               ((n - 1) // 3).bit_length())
-        priced = classes.get(key)
-        if priced is None:
-            profile = qcla_depth(n)
-            priced = classes[key] = (
-                profile.total, profile.toffoli_steps,
-                _adder_time(n, musiqc_table, profile),
-                _adder_time(n, qla_table, profile))
-        depth_total, toffoli_steps, musiqc_time, qla_time = priced
-        # the ripple row: adder_depth's 2n+3 Toffoli steps, priced as
-        # _adder_time prices them
-        nn_depth = 2 * n + 3
-        nn_time = _steps_time(nn_steps, nn_depth, 0, 0)
-        rows += (_row(n, musiqc_columns, 1, depth_total, toffoli_steps,
-                      musiqc_time),
-                 _row(n, qla_columns, 1, depth_total, toffoli_steps,
-                      qla_time),
-                 _row(n, nn_columns, 1, nn_depth, nn_depth, nn_time))
-        if crossover_n is None and musiqc_time < nn_time:
-            crossover_n = n
+    for musiqc, qla, nn in zip(musiqc_rows, qla_rows, nn_rows[len(rows):]):
+        rows += (musiqc, qla, nn)
+        if crossover_n is None and musiqc["time_s"] < nn["time_s"]:
+            crossover_n = nn["n"]
     return {"rows": rows, "crossover_n": crossover_n}
 
 
 def _csv_cell(value) -> str:
-    # the exact types first: they spare the common cells the abstract checks,
-    # and a subclass (np.float64, an IntEnum) still takes the isinstance ones
-    kind = type(value)
-    if kind is float:
+    if isinstance(value, float):    # first: the commonest cell of a table
         return f"{value:.9g}"
-    if kind is str:
-        return value
-    if kind is int:
-        return str(value)
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return f"{value:.9g}"
     return str(value)
 
 

@@ -111,7 +111,7 @@ class LogicalCostTable:
     layout: ArchLayout
     entries: Mapping[Primitive, CostEntry]
     footprint: int          # physical qubits per logical qubit (data + ancilla)
-    pair_time: float        # Bell-pair slot consumed by teleports at this level
+    pair_time: float        # Bell-pair slot the teleports one level up consume
     phi_plus_prep_time: float
     toffoli_teleport_time: float
     #: The teleported CNOT without its Bell-pair slots: the sum of

@@ -803,6 +803,26 @@ def test_non_finite_result_exit(tmp_path, capsys, argv):
     assert path.read_text(encoding="utf-8") == "keep\n"
 
 
+@pytest.mark.parametrize("argv, config", [
+    # time_s: a finite gate time whose level-3 adder time overflows
+    (("estimate-adder", "--n", "100000", "--arch", "nn", "--level", "3"),
+     "device.t_two_gate_us = 1e308\n"),
+    (("mc-cluster", "--samples", "1"), ""),             # mc_stderr
+], ids=["estimate-adder", "mc-cluster"])
+def test_non_finite_csv_result_exit(tmp_path, capsys, argv, config):
+    # each once wrote inf or nan as CSV and exited 0, where --json exits 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    argv = (*argv, "--config", str(cfg))
+    csv_error = "error: the result holds an infinite or NaN number\n"
+    assert run_cli(capsys, *argv) == (2, "", csv_error)
+    assert run_cli(capsys, *argv, "--json") == (2, "", _NON_FINITE_RESULT)
+    path = tmp_path / "out"
+    path.write_text("keep\n", encoding="utf-8")
+    assert run_cli(capsys, *argv, "--out", str(path)) == (2, "", csv_error)
+    assert path.read_text(encoding="utf-8") == "keep\n"
+
+
 @pytest.mark.parametrize("eps", ["0", "1e-6"])
 def test_hypercell_unbounded_ratio_reads_null(capsys, eps):
     # no finite ratio bound: once a bare Infinity, now JSON null

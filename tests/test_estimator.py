@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import NTooSmall, ValidationError
-from ionarch.estimator import (DepthProfile, adder_depth,
-                               adder_execution_time, adder_row,
+from ionarch.estimator import (DepthProfile, adder_execution_time, adder_row,
                                crossover_scan, floor_log2, qcla_depth,
                                qla_comm_steps, rows_to_csv, shor_estimate)
 from ionarch.steane import Primitive, table_at_level
@@ -41,12 +40,21 @@ def comm_oracle(n):
     return total
 
 
+def depth_profile_oracle(n, layout):
+    """The adder's steps: 2n+3 ripple-carry Toffoli steps on the
+    nearest-neighbor layout; elsewhere two X steps, four CNOT steps and the
+    rest of the brute-force lookahead depth as Toffoli steps."""
+    if isinstance(layout, NnLayout):
+        return DepthProfile(0, 0, 2 * n + 3)
+    return DepthProfile(2, 4, depth_oracle(n) - 6)
+
+
 def adder_time_oracle(n, layout, table):
     """The adder time as first written: a table lookup per use, the EC
     rounds added inside each step's bracket, the teleported CNOT off the
     switched layout summed from the transversal CNOT, the logical readout and
     one single-qubit fix-up, and the brute-force comm steps."""
-    profile = adder_depth(n, layout)
+    profile = depth_profile_oracle(n, layout)
     ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
     if isinstance(layout, MusiqcLayout):
         cnot = table.time(Primitive.REMOTE_CNOT)
@@ -188,9 +196,8 @@ def test_musiqc_path_has_no_distance_parameter(params):
         "n", "table"]
     layout = MusiqcLayout()
     table = table_at_level(params, layout, 1)
-    profile = adder_depth(128, layout)
+    profile = depth_profile_oracle(128, layout)
     assert profile == qcla_depth(128)
-    assert adder_depth(128, NnLayout()) == DepthProfile(0, 0, 2 * 128 + 3)
     ec = layout.ec_rounds_per_step * table.time(Primitive.ERROR_CORRECT_ROUND)
     assert adder_execution_time(128, table) == (
         profile.toffoli_steps * (table.time(Primitive.TOFFOLI) + ec)
@@ -310,6 +317,18 @@ def test_crossover_rows_are_adder_rows_at_depth_class_edges(params):
     times = {(row["n"], row["layout"]): row["time_s"] for row in expected}
     assert scan["crossover_n"] == min(
         n for n in ns if n > 6 and times[n, "musiqc"] < times[n, "nn"])
+
+
+def test_crossover_scan_rejects_n_below_one(params):
+    # the ripple rows below the lookahead domain take any n, so the scan
+    # checks its smallest n itself
+    for n_values in ([0, 7], [-3]):
+        with pytest.raises(ValidationError, match="^n must be at least 1$"):
+            crossover_scan(n_values, params=params)
+    scan = crossover_scan([6, 1], params=params)
+    assert [(row["n"], row["layout"]) for row in scan["rows"]] == [
+        (1, "nn"), (6, "nn")]
+    assert scan["crossover_n"] is None
 
 
 def test_crossover_scan_takes_n_up_to_the_adder_bound(params):
