@@ -307,8 +307,7 @@ def _cmd_hypercell(args, cfg) -> int:
         return 0
     tau_d = 1.0
     tau_e = args.ratio * tau_d
-    t = (args.t if args.t is not None
-         else hypercell.max_attempt_window(tau_e) / 100.0)
+    t = args.t if args.t is not None else tau_e / 100.0
     budget = hypercell.HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
                                        eps=args.eps)
     layers = (args.layers if args.layers is not None

@@ -14,7 +14,7 @@ census*, derived here rather than hard-coded.  Each source kind is one
 gadget (:data:`_GADGETS`): its CNOT layers and its fault locations, each a
 (time, qubits, weight) triple.  One generator, :func:`_faults`, lists every
 single fault of a gadget, and one rule moves every fault: :func:`_push`, the
-CNOT update of a Pauli frame held as int bitsets.
+CNOT update of a Pauli frame's Z half, held as an int bitset.
 
 * Each source's residual error classes (Z on the face qubit, on the edge
   qubit, or both) come from pushing every single fault of its gadget to the
@@ -29,13 +29,13 @@ CNOT update of a Pauli frame held as int bitsets.
   check iff the bits of its Z components XOR to one.
 
 The census is built once per lattice (:func:`cell_lattice`): the analytic
-expectation reads its cached linear sum and its list of sources that can
-flip the check.  The Monte Carlo treats those sources as independent
+expectation reads its cached linear sum and the flips of the sources that
+can flip the check.  The Monte Carlo treats those sources as independent
 Bernoulli faults.  A sample's check flips when an odd number of them fire,
-which happens with probability q = (1 - prod(1 - 2 p_i)) / 2, so the number
-of flipped samples is Binomial(samples, q) and is drawn once.  That law
-checks the float product against the census's exact Fractions; it does not
-check the census's propagation, which it takes as given.
+with probability q = (1 - P) / 2, where P = prod(1 - 2 p_i) is the product
+``threshold`` prints, from :func:`_parity_product`; so the flipped count is
+Binomial(samples, q) and is drawn once.  That checks the sampler and the
+stream, not the product or the census's propagation, which it takes as given.
 
 Error model: a fault location fires each of its non-identity Paulis with
 one of three weights, each written once: ``_PAIR``, each of the 15
@@ -132,15 +132,14 @@ _GATE = LinearError(eps=Fraction(1, 3))
 _MEMORY = LinearError(r=Fraction(1, 3))
 
 
-def _push(x: int, z: int, cnots) -> tuple[int, int]:
-    """Push the Pauli frame (x, z) through ``cnots``, (control, target) bit
-    pairs in time order.  Bit i of ``x`` (``z``) is an X (Z) on qubit i; a
-    CNOT copies X from control to target and Z from target to control
-    (Aaronson and Gottesman, PRA 70, 052328)."""
+def _push(z: int, cnots) -> int:
+    """Push the Z half of a CNOT-only Pauli frame through ``cnots``,
+    (control, target) bit pairs in time order: bit i of ``z`` is a Z on
+    qubit i, and a CNOT copies Z from target to control (Aaronson and
+    Gottesman, PRA 70, 052328).  No CNOT feeds X into Z, so X is not kept."""
     for c, t in cnots:
-        x ^= (x >> c & 1) << t
         z ^= (z >> t & 1) << c
-    return x, z
+    return z
 
 
 # Gadget qubits: C = face cluster qubit (control), a = face-side ancilla,
@@ -185,8 +184,7 @@ def _outcome(faults, layers) -> tuple[int, int]:
     the CNOTs of ``layers[time:]``; frames add, so each is pushed alone."""
     z = 0
     for time, qubit, pauli in faults:
-        z ^= _push((pauli in "XY") << qubit, (pauli in "YZ") << qubit,
-                   itertools.chain(*layers[time:]))[1]
+        z ^= _push((pauli in "YZ") << qubit, itertools.chain(*layers[time:]))
     return z >> _C & 1, z >> _T & 1
 
 
@@ -337,10 +335,10 @@ class CellLattice:
     ``shell_sources`` list the two-hop links kept for locality checks (none
     of them flip), built on first read.  The census is built once:
     ``flipping_sources`` keeps the sources with a non-zero flip, in census
-    order, ``flips_by_kind`` their flips grouped by source kind, and
-    ``linear`` is the sum of their flips: the first-order expectation is
-    1 - 2 * ``linear``, and the ratio of its r and eps coefficients is the
-    threshold's ``threshold_r_weight``.
+    order, ``flip_weights`` their weights grouped by kind for each Monte
+    Carlo mode, and ``linear`` is the sum of their flips: the first-order
+    expectation is 1 - 2 * ``linear``, and the ratio of its r and eps
+    coefficients is the threshold's ``threshold_r_weight``.
     """
 
     def __init__(self):
@@ -355,10 +353,13 @@ class CellLattice:
         self.sources = self._census()
         self.flipping_sources = [src for src in self.sources
                                  if not src.flip.is_zero()]
-        self.flips_by_kind = {
-            kind: [src.flip for src in self.flipping_sources
-                   if src.kind == kind]
-            for kind in ("birth_pair", "cnot_link", "readout")}
+        by_kind = [[src for src in self.flipping_sources if src.kind == kind]
+                   for kind in ("birth_pair", "cnot_link", "readout")]
+        self.flip_weights = {
+            "classes": [[src.flip for src in group] for group in by_kind],
+            "gadget": [[weight for src in group
+                        for weight in (src.fault_weights or (src.flip,))]
+                       for group in by_kind]}
         self.linear = sum((src.flip for src in self.flipping_sources),
                           LinearError())
 
@@ -425,7 +426,7 @@ class CellLattice:
         in_cell = sum(1 << bit for bit, face in enumerate(order, 1)
                       if face in self._in_cell)
         later = [(bit, 0) for bit in range(link.position + 1, 5)]
-        return tuple((_push(0, z, later)[1] & in_cell).bit_count() & 1
+        return tuple((_push(z, later) & in_cell).bit_count() & 1
                      for z in (1 << link.position, 1))
 
     def _source(self, link: Link) -> ErrorSource:
@@ -472,22 +473,35 @@ def first_order_expectation(budget: ErrorBudget):
     return 1 - 2 * cell_lattice().linear.evaluate(budget.eps, budget.r)
 
 
+def _parity_product(groups, eps, r):
+    """prod(1 - 2 p), p = weight.evaluate(eps, r), over the weights of
+    ``groups``, multiplied group by group in order; exact on Fractions.
+    The cell check's one domain check: a p outside [0, 1] raises
+    ``ValidationError``."""
+    product = 1
+    for group in groups:
+        factor = 1
+        for weight in group:
+            p = weight.evaluate(eps, r)
+            if not 0 <= p <= 1:
+                raise ValidationError(
+                    "flip probabilities outside [0, 1]; budget too large")
+            factor *= 1 - 2 * p
+        product *= factor
+    return product
+
+
 def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     """Expectation of the six-face cell check under the error census.
 
-    ``product`` multiplies the independent factors (1 - 2 p_source) exactly,
-    grouped by kind and the groups multiplied in birth-pair, CNOT-link,
-    readout order; ``first_order`` is ``first_order_expectation``.  Sources
-    whose flip is zero contribute a factor of exactly one and are skipped.
-    Returns those two keys, which ``threshold`` and ``mc-cluster`` print.
+    ``product`` is :func:`_parity_product` over the flips grouped by kind
+    in birth-pair, CNOT-link, readout order; ``first_order`` is
+    ``first_order_expectation``.  Sources whose flip is zero contribute a
+    factor of exactly one and are skipped.  Returns those two keys, which
+    ``threshold`` and ``mc-cluster`` print.
     """
-    eps, r = budget.eps, budget.r
-    product = 1
-    for flips in cell_lattice().flips_by_kind.values():
-        factor = 1
-        for flip in flips:
-            factor *= 1 - 2 * flip.evaluate(eps, r)
-        product *= factor
+    product = _parity_product(cell_lattice().flip_weights["classes"],
+                              budget.eps, budget.r)
     return {"first_order": first_order_expectation(budget), "product": product}
 
 
@@ -518,37 +532,6 @@ def threshold_margin(budget: ErrorBudget):
 MAX_MC_SAMPLES = 2**62
 
 
-def _flip_probabilities(budget: ErrorBudget, mode: str) -> list[float]:
-    """Flip probabilities of the census's sources at this budget.
-
-    In ``"classes"`` mode each source with a non-zero flip is one
-    probability.  In ``"gadget"`` mode each link-gadget fault that flips
-    the check is its own source (``ErrorSource.fault_weights``), so the
-    within-link second-order cancellations are kept, and the birth pairs
-    and readouts stay one source each; the class-mode probabilities are the
-    first-order sums of the gadget-mode ones.
-    """
-    sources = cell_lattice().flipping_sources    # no shell link flips
-    if mode == "classes":
-        weights = [src.flip for src in sources]
-    elif mode == "gadget":
-        weights = [weight for src in sources
-                   for weight in (src.fault_weights or (src.flip,))]
-    else:
-        raise ValidationError(f"unknown MC mode {mode!r}")
-    probs = [float(weight.evaluate(budget.eps, budget.r))
-             for weight in weights]
-    if not all(0 <= p <= 1 for p in probs):
-        raise ValidationError("flip probabilities outside [0, 1]; budget too large")
-    return probs
-
-
-def _odd_parity_probability(probs) -> float:
-    """Probability that an odd number of independent Bernoulli(p_i) fire,
-    (1 - prod(1 - 2 p_i)) / 2."""
-    return (1.0 - math.prod(1.0 - 2.0 * p for p in probs)) / 2.0
-
-
 def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
                               mode: str = "classes") -> dict:
     """Monte Carlo estimate of the cell-check expectation.
@@ -557,18 +540,22 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     every sample (in ``"gadget"`` mode each flipping fault of every link
     gadget is its own source), and a sample's check flips when an odd
     number fire.  The samples are independent, so the flipped count is
-    Binomial(samples, q) with q from :func:`_odd_parity_probability`: the
-    independent-source model's exact law, drawn once from stream 0 of
-    ``seed`` (:func:`ionarch.rng.philox_stream`) at a cost that does not
-    grow with ``samples``.  It checks the float product against the
-    census's exact Fractions, not the census's propagation.
+    Binomial(samples, q), q = (1 - product) / 2 with the mode's
+    :func:`_parity_product`: the independent-source model's exact law,
+    drawn once from stream 0 of ``seed`` (:func:`ionarch.rng.philox_stream`)
+    at a cost that does not grow with ``samples``.  In ``"classes"`` mode
+    the product is the one ``threshold`` prints, so the draw checks the
+    sampler and the stream, not the product or the census's propagation.
     """
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValidationError(
             f"samples must lie in [1, 2**62], got {samples}")
+    weights = cell_lattice().flip_weights.get(mode)
+    if weights is None:
+        raise ValidationError(f"unknown MC mode {mode!r}")
     from .rng import philox_stream
 
-    q = _odd_parity_probability(_flip_probabilities(budget, mode))
+    q = float((1 - _parity_product(weights, budget.eps, budget.r)) / 2)
     flipped = int(philox_stream(seed, 0).binomial(samples, q))
     estimate = 1.0 - 2.0 * flipped / samples
     if samples > 1:

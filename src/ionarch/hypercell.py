@@ -106,11 +106,6 @@ class HypercellBudget:
         return self.t / self.tau_e
 
 
-def max_attempt_window(tau_e: float) -> float:
-    """Largest attempt time t: p = t/tau_E <= 1 and c tau_E / t >= 2 ports."""
-    return min(tau_e, HypercellBudget.c * tau_e / 2.0)
-
-
 def fail_prob(p: float, m: int) -> float:
     """Probability (1 - p)^m that all m port pairs fail."""
     if m < 1:
@@ -127,22 +122,35 @@ def path_length(m: int) -> float:
     return 2.0 * math.log2(m) + 1.0
 
 
-def _log_term(budget: HypercellBudget) -> float:
-    ratio = budget.c * budget.tau_e / budget.t
-    if ratio < 2:
+def _path_error(ts, tau_e: float, tau_d: float, c: float):
+    """The root pair's error at each attempt time t of ``ts``, as a function
+    of eps: (t/tau_D)(3 L + 1/2) of memory plus 2 eps L of swaps, where
+    L = log2(c tau_E / t); L and the memory are computed once for every eps.
+    A t with c tau_E / t < 2 leaves the tree no ports: :class:`DomainError`.
+    """
+    c_tau_e = c * tau_e
+    if (least := c_tau_e / max(ts)) < 2:
         raise DomainError(
-            f"c * tau_E / t = {ratio:.3g} < 2; the tree has no ports")
-    return math.log2(ratio)
+            f"c * tau_E / t = {least:.3g} < 2; the tree has no ports")
+    logs = [math.log2(c_tau_e / t) for t in ts]
+    mems = [t / tau_d * (3.0 * log + 0.5) for t, log in zip(ts, logs)]
+
+    def error(eps: float) -> list[float]:
+        swap = 2.0 * eps
+        return [mem + swap * log for mem, log in zip(mems, logs)]
+
+    return error
 
 
 def memory_error(budget: HypercellBudget) -> float:
     """Accumulated memory error of the root pair: (t/tau_D)(3 log2(c tau_E/t) + 1/2)."""
-    return budget.t / budget.tau_d * (3.0 * _log_term(budget) + 0.5)
+    return _path_error([budget.t], budget.tau_e, budget.tau_d, budget.c)(0.0)[0]
 
 
 def total_error(budget: HypercellBudget) -> float:
     """Memory error plus 2 eps log2(c tau_E / t) of swap error."""
-    return memory_error(budget) + 2.0 * budget.eps * _log_term(budget)
+    return _path_error([budget.t], budget.tau_e, budget.tau_d,
+                       budget.c)(budget.eps)[0]
 
 
 def ft_bounds(budget: HypercellBudget) -> dict:
@@ -156,12 +164,12 @@ def ft_bounds(budget: HypercellBudget) -> dict:
     any link-to-memory timescale ratio admits a design point.
     """
     eps, crit, c = budget.eps, budget.eps_crit, budget.c
+    t_max = (crit - 2.0 * eps) * budget.tau_d / 3.0
     if eps == 0:
-        return {"t_min": 0.0, "t_max": crit * budget.tau_d / 3.0,
+        return {"t_min": 0.0, "t_max": t_max,
                 "ratio_bound": math.inf, "feasible": True}
     exponent = crit / (2.0 * eps)
     t_min = c * budget.tau_e * 2.0 ** (-exponent) if exponent < 16000 else 0.0
-    t_max = (crit - 2.0 * eps) * budget.tau_d / 3.0
     if crit <= 2.0 * eps:
         ratio_bound = 0.0
     else:
@@ -300,17 +308,16 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
 def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
     """Feasibility map over gate error and tau_E/tau_D.
 
-    For each grid point the attempt time is swept logarithmically over the
-    valid domain of the error formulas in 120 steps (tree depth follows from
-    the port target c/p); a point is feasible when some t keeps the total
-    error below ``HypercellBudget.eps_crit``, and the row reports the first t
-    of least error.  Row keys are in CSV column order.
+    For each grid point the attempt time is swept logarithmically in 120
+    steps from tau_E / 2**40 up to tau_E, where p = 1 (tree depth follows
+    from the port target c/p); a point is feasible when some t keeps the
+    total error below ``HypercellBudget.eps_crit``, and the row reports the
+    first t of least error.  Row keys are in CSV column order.
 
-    The t grid, the log term log2(c tau_E / t) and ``memory_error`` depend
-    on the ratio alone, so they are computed once per ratio and shared by
-    every eps, which adds only its swap error 2 eps log2(c tau_E / t).  A
-    ratio whose shortest attempt time t_hi / 2**40 underflows to 0 is
-    rejected.
+    The t grid and the memory error depend on the ratio alone, so
+    :func:`_path_error` computes them once per ratio, and every eps adds
+    only its swap error.  A ratio whose shortest attempt time
+    tau_E / 2**40 underflows to 0 is rejected.
     """
     eps_grid = sorted(set(float(e) for e in eps_grid))
     ratio_grid = sorted(set(float(x) for x in ratio_grid))
@@ -324,28 +331,24 @@ def boundary_scan(eps_grid, ratio_grid) -> list[dict]:
     sweeps = []
     for ratio in ratio_grid:
         tau_e = ratio * tau_d
-        t_hi = max_attempt_window(tau_e)
-        t_lo = t_hi / 2.0**40
+        t_lo = tau_e / 2.0**40
         if not t_lo > 0:
             raise ValidationError(
                 f"ratio tau_E/tau_D = {ratio:.3g} is too small: the shortest "
-                "attempt time t_hi / 2**40 underflows to 0")
-        # t_hi itself ends the grid: where t_lo is subnormal, t_hi / t_lo is
-        # not 2**40 and the power form can round past tau_E
-        ts = [t_lo * (t_hi / t_lo) ** (k / (t_points - 1))
-              for k in range(t_points - 1)] + [t_hi]
-        logs = [math.log2((c * tau_e) / t) for t in ts]
-        mems = [t / tau_d * (3.0 * log + 0.5) for t, log in zip(ts, logs)]
-        sweeps.append((tau_e, ts, logs, mems))
+                "attempt time tau_E / 2**40 underflows to 0")
+        # tau_E itself ends the grid: where t_lo is subnormal, tau_E / t_lo
+        # is not 2**40 and the power form can round past tau_E
+        ts = [t_lo * (tau_e / t_lo) ** (k / (t_points - 1))
+              for k in range(t_points - 1)] + [tau_e]
+        sweeps.append((tau_e, ts, _path_error(ts, tau_e, tau_d, c)))
     rows = []
     for eps in eps_grid:
-        swap = 2.0 * eps
-        for ratio, (tau_e, ts, logs, mems) in zip(ratio_grid, sweeps):
+        for ratio, (tau_e, ts, errors) in zip(ratio_grid, sweeps):
             # the inputs the sweep validates at every t; t rises with k, so
             # its two ends bound the rest
             for t in (ts[0], ts[-1]):
                 HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d, eps=eps)
-            errs = [mem + swap * log for mem, log in zip(mems, logs)]
+            errs = errors(eps)
             # first strict minimum, as a running `<` comparison finds it
             k = min(range(t_points), key=errs.__getitem__)
             t = ts[k]

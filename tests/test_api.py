@@ -15,9 +15,12 @@ def test_removed_names_stay_gone():
     gone = [
         (netsim, ("summary", "EventKind", "_herald_kind", "_log_fields")),
         (lattice, ("threshold_floats", "_propagated_faces", "_flip_parity",
-                   "birth_class", "link_classes", "linear_coefficients")),
-        (cluster, ("_gadget_faults", "_birth_faults", "MEASUREMENT_FLIP")),
-        (hypercell, ("_MAX_SINGLE_SHOT_COST",)),
+                   "birth_class", "link_classes", "linear_coefficients",
+                   "flips_by_kind")),
+        (cluster, ("_gadget_faults", "_birth_faults", "MEASUREMENT_FLIP",
+                   "_flip_probabilities", "_odd_parity_probability")),
+        (hypercell, ("_MAX_SINGLE_SHOT_COST", "_log_term",
+                     "max_attempt_window")),
         (steane.LogicalCostTable, ("entry",)),
         (estimator, ("adder_depth", "_steps_time", "_adder_time",
                      "_layout_columns", "_row")),

@@ -96,6 +96,29 @@ def test_threshold_rejects_bad_budget(capsys):
     assert code == 2
 
 
+def test_threshold_point_exits_where_mc_cluster_does(capsys):
+    # a budget that puts a flip probability past 1 gives no product: the
+    # point exits 2 with mc-cluster's line, where it once printed 729 (or
+    # 1.17e51) for a +-1 observable; p = 1 exactly, and every scan, print
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the large-ratio warning
+        for ratio in ("0.5", "10"):
+            budget = ("--eps", "0", "--ratio", ratio)
+            mc = run_cli(capsys, "mc-cluster", *budget)
+            assert mc == (2, "", "error: flip probabilities outside [0, 1]; "
+                                 "budget too large\n")
+            for json_flag in ((), ("--json",)):
+                assert run_cli(capsys, "threshold", *budget,
+                               *json_flag) == mc
+        budget = ("--eps", "0", "--ratio", "0.25")
+        code, out, _ = run_cli(capsys, "threshold", *budget, "--json")
+        assert code == 0 and "expectation_product" in json.loads(out)
+        assert run_cli(capsys, "mc-cluster", *budget)[0] == 0
+        code, out, _ = run_cli(capsys, "threshold", "--scan", "--eps-grid",
+                               "0,0.06", "--ratio-grid", "0.25,0.5,10")
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 3
+
+
 def _hex(row: dict) -> dict:
     return {key: value.hex() if type(value) is float else value
             for key, value in row.items()}
@@ -720,7 +743,7 @@ def test_hypercell_point_depth_follows_p(capsys):
 
 
 def test_hypercell_point_output_pinned(capsys):
-    # the default attempt window, t = min(tau_E, c tau_E / 2) / 100, and
+    # the default attempt window, t = tau_E / 100, and
     # every analytic the point mode prints, byte for byte
     _, out, _ = run_cli(capsys, "hypercell", "--json")
     assert out == (
@@ -732,6 +755,17 @@ def test_hypercell_point_output_pinned(capsys):
     _, out, _ = run_cli(capsys, "hypercell", "--ratio", "0.1", "--json")
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "94f53ac0256ef0b7399ddcfe715ebef5d327f0f4e3e520805d7f547aa4599bf8")
+
+
+def test_hypercell_mc_output_pinned(capsys):
+    # 300 trials run as chunk 0 (256 trials, stream 0) and chunk 1 (44
+    # trials, stream 1) of the seed; the stream layout and the chunk size
+    # fix these bytes
+    _, out, _ = run_cli(capsys, "hypercell", "--trials", "300", "--seed", "5")
+    assert json.loads(out)["mc"] == {
+        "mean_accumulated_error": 0.2811152191068811,
+        "mean_cost_attempts": 102731.29, "path_pairs": 19, "ports": 512,
+        "success_rate": 0.9933333333333333, "trials": 300}
 
 
 @pytest.mark.parametrize("argv", [

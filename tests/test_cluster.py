@@ -9,9 +9,8 @@ import pytest
 
 from ionarch.cluster import (_A, _B, _C, _GADGET_LAYERS, _T,
                              MAX_MC_SAMPLES, CellLattice, ErrorBudget,
-                             LinearError, _faults, _flip_probabilities,
-                             _odd_parity_probability,
-                             _outcome, _residuals, cell_lattice,
+                             LinearError, _faults, _outcome,
+                             _parity_product, _residuals, cell_lattice,
                              coupling_order, matched_pair_class,
                              mc_stabilizer_expectation,
                              stabilizer_expectation_analytic,
@@ -273,9 +272,18 @@ def test_link_fault_weights_sum_to_flip():
             assert all(not w.is_zero() for w in src.fault_weights)
         else:
             assert src.fault_weights == ()
+    # the product's two modes: each kind's gadget-mode weights sum to its
+    # class-mode flips
+    groups = lat.flip_weights
+    for gadget_group, classes_group in zip(groups["gadget"],
+                                           groups["classes"]):
+        assert (sum(gadget_group, LinearError())
+                == sum(classes_group, LinearError()))
     budget = ErrorBudget(eps=1e-4, r=1e-4)
-    gadget = _flip_probabilities(budget, "gadget")
-    classes = _flip_probabilities(budget, "classes")
+    gadget, classes = (
+        [weight.evaluate(budget.eps, budget.r)
+         for group in groups[mode] for weight in group]
+        for mode in ("gadget", "classes"))
     assert len(classes) == len(lat.flipping_sources)
     assert len(gadget) > len(classes)
     assert math.fsum(gadget) == pytest.approx(math.fsum(classes), rel=1e-12)
@@ -509,14 +517,54 @@ def _odd_parity_exact(probs):
     return total
 
 
+def _odd_parity(probs) -> float:
+    # the draw's q over one group of sources, each weight's coefficient its
+    # probability, so that evaluating it at eps = 1 returns that float
+    weights = [LinearError(eps=F(p)) for p in probs]
+    return (1 - _parity_product([weights], 1.0, 0.0)) / 2
+
+
 def test_odd_parity_probability_degenerate():
     # the cases the draw must get exactly: a source that always fires, two
     # that cancel, none at all, and a fair coin among the sources
-    assert _odd_parity_probability([1.0]) == 1.0
+    assert _odd_parity([1.0]) == 1.0
     for probs in ([1.0, 1.0], [], [0.0, 0.0, 0.0], [1e-300, 5e-324]):
-        assert _odd_parity_probability(probs) == 0.0, probs
+        assert _odd_parity(probs) == 0.0, probs
     for probs in ([0.5], [0.5, 1.0], [1e-300, 0.5, 0.3], [0.95, 0.6, 0.5]):
-        assert _odd_parity_probability(probs) == 0.5, probs
+        assert _odd_parity(probs) == 0.5, probs
+
+
+def test_parity_product_domain():
+    # 0 and 1 are probabilities; anything past them is refused, exactly
+    unit = [[LinearError(eps=F(1))]]
+    assert _parity_product(unit, 1.0, 0.0) == -1.0
+    assert _parity_product(unit, F(0), F(0)) == 1
+    for eps, r in ((1.0000000000000002, 0.0), (-5e-324, 0.0),
+                   (F(10**20 + 1, 10**20), F(0))):
+        with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+            _parity_product(unit, eps, r)
+
+
+def test_mc_draws_from_the_analytic_product(monkeypatch):
+    # classes mode draws Binomial(samples, q) with q = (1 - product) / 2,
+    # the product that stabilizer_expectation_analytic returns, bit for bit
+    import ionarch.rng
+
+    seen = []
+
+    class Stream:
+        def binomial(self, samples, q):
+            seen.append(q)
+            return 0
+
+    monkeypatch.setattr(ionarch.rng, "philox_stream",
+                        lambda seed, index: Stream())
+    for eps, r in ((1e-4, 1e-4), (2.5e-3, 2e-4), (2e-2, 1e-3), (1e-3, 0.0),
+                   (0.0, 0.0), (0.0666, 0.05), (1 / 15, 0.0)):
+        budget = ErrorBudget(eps=eps, r=r)
+        mc_stabilizer_expectation(budget, 1000, seed=1)
+        product = stabilizer_expectation_analytic(budget)["product"]
+        assert seen[-1].hex() == ((1 - product) / 2).hex(), (eps, r)
 
 
 def test_odd_parity_probability_matches_enumeration():
@@ -527,7 +575,7 @@ def test_odd_parity_probability_matches_enumeration():
               for _ in range(30)]
     for probs in cases:
         exact = _odd_parity_exact(probs)
-        assert _odd_parity_probability(probs) == pytest.approx(
+        assert _odd_parity(probs) == pytest.approx(
             float(exact), rel=1e-12, abs=1e-15), probs
 
 

@@ -8,9 +8,8 @@ from ionarch.errors import DomainError, ValidationError
 from ionarch.estimator import rows_to_csv
 from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
                                design_layers, fail_prob,
-                               ft_bounds, hypercell_cost, max_attempt_window,
-                               mc_tree_build, memory_error, path_length,
-                               total_error)
+                               ft_bounds, hypercell_cost, mc_tree_build,
+                               memory_error, path_length, total_error)
 
 
 def test_fail_prob_values():
@@ -87,6 +86,25 @@ def test_ft_bounds_example():
     expected = (2.9e-3 - 5.8e-4) / 9.0 * 2**5
     assert bounds["ratio_bound"] == pytest.approx(expected, rel=1e-9)
     assert bounds["ratio_bound"] == pytest.approx(8.25e-3, rel=0.01)
+
+
+def test_ft_bounds_t_max():
+    # the memory budget's cap (eps_crit - 2 eps) tau_D / 3, eps = 0 included
+    crit = HypercellBudget.eps_crit
+    for eps, t_max in ((0.0, crit * 2.0 / 3.0),
+                       (2.9e-4, (crit - 5.8e-4) * 2.0 / 3.0)):
+        budget = HypercellBudget(t=1e-6, tau_e=1.0, tau_d=2.0, eps=eps)
+        assert ft_bounds(budget)["t_max"] == t_max
+
+
+def test_budget_bounds_at_their_edges():
+    # t may reach tau_E (p = 1); c must be positive
+    assert HypercellBudget(t=1.0, tau_e=1.0, tau_d=1.0, eps=0.0).p == 1.0
+    with pytest.raises(ValidationError, match="t must not exceed"):
+        HypercellBudget(t=1.0000000000000002, tau_e=1.0, tau_d=1.0, eps=0.0)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="c must be positive"):
+            HypercellBudget(t=0.5, tau_e=1.0, tau_d=1.0, eps=0.0, c=c)
 
 
 def test_ft_bounds_limits():
@@ -367,11 +385,11 @@ def boundary_scan_oracle(eps_grid, ratio_grid):
         for ratio in ratio_grid:
             tau_e = ratio * tau_d
             best = None
-            t_hi = max_attempt_window(tau_e)
-            t_lo = t_hi / 2.0**40
+            # the longest window, p = t / tau_E = 1, ends the sweep
+            t_lo = tau_e / 2.0**40
             for k in range(t_points):
-                t = (t_hi if k == t_points - 1
-                     else t_lo * (t_hi / t_lo) ** (k / (t_points - 1)))
+                t = (tau_e if k == t_points - 1
+                     else t_lo * (tau_e / t_lo) ** (k / (t_points - 1)))
                 budget = HypercellBudget(t=t, tau_e=tau_e, tau_d=tau_d,
                                          eps=eps)
                 err = total_error(budget)
