@@ -67,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("threshold", help="cluster-state threshold margin")
-    p.add_argument("--eps", type=str, default=None,
+    p.add_argument("--eps", type=str, default="0.0",
                    help="gate error (accepts fractions like 29/10000)")
-    p.add_argument("--ratio", type=str, default=None,
+    p.add_argument("--ratio", type=str, default="0.0",
                    help="memory error per step, T/tau_D")
     p.add_argument("--scan", action="store_true")
     p.add_argument("--eps-grid", default="0,1e-4,3e-4,1e-3")
@@ -200,51 +200,35 @@ def _scan_grids(args) -> tuple[list[float], list[float]]:
 def _cmd_threshold(args, cfg) -> int:
     from . import cluster
 
-    def budget(eps, ratio):
-        # every budget of the command is built on this one line, which a
-        # large ratio's warning names
-        return cluster.ErrorBudget(eps=eps, r=ratio)
-
-    def threshold_row(eps, ratio, margin, first_order) -> dict:
-        return {"eps": float(eps), "r": float(ratio), "margin": margin,
-                "below_threshold": margin > 0,
-                "expectation_first_order": first_order}
-
     if args.scan:
-        # A budget at every point would check each eps at the first point of
-        # its row and each ratio in the first row, and warn at every point
-        # whose ratio is large: budgets are built at just those points, so
-        # the first bad point's error and the warnings stay the same.  Each
-        # row is the point row without the product, its margin and
-        # first-order value computed as threshold_margin and
-        # first_order_expectation compute them on floats, each eps and ratio
-        # term once.
         eps_grid, ratio_grid = _scan_grids(args)
-        lattice = cluster.cell_lattice()
-        threshold_eps = float(cluster.THRESHOLD_EPS)
-        r_weight = float(lattice.threshold_r_weight)
-        eps_coef, r_coef = lattice.linear.float_coefficients
-        columns = [(ratio, r_weight * ratio, r_coef * ratio,
-                    ratio > cluster.RATIO_WARNING_LEVEL)
-                   for ratio in ratio_grid]
-        rows = []
-        for i, eps in enumerate(eps_grid):
-            slack, eps_term = threshold_eps - eps, eps_coef * eps
-            for j, (ratio, r_margin, r_term, warns) in enumerate(columns):
-                if warns or i == 0 or j == 0:
-                    budget(eps, ratio)
-                rows.append(threshold_row(eps, ratio, slack - r_margin,
-                                          1 - 2 * (eps_term + r_term)))
+    else:
+        eps_grid = [_parse_number(args.eps)]
+        ratio_grid = [_parse_number(args.ratio)]
+    # A budget at every point would check each eps at the first point of its
+    # row and each ratio in the first row, and warn at every point whose
+    # ratio is large: budgets are built at just those points, on this one
+    # line, which a large ratio's warning names, so the first bad point's
+    # error and the warnings stay the same; nothing prints before the last
+    # check.  Point mode builds one budget, ``point``.
+    terms = iter(cluster.threshold_terms(eps_grid, ratio_grid))
+    warns = [ratio > cluster.RATIO_WARNING_LEVEL for ratio in ratio_grid]
+    rows = []
+    for i, eps in enumerate(eps_grid):
+        for j, ratio in enumerate(ratio_grid):
+            if i == 0 or j == 0 or warns[j]:
+                point = cluster.ErrorBudget(eps=eps, r=ratio)
+            margin, first_order = next(terms)
+            margin = float(margin)
+            rows.append({"eps": float(eps), "r": float(ratio),
+                         "margin": margin, "below_threshold": margin > 0,
+                         "expectation_first_order": float(first_order)})
+    if args.scan:
         _emit(args, payload={"rows": rows}, rows=rows)
         return 0
-    eps = _parse_number(args.eps) if args.eps is not None else 0.0
-    ratio = _parse_number(args.ratio) if args.ratio is not None else 0.0
-    point = budget(eps, ratio)
     analytic = cluster.stabilizer_expectation_analytic(point)
-    row = threshold_row(eps, ratio, float(cluster.threshold_margin(point)),
-                        float(analytic["first_order"]))
-    row["expectation_product"] = float(analytic["product"])
-    _emit(args, payload=row)
+    rows[0]["expectation_product"] = float(analytic["product"])
+    _emit(args, payload=rows[0])
     return 0
 
 

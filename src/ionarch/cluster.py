@@ -464,13 +464,37 @@ def cell_lattice() -> CellLattice:
 # ---------------------------------------------------------------------------
 # analytic expectation and threshold
 
-def first_order_expectation(budget: ErrorBudget):
-    """The cell check's expectation truncated to first order,
-    1 - 2 * sum(p_source) = 1 - (512/5) eps - 176 r.
+#: Published fault-tolerance threshold of the cell-check criterion.
+THRESHOLD_EPS = Fraction(29, 10000)
 
-    Exact when called with Fraction inputs.
+
+def threshold_terms(eps_values, r_values) -> list[tuple]:
+    """(margin, first-order expectation) of the cell check at every (eps, r)
+    of ``eps_values`` x ``r_values``, eps-major, on values that
+    ``ErrorBudget`` has checked.
+
+    The margin is the signed distance below the threshold condition
+    eps + w r < 2.9e-3 (Raussendorf, Harrington and Goyal, NJP 9, 199
+    (2007)), w = ``CellLattice.threshold_r_weight``; the first-order
+    expectation is 1 - 2 (a eps + b r), with a eps + b r the census's
+    ``linear``.  Exact on Fractions.  Each Fraction constant meets each eps
+    and each r once, and converts to a float where it meets one.
     """
-    return 1 - 2 * cell_lattice().linear.evaluate(budget.eps, budget.r)
+    lattice = cell_lattice()
+    r_weight, linear = lattice.threshold_r_weight, lattice.linear
+    columns = [(r_weight * r, linear.r * r) for r in r_values]
+    terms = []
+    for eps in eps_values:
+        slack, eps_term = THRESHOLD_EPS - eps, linear.eps * eps
+        terms += [(slack - r_margin, 1 - 2 * (eps_term + r_term))
+                  for r_margin, r_term in columns]
+    return terms
+
+
+def first_order_expectation(budget: ErrorBudget):
+    """The cell check's expectation truncated to first order, from
+    :func:`threshold_terms`."""
+    return threshold_terms((budget.eps,), (budget.r,))[0][1]
 
 
 def _parity_product(groups, eps, r):
@@ -495,30 +519,20 @@ def stabilizer_expectation_analytic(budget: ErrorBudget) -> dict:
     """Expectation of the six-face cell check under the error census.
 
     ``product`` is :func:`_parity_product` over the flips grouped by kind
-    in birth-pair, CNOT-link, readout order; ``first_order`` is
-    ``first_order_expectation``.  Sources whose flip is zero contribute a
-    factor of exactly one and are skipped.  Returns those two keys, which
-    ``threshold`` and ``mc-cluster`` print.
+    in birth-pair, CNOT-link, readout order; ``first_order`` is the
+    first-order expectation of :func:`threshold_terms`.  Sources whose flip
+    is zero contribute a factor of exactly one and are skipped.  Returns
+    those two keys, which ``threshold`` and ``mc-cluster`` print.
     """
     product = _parity_product(cell_lattice().flip_weights["classes"],
                               budget.eps, budget.r)
     return {"first_order": first_order_expectation(budget), "product": product}
 
 
-#: Published fault-tolerance threshold of the cell-check criterion.
-THRESHOLD_EPS = Fraction(29, 10000)
-
-
 def threshold_margin(budget: ErrorBudget):
-    """Signed distance below the threshold condition eps + (55/32) r < 2.9e-3.
-
-    The r weight w is the census's (``CellLattice.threshold_r_weight``).
-    Positive means below threshold.  Exact when called with Fraction inputs;
-    on floats the Fraction operators convert each constant to a float, so
-    two floats give (float(THRESHOLD_EPS) - eps) - float(w) * r.
-    """
-    return (THRESHOLD_EPS - budget.eps
-            - cell_lattice().threshold_r_weight * budget.r)
+    """Signed distance below the threshold condition eps + (55/32) r < 2.9e-3,
+    the margin of :func:`threshold_terms`; positive means below threshold."""
+    return threshold_terms((budget.eps,), (budget.r,))[0][0]
 
 
 # ---------------------------------------------------------------------------

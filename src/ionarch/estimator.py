@@ -46,16 +46,23 @@ class DepthProfile:
         return self.x_steps + self.cnot_steps + self.toffoli_steps
 
 
+def _stage_logs(n: int) -> tuple[int, int, int, int]:
+    """floor(log2) of the n-bit carry-lookahead adder's four stage counts,
+    n, n - 1, n // 3 and (n - 1) // 3 (Draper, Kutin, Rains and Svore,
+    QIC 6, 351 (2006)); its depth and swap-step formulas hold for n > 6."""
+    if n <= 6:
+        raise NTooSmall(f"carry-lookahead depth formula requires n > 6, got {n}")
+    return (floor_log2(n), floor_log2(n - 1), floor_log2(n // 3),
+            floor_log2((n - 1) // 3))
+
+
 def qcla_depth(n: int) -> DepthProfile:
     """Circuit depth of the n-bit in-place carry-lookahead adder.
 
     Total depth is the four floor-log terms plus 14; two steps are X gates,
     four are CNOTs, and the remainder are Toffoli steps.
     """
-    if n <= 6:
-        raise NTooSmall(f"carry-lookahead depth formula requires n > 6, got {n}")
-    total = (floor_log2(n) + floor_log2(n - 1)
-             + floor_log2(n // 3) + floor_log2((n - 1) // 3) + 14)
+    total = sum(_stage_logs(n)) + 14
     return DepthProfile(x_steps=2, cnot_steps=4, toffoli_steps=total - 6)
 
 
@@ -74,17 +81,6 @@ def _check_adder_n(n: int) -> None:
             f"n must be at most 2**1022, got a {n.bit_length()}-bit n")
 
 
-def _comm_quarters(n: int) -> int:
-    """Four times ``qla_comm_steps(n)``, an integer."""
-    if n <= 6:
-        raise NTooSmall(f"communication-step formula requires n > 6, got {n}")
-    quarters = 0
-    for x in (n, n - 1, n // 3, (n - 1) // 3):
-        t = floor_log2(x)
-        quarters += t * (t + 17)
-    return quarters
-
-
 def qla_comm_steps(n: int) -> Fraction:
     """Entanglement-distribution swap steps of the n-bit adder on the grid.
 
@@ -92,7 +88,7 @@ def qla_comm_steps(n: int) -> Fraction:
     n, n-1, n/3 and (n-1)/3.  The expression is kept as an exact fraction;
     callers round up only for reporting.
     """
-    return Fraction(_comm_quarters(n), 4)
+    return Fraction(sum(t * (t + 17) for t in _stage_logs(n)), 4)
 
 
 def _adder_pricer(table: LogicalCostTable):
@@ -119,9 +115,9 @@ def _adder_pricer(table: LogicalCostTable):
         time = (profile.toffoli_steps * toffoli + profile.cnot_steps * cnot
                 + profile.x_steps * single)
         if swap is not None:
-            # the quarter count is an integer far below 2**53, so this is
-            # the float of qla_comm_steps(n) exactly
-            time += _comm_quarters(n) / 4 * swap
+            # its quarter count is an integer far below 2**53, so the
+            # float is exact
+            time += float(qla_comm_steps(n)) * swap
         return profile.total, profile.toffoli_steps, time
 
     return price
@@ -147,6 +143,8 @@ def _adder_rows(table: LogicalCostTable, n_values) -> list[dict]:
         if ripple:
             priced = price(n)
         else:
+            # _stage_logs(n) plus one each, inline: calling it per n slows
+            # a scan of thousands of n by several percent
             key = (n.bit_length(), (n - 1).bit_length(),
                    (n // 3).bit_length(), ((n - 1) // 3).bit_length())
             priced = classes.get(key)

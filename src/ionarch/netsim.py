@@ -212,9 +212,10 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     ``(start + (a_j // n_ions) * tick) + w``, the run's own float
     arithmetic.  After the pair completing the request heralds, the run
     drains the already scheduled attempts of the next tick (the ions whose
-    heralds preceded the completing one); one further gap per drained
-    success counts them, as the run does.  ``emit`` receives the run's event
-    log, rebuilt from the success indices, once per chunk of whole ticks.
+    heralds preceded the completing one).  ``emit`` receives the run's event
+    log, rebuilt from the success indices, once per chunk of whole ticks; a
+    logged request draws one further gap per drained success, as the run
+    does, and an unlogged one draws none, since only the log reads them.
     A request whose attempt spacing does not clear the rounding of its
     attempt times, or, when logged, one of more than ``MAX_LOG_ATTEMPTS``
     attempts, is rejected before the first line.
@@ -250,17 +251,16 @@ def _closed_form_link_run(p: float, n_pairs: int, ports: int, tdm: int,
         raise DomainError(
             f"{n_pairs} pairs take {attempts} attempts; a log holds at most "
             f"2**24 = {MAX_LOG_ATTEMPTS}")
-    drained = []
-    hit = last + int(rng.geometric(p))
-    while hit < attempts:
-        drained.append(hit)
-        hit += int(rng.geometric(p))
     if emit is not None:
+        drained = []
+        hit = last + int(rng.geometric(p))
+        while hit < attempts:
+            drained.append(hit)
+            hit += int(rng.geometric(p))
         _log_ticks(emit, hits.tolist() + drained, attempts,
                    [i // tdm for i in range(n_ions)], tick, w, start, stream)
     completions = (start + (hits // n_ions) * tick) + w
-    return {"completions": completions.tolist(), "attempts": attempts,
-            "heralds_ok": n_pairs + len(drained)}
+    return {"completions": completions.tolist(), "attempts": attempts}
 
 
 #: Most pairs one ``run_link_sim`` call generates: the run holds an int64

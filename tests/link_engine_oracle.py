@@ -120,7 +120,6 @@ class _LinkEngine:
         self.herald_latency = herald_latency
         self.emit = emit
         self.attempts = 0
-        self.heralds_ok = 0
 
     def run_request(self, request: EntanglementRequest, ions, rng):
         """Drive ``request`` to completion over ``ions``, drawing from ``rng``."""
@@ -151,8 +150,6 @@ class _LinkEngine:
                            ion)
                 ion.ticks += 1
             else:       # HERALD
-                if event.success:
-                    self.heralds_ok += 1
                 if not request.done:
                     if event.success:
                         request.register(event.time)
@@ -169,4 +166,4 @@ def engine_link_run(p: float, n_pairs: int, ports: int, tdm: int,
     ions = [_Ion(0, i // tdm, start) for i in range(ports * tdm)]
     engine.run_request(request, ions, philox_stream(seed, stream))
     return {"completions": request.completion_times,
-            "attempts": engine.attempts, "heralds_ok": engine.heralds_ok}
+            "attempts": engine.attempts}

@@ -23,7 +23,7 @@ def test_removed_names_stay_gone():
                      "max_attempt_window")),
         (steane.LogicalCostTable, ("entry",)),
         (estimator, ("adder_depth", "_steps_time", "_adder_time",
-                     "_layout_columns", "_row")),
+                     "_layout_columns", "_row", "_comm_quarters")),
     ]
     assert sorted(GONE_PUBLIC & set(ionarch.__all__)) == []
     assert [name for owner, names in gone for name in names

@@ -298,7 +298,7 @@ def test_mc_cluster_deterministic_bytes(capsys):
 
 
 def test_cli_outputs_pinned(capsys):
-    # byte-for-byte pins of two outputs that no golden digest covers
+    # byte-for-byte pins of outputs that no golden digest covers
     _, out, _ = run_cli(capsys, "mc-cluster", "--samples", "1000", "--seed",
                         "3", "--eps", "1e-4", "--ratio", "0")
     assert out == ("eps,r,analytic_first_order,analytic_product,mc_estimate,"
@@ -310,6 +310,17 @@ def test_cli_outputs_pinned(capsys):
                    '"expectation_first_order": 0.70304, '
                    '"expectation_product": 0.7418325145711535, '
                    '"margin": 0.0, "r": 0.0}\n')
+    # exact, float and mixed inputs take different arithmetic routes through
+    # the census's Fraction constants
+    for eps, ratio, product in (("29/10000", "1/1000", "0.6204643746173604"),
+                                ("29/10000", "0.001", "0.6204643746173606"),
+                                ("0.0029", "1/1000", "0.6204643746173606")):
+        _, out, _ = run_cli(capsys, "threshold", "--eps", eps, "--ratio",
+                            ratio, "--json")
+        assert out == ('{"below_threshold": false, "eps": 0.0029, '
+                       '"expectation_first_order": 0.52704, '
+                       f'"expectation_product": {product}, '
+                       '"margin": -0.00171875, "r": 0.001}\n'), (eps, ratio)
 
 
 def test_mc_cluster_without_errors_reads_exactly_one(capsys):

@@ -73,15 +73,6 @@ def _recording(run):
     return call, results
 
 
-def recorded_link_runs(monkeypatch):
-    """The results of every closed-form link run from here on, in order:
-    ``heralds_ok`` counts a request's heralded successes, drained ones
-    included, which ``run_link_sim`` does not return."""
-    run, runs = _recording(netsim._closed_form_link_run)
-    monkeypatch.setattr(netsim, "_closed_form_link_run", run)
-    return runs
-
-
 def test_mean_latency_matches_geometric_oracle():
     # geometric-distribution oracle: mean completion spacing is 1/(R p)
     p, rate, n = 0.05, 0.5e6, 10000
@@ -93,11 +84,16 @@ def test_mean_latency_matches_geometric_oracle():
     assert result["successes"] == n
 
 
-def test_attempt_success_fraction_binomial(monkeypatch):
+def heralded(log: str) -> int:
+    """The heralded successes of a request's event log, drained ones
+    included."""
+    return log.count(",Herald(ok),")
+
+
+def test_attempt_success_fraction_binomial():
     p = 0.05
-    runs = recorded_link_runs(monkeypatch)
-    result = run_link_sim(slow_rep_link(p), 2000, seed=17, ports=1, m_t=1)
-    k, n = runs[0]["heralds_ok"], result["attempts"]
+    result, log = event_log(slow_rep_link(p), 2000, seed=17, ports=1, m_t=1)
+    k, n = heralded(log), result["attempts"]
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(k / n - p) <= 3 * sigma
 
@@ -192,27 +188,26 @@ def test_batched_path_matches_event_engine(monkeypatch):
         assert engine_log == batched_log, (p, m_p, m_t)
         assert (engine_runs[0]["completions"]
                 == batched_runs[0]["completions"]), (p, m_p, m_t)
-        assert (engine_runs[0]["heralds_ok"]
-                == batched_runs[0]["heralds_ok"]), (p, m_p, m_t)
 
 
-def test_link_sim_outputs_pinned(monkeypatch):
+def test_link_sim_outputs_pinned():
     # recorded when the link began drawing one geometric gap per success:
     # run_link_sim's single request stays on stream 0, and a log sink changes
-    # no output bit
-    runs = recorded_link_runs(monkeypatch)
+    # no output bit; the log's successes include the drained ones
     pins = {3: (5857, 0.00058201, 301), 21: (6367, 0.0006340100000000001, 304)}
-    for seed, (attempts, makespan, heralded) in pins.items():
-        for log_sink in ([].append, None):
-            result = run_link_sim(slow_rep_link(0.05), 300, seed=seed,
-                                  log_sink=log_sink)
-            assert (result["attempts"], result["makespan_s"],
-                    runs[-1]["heralds_ok"]) == (attempts, makespan, heralded)
+    for seed, (attempts, makespan, successes) in pins.items():
+        result, log = event_log(slow_rep_link(0.05), 300, seed=seed)
+        assert (result["attempts"], result["makespan_s"],
+                heralded(log)) == (attempts, makespan, successes)
+        result = run_link_sim(slow_rep_link(0.05), 300, seed=seed)
+        assert (result["attempts"], result["makespan_s"]) == (attempts,
+                                                              makespan)
 
 
 def test_closed_form_draws_one_gap_per_success(monkeypatch):
-    # 10k pairs at p = 1e-4 take about 1e8 attempts, yet the request draws
-    # one gap per heralded success plus the gap that ends the drain
+    # 10k pairs at p = 1e-4 take about 1e8 attempts, yet an unlogged request
+    # draws one gap per pair; a logged one also draws a gap per drained
+    # success and the gap that ends the drain
     draws = []
 
     class CountingStream:
@@ -226,13 +221,16 @@ def test_closed_form_draws_one_gap_per_success(monkeypatch):
     stream = netsim.philox_stream
     monkeypatch.setattr(netsim, "philox_stream",
                         lambda *args: CountingStream(stream(*args)))
-    n, ions = 10_000, MusiqcLayout.m_p * MusiqcLayout.m_t
-    runs = recorded_link_runs(monkeypatch)
+    n = 10_000
     result = run_link_sim(slow_rep_link(1e-4), n, seed=2)
-    drained = runs[0]["heralds_ok"] - n
-    assert 0 <= drained < 2 * ions
-    assert sum(draws) == n + drained + 1
+    assert sum(draws) == n
     assert result["attempts"] > 1000 * sum(draws)
+    draws.clear()
+    n, ions = 300, MusiqcLayout.m_p * MusiqcLayout.m_t
+    _, log = event_log(slow_rep_link(0.05), n, seed=21)
+    drained = heralded(log) - n
+    assert 0 < drained < 2 * ions
+    assert sum(draws) == n + drained + 1
 
 
 def test_type2_mean_latency_matches_geometric_oracle():
@@ -374,11 +372,11 @@ def test_closed_form_gate_requests_match_engine(p, ports, tdm, tick, w, seed):
 
 def test_last_ion_case_completes_on_the_last_ion():
     p, n_pairs, ports, tdm, seed = _LAST_ION_CASE
-    result = netsim._closed_form_link_run(p, n_pairs, ports, tdm, 2e-6,
-                                          10e-9, seed)
+    result, text, _ = _logged_run(netsim._closed_form_link_run, p, n_pairs,
+                                  ports, tdm, 2e-6, 10e-9, seed)
     n_ions = ports * tdm
     assert result["attempts"] % n_ions == n_ions - 1
-    assert result["heralds_ok"] == n_pairs + 2
+    assert heralded(text) == n_pairs + 2
 
 
 def test_multi_chunk_case_spans_chunks_with_successes():
