@@ -113,9 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_number(text: str) -> Fraction | float:
     try:
-        return Fraction(text) if "/" in text else float(text)
+        value = Fraction(text) if "/" in text else float(text)
+        float(value)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"{text!r} is not a number") from None
+    except OverflowError:
+        raise ValidationError(
+            "fraction past the largest float (about 1.8e308)") from None
+    return value
 
 
 def _grid(text: str) -> list[float]:

@@ -5,7 +5,6 @@ report lines alongside the test results.
 """
 
 import math
-import statistics
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,14 +17,14 @@ from ionarch.cluster import (ErrorBudget, cell_lattice, matched_pair_class,
                              teleported_cnot_classes, threshold_margin)
 from ionarch.device import (DeviceParams, LinkModel, LinkType,
                             mean_connection_time)
-from ionarch.errors import NTooSmall
 from ionarch.estimator import (adder_execution_time, crossover_scan,
                                qcla_depth, qla_comm_steps, shor_estimate)
 from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
-                               ft_bounds, mc_tree_build, total_error)
+                               fail_prob, ft_bounds, mc_tree_build,
+                               total_error)
 from ionarch.netsim import run_link_sim
 from ionarch.steane import table_at_level
-from ionarch.hypercell import fail_prob
+from oracles import comm_oracle, depth_oracle, pair_latency_oracle
 
 
 def report(number, name):
@@ -56,20 +55,9 @@ def test_criterion_01_link_timing():
 
 @report(2, "depth formulas exhaustive")
 def test_criterion_02_depth_formulas():
-    def floor_log2_oracle(num, den):
-        e = 0
-        while 2 ** (e + 1) * den <= num:
-            e += 1
-        return e
-
     for n in range(7, 4097):
-        depth = sum(floor_log2_oracle(num, den)
-                    for num, den in ((n, 1), (n - 1, 1), (n, 3), (n - 1, 3))) + 14
-        assert qcla_depth(n).total == depth, n
-        comm = sum(F(t * (t + 17), 4) for t in
-                   (floor_log2_oracle(num, den)
-                    for num, den in ((n, 1), (n - 1, 1), (n, 3), (n - 1, 3))))
-        assert qla_comm_steps(n) == comm, n
+        assert qcla_depth(n).total == depth_oracle(n), n
+        assert qla_comm_steps(n) == comm_oracle(n), n
 
 
 @report(3, "adder table reproduction")
@@ -192,8 +180,8 @@ def test_criterion_09_netsim():
                           detector_efficiency=1.0, repetition_rate=rate)
     link = LinkModel(LinkType.TYPE_I, params)
     result = run_link_sim(link, n, seed=3, ports=1, m_t=1)
-    tau = 1.0 / (rate * p)
-    stderr = tau * math.sqrt(1 - p) / math.sqrt(n)
+    tau, stderr = pair_latency_oracle(1.0 / rate, 1, p, n)
+    assert result["successes"] == n
     assert abs(result["mean_pair_latency_s"] - tau) <= 3 * stderr
 
     base = run_link_sim(link, 1500, seed=11, ports=1, m_t=1)

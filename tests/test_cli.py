@@ -96,6 +96,20 @@ def test_threshold_rejects_bad_budget(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, key, other", [("--eps", "eps", "--ratio"),
+                                               ("--ratio", "r", "--eps")])
+def test_threshold_fraction_past_the_float_range_exit(capsys, flag, key,
+                                                      other):
+    # a fraction past the largest float once raised OverflowError from the
+    # budget's range check; one that rounds to 0.0 is a budget
+    huge = "1" + "0" * 400
+    assert run_cli(capsys, "threshold", flag, huge + "/1", other, "0") == (
+        2, "", "error: fraction past the largest float (about 1.8e308)\n")
+    code, out, err = run_cli(capsys, "threshold", flag, "1/" + huge, other,
+                             "0", "--json")
+    assert (code, err) == (0, "") and json.loads(out)[key] == 0.0
+
+
 def test_threshold_point_exits_where_mc_cluster_does(capsys):
     # a budget that puts a flip probability past 1 gives no product: the
     # point exits 2 with mc-cluster's line, where it once printed 729 (or
@@ -528,39 +542,40 @@ def test_netsim_rejected_run_keeps_log(tmp_path, monkeypatch, capsys, argv):
     assert (tmp_path / "keep.log").read_bytes() == b"keep\n"
 
 
-@pytest.fixture(scope="module")
-def engine_log(on_engine):
-    """The event engine's log of `netsim --pairs 30 --seed 9
-    --repetition-rate-hz 500000`, as the bytes of a log file."""
+def test_netsim_event_log_deterministic(tmp_path, capsys, on_engine):
+    # each logged run writes the event engine's log byte for byte and prints
+    # what the unlogged run prints
     from ionarch.config import device_from_config
     link = LinkModel(LinkType.TYPE_I,
                      device_from_config({}, repetition_rate=500000.0))
     chunks = []
     on_engine(run_link_sim, link, 30, 9, log_sink=chunks.append)
-    return "".join(chunks).encode()
+    engine_log = "".join(chunks).encode()
+    argv = ("netsim", "--pairs", "30", "--seed", "9",
+            "--repetition-rate-hz", "500000")
+    _, plain, _ = run_cli(capsys, *argv)
+    for name in ("a.log", "b.log"):
+        path = tmp_path / name
+        assert run_cli(capsys, *argv, "--log", str(path)) == (0, plain, "")
+        assert path.read_bytes() == engine_log
 
 
-def test_netsim_event_log_deterministic(tmp_path, capsys, engine_log):
-    log_a = tmp_path / "a.log"
-    log_b = tmp_path / "b.log"
-    for path in (log_a, log_b):
-        code, _, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
-                             "--repetition-rate-hz", "500000",
-                             "--log", str(path))
-        assert code == 0
-    assert log_a.read_bytes() == log_b.read_bytes() == engine_log
-
-
-def test_netsim_log_streams_the_collected_lines(tmp_path, capsys, engine_log):
-    path = tmp_path / "events.log"
-    code, out, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
-                           "--repetition-rate-hz", "500000", "--log",
-                           str(path))
+@pytest.mark.parametrize("argv, digest", [
+    (("--pairs", "5", "--seed", "1"),
+     "ab29b90835990a4f30c4235ef0353833646c189a235635aa709d3293d7b48adb"),
+    (("--m-p", "1", "--m-t", "1", "--pairs", "3", "--seed", "2"),
+     "436d113fdb849ed0b67e8b3ddb4ee2ebf58bd0d6add94815858ce37a9545a2e0"),
+    (("--pairs", "1", "--seed", "1", "--repetition-rate-hz", "1e-98"),
+     "c529295738ae014b773948059074201e2cd1ec7c2533c39a9269ed4b5f35ee7f"),
+])
+def test_netsim_log_pinned(tmp_path, capsys, argv, digest):
+    # two lines per attempt, and the file's bytes pinned
+    path = tmp_path / "e.log"
+    code, out, _ = run_cli(capsys, "netsim", *argv, "--log", str(path))
     assert code == 0
-    assert path.read_bytes() == engine_log
-    _, plain, _ = run_cli(capsys, "netsim", "--pairs", "30", "--seed", "9",
-                          "--repetition-rate-hz", "500000")
-    assert out == plain
+    text = path.read_bytes()
+    assert text.count(b"\n") == 2 * json.loads(out)["attempts"]
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_netsim_herald_latency_reaching_spacing_exit(tmp_path, capsys):

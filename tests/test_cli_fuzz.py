@@ -37,7 +37,8 @@ from ionarch.errors import ValidationError
 
 EDGE_FLOATS = ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e308",
                "2147483648"]
-FRACTIONS = ["1/3", "29/10000", "-1/2", "1/15", "1/0"]
+FRACTIONS = ["1/3", "29/10000", "-1/2", "1/15", "1/0",
+             "1" + "0" * 400 + "/1"]
 EDGE_INTS = ["0", "-1", "2147483648"]
 #: Values of no flag's type; "1.5" is ill-typed for the integer flags only.
 ILL_TYPED = ["x", ""]

@@ -13,31 +13,7 @@ from ionarch.estimator import (DepthProfile, adder_execution_time, adder_row,
                                crossover_scan, floor_log2, qcla_depth,
                                qla_comm_steps, rows_to_csv, shor_estimate)
 from ionarch.steane import Primitive, table_at_level
-
-
-# --- independent brute-force oracles ---------------------------------------
-
-def floor_log2_oracle(num, den=1):
-    """Exhaustive doubling: largest e with 2^e <= num/den (num, den ints)."""
-    e = 0
-    while 2 ** (e + 1) * den <= num:
-        e += 1
-    if 2 ** e * den > num:  # num/den < 1 never happens for our inputs
-        raise AssertionError
-    return e
-
-
-def depth_oracle(n):
-    return (floor_log2_oracle(n) + floor_log2_oracle(n - 1)
-            + floor_log2_oracle(n, 3) + floor_log2_oracle(n - 1, 3) + 14)
-
-
-def comm_oracle(n):
-    total = Fraction(0)
-    for num, den in ((n, 1), (n - 1, 1), (n, 3), (n - 1, 3)):
-        t = floor_log2_oracle(num, den)
-        total += Fraction(t * (t + 17), 4)
-    return total
+from oracles import comm_oracle, depth_oracle, floor_log2_oracle
 
 
 def depth_profile_oracle(n, layout):
@@ -100,7 +76,6 @@ def test_floor_log2_integers_only():
 
 
 def test_depth_formulas_large_n():
-    import random
     rng = random.Random(0)
     samples = [2**k for k in range(3, 21)]
     samples += [2**k - 1 for k in range(3, 21)] + [2**k + 1 for k in range(3, 21)]

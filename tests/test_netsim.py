@@ -14,6 +14,7 @@ from ionarch.steane import (PAIRS_PER_OPERAND, level1_costs, table_at_level,
 from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from link_engine_oracle import (EntanglementRequest, EventKind, EventQueue,
                                 SimEvent, engine_link_run)
+from oracles import pair_latency_oracle
 
 
 def slow_rep_link(p_success=0.05, rep_rate=0.5e6):
@@ -71,17 +72,6 @@ def _recording(run):
         results.append(run(*args, **kwargs))
         return results[-1]
     return call, results
-
-
-def test_mean_latency_matches_geometric_oracle():
-    # geometric-distribution oracle: mean completion spacing is 1/(R p)
-    p, rate, n = 0.05, 0.5e6, 10000
-    link = slow_rep_link(p, rate)
-    result = run_link_sim(link, n, seed=3, ports=1, m_t=1)
-    tau = 1.0 / (rate * p)
-    stderr = tau * math.sqrt(1.0 - p) / math.sqrt(n)
-    assert abs(result["mean_pair_latency_s"] - tau) <= 3 * stderr
-    assert result["successes"] == n
 
 
 def heralded(log: str) -> int:
@@ -242,8 +232,7 @@ def test_type2_mean_latency_matches_geometric_oracle():
     result = run_link_sim(link, n, seed=5)
     tick = max(1.0 / link.params.rep_rate,
                netsim.HERALD_LATENCY + link.params.reinit_time)
-    per_pair = tick / (ions * p)
-    sigma = per_pair * math.sqrt((1.0 - p) / n)
+    per_pair, sigma = pair_latency_oracle(tick, ions, p, n)
     assert result["successes"] == n
     assert abs(result["mean_pair_latency_s"] - per_pair) <= 6 * sigma
 
