@@ -32,7 +32,7 @@ class TreeConfig:
     """Shape of the binary trees making up a hypercell."""
 
     arity: ClassVar[int] = 2     # register valency 3: 1 link down, 2 up
-    layers: int = 4
+    layers: int
 
     def __post_init__(self):
         if self.layers < 1:
@@ -108,7 +108,8 @@ class HypercellBudget:
 
 def fail_prob(p: float, m: int) -> float:
     """Probability (1 - p)^m that all m port pairs fail."""
-    if m < 1:
+    # comparisons that NaN fails
+    if not m >= 1:
         raise ValidationError("m must be at least 1")
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
@@ -117,7 +118,7 @@ def fail_prob(p: float, m: int) -> float:
 
 def path_length(m: int) -> float:
     """Bell pairs between the two roots: 2 log2(m) + 1."""
-    if m < 2:
+    if not m >= 2:
         raise ValidationError("m must be at least 2")
     return 2.0 * math.log2(m) + 1.0
 
@@ -189,8 +190,8 @@ def hypercell_cost(p: float, c: float) -> float:
     """
     if not 0 < p <= 1:
         raise ValidationError("p must lie in (0, 1]")
-    if c <= 0:
-        raise ValidationError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValidationError("c must be positive and finite")
     return (4.5 * c / p) * math.log(1.0 / p)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 
 
-def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
+def philox_stream(seed: int, stream: int) -> np.random.Generator:
     """Generator for stream ``stream`` of the seed's Philox sequence.
 
     The seed is the Philox key, which must lie in [0, 2**128).  Stream k

@@ -119,7 +119,7 @@ class LogicalCostTable:
     cnot_teleport_time: float
     #: One physical entanglement-swapping step (CNOT + 2 singles + measure);
     #: comm units always operate on bare ions, so this does not lift.
-    swap_step_time: float = 0.0
+    swap_step_time: float
 
     def time(self, primitive: Primitive) -> float:
         return self.entries[primitive].time

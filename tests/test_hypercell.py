@@ -15,6 +15,10 @@ from ionarch.hypercell import (HypercellBudget, TreeConfig, boundary_scan,
 def test_fail_prob_values():
     assert fail_prob(1.0, 10) == 0.0
     assert fail_prob(0.01, 300) == pytest.approx(0.04904, abs=5e-6)
+    assert fail_prob(0.5, 1) == 0.5
+    for m in (0, math.nan):
+        with pytest.raises(ValidationError, match="m must be at least 1"):
+            fail_prob(0.5, m)
 
 
 def test_fail_prob_exact_below_approx():
@@ -36,8 +40,9 @@ def test_path_length():
     assert path_length(256) == 17
     for m in (2, 8, 64):
         assert path_length(2 * m) - path_length(m) == pytest.approx(2.0)
-    with pytest.raises(ValidationError):
-        path_length(1)
+    for m in (1, math.nan):
+        with pytest.raises(ValidationError, match="m must be at least 2"):
+            path_length(m)
 
 
 def test_memory_error_example():
@@ -135,6 +140,12 @@ def test_hypercell_cost():
     assert hypercell_cost(0.2, 1.0) == pytest.approx(22.5 * math.log(5.0))
     # finite where the cost itself, e**20723, overflows a float
     assert hypercell_cost(1e-3, 3.0) == pytest.approx(13500 * math.log(1e3))
+    for p in (0.0, math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValidationError, match="p must lie in"):
+            hypercell_cost(p, 1.0)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="c must be positive"):
+            hypercell_cost(0.5, c)
 
 
 def test_mc_tree_build_deterministic_limit():
