@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -564,6 +565,7 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValidationError(
             f"samples must lie in [1, 2**62], got {samples}")
+    samples = operator.index(samples)
     weights = cell_lattice().flip_weights.get(mode)
     if weights is None:
         raise ValidationError(f"unknown MC mode {mode!r}")

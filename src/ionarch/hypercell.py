@@ -16,6 +16,7 @@ analytic total.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -35,13 +36,16 @@ class TreeConfig:
     layers: int
 
     def __post_init__(self):
-        if self.layers < 1:
+        # comparisons that NaN fails; a depth that is not an integer, such
+        # as 2.0, then raises TypeError
+        if not self.layers >= 1:
             raise ValidationError("layers must be at least 1")
         # the depth is checked before any power is built: 2**layers of a
         # huge depth would take as long and as much memory as its digits
-        if self.layers > MAX_LAYERS:
+        if not self.layers <= MAX_LAYERS:
             raise ValidationError(
                 f"{self.layers} layers give more than 2**62 ports")
+        operator.index(self.layers)
 
     @property
     def ports(self) -> int:
@@ -108,19 +112,20 @@ class HypercellBudget:
 
 def fail_prob(p: float, m: int) -> float:
     """Probability (1 - p)^m that all m port pairs fail."""
-    # comparisons that NaN fails
-    if not m >= 1:
-        raise ValidationError("m must be at least 1")
+    # comparisons that NaN fails; an m that is not an integer then raises
+    # TypeError
+    if not 1 <= m < math.inf:
+        raise ValidationError("m must be at least 1 and finite")
     if not 0 <= p <= 1:
         raise ValidationError("p must lie in [0, 1]")
-    return (1.0 - p) ** m
+    return (1.0 - p) ** operator.index(m)
 
 
 def path_length(m: int) -> float:
     """Bell pairs between the two roots: 2 log2(m) + 1."""
-    if not m >= 2:
-        raise ValidationError("m must be at least 2")
-    return 2.0 * math.log2(m) + 1.0
+    if not 2 <= m < math.inf:
+        raise ValidationError("m must be at least 2 and finite")
+    return 2.0 * math.log2(operator.index(m)) + 1.0
 
 
 def _path_error(ts, tau_e: float, tau_d: float, c: float):
@@ -244,8 +249,9 @@ def mc_tree_build(config: TreeConfig, budget: HypercellBudget, trials: int,
     # imported here, so the analytics and the scan load without numpy
     from .rng import philox_stream
 
-    if trials < 1:
+    if not trials >= 1:
         raise ValidationError("trials must be positive")
+    trials = operator.index(trials)
     p = budget.p
     m = config.ports
     n_path_pairs = int(round(path_length(m)))

@@ -7,8 +7,8 @@ tests can require bit-equal completions, attempt counts, herald counts and
 event logs.  The engine writes its log lines itself, reading nothing from
 ``ionarch.netsim``, so the comparison checks the line text as well as the
 stamps and the event order.  ``engine_link_run`` has the closed form's
-signature, and the ``on_engine`` fixture of ``conftest.py`` swaps it in for
-the closed form.
+signature, and the tests of ``_closed_form_link_run`` compare the two on
+small requests.
 """
 
 from __future__ import annotations

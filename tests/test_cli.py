@@ -233,14 +233,6 @@ _BENCH_EPS_GRID = ",".join(f"{k}e-4" for k in range(40))
 _BENCH_RATIO_GRID = ",".join(f"{5 * k}e-5" for k in range(40))
 
 
-def test_threshold_scan_matches_the_point_loop_byte_for_byte(capsys):
-    grids = ("--eps-grid", _BENCH_EPS_GRID, "--ratio-grid", _BENCH_RATIO_GRID)
-    csv_text, json_text = _oracle_scan(_BENCH_EPS_GRID, _BENCH_RATIO_GRID)
-    assert run_cli(capsys, "threshold", "--scan", *grids) == (0, csv_text, "")
-    assert run_cli(capsys, "threshold", "--scan", *grids, "--json") == (
-        0, json_text, "")
-
-
 @pytest.mark.parametrize("argv, digest", [
     ((), "ceba7e8eb220820e6b328b924db3764c1290deb890e1aac9eb876e53eb8f0432"),
     (("--eps-grid", _BENCH_EPS_GRID, "--ratio-grid", _BENCH_RATIO_GRID),
@@ -266,42 +258,47 @@ def _caught(action, call):
     return [(w.category, str(w.message)) for w in caught], result
 
 
-def _assert_scan_as_point_loop(capsys, eps_text, ratio_text):
-    """The scan warns and fails as the point loop does, under both the
-    ``always`` and the ``default`` filters."""
+def _bad_value_grids():
+    """3 x 3 grids with a bad value in each position, with and without
+    large ratios, each with its id bad_ratio-bad_eps-ratios{0,1}."""
+    for k, ratios in enumerate((["0.06", "1e-4", "0.07"],
+                                ["0", "1e-4", "1e-3"])):
+        for bad_eps in (None, 0, 1, 2):
+            for bad_ratio in (None, 0, 1, 2):
+                eps, ratio = ["1e-4", "0", "2e-3"], list(ratios)
+                if bad_eps is not None:
+                    eps[bad_eps] = "nan" if bad_eps == 1 else "0.5"
+                if bad_ratio is not None:
+                    ratio[bad_ratio] = "inf" if bad_ratio == 1 else "-1"
+                yield pytest.param(",".join(eps), ",".join(ratio),
+                                   id=f"{bad_ratio}-{bad_eps}-ratios{k}")
+
+
+@pytest.mark.parametrize("eps_text, ratio_text", [
+    pytest.param(_BENCH_EPS_GRID, _BENCH_RATIO_GRID, id="benchmark"),
+    # eps 0, the least subnormal and 1/15 against ratios 0, 1e-4 and 0.06
+    pytest.param(f"0,5e-324,{1 / 15!r}", "0,1e-4,0.06", id="edges"),
+    # large and small ratios mixed, one of them twice
+    pytest.param("0,1e-4,2e-3", "0.06,0,0.07,1e-3,0.06", id="mixed"),
+    *_bad_value_grids(),
+])
+def test_threshold_scan_fails_as_the_point_loop(capsys, eps_text,
+                                                ratio_text):
+    # the scan is the point loop: under the always and the default filters
+    # it warns, exits and prints, in CSV and in JSON, as the loop does
     for action in ("always", "default"):
-        # the = form keeps a grid such as -1,0 from reading as a flag
-        cli_warned, (code, out, err) = _caught(action, lambda: run_cli(
-            capsys, "threshold", "--scan", f"--eps-grid={eps_text}",
-            f"--ratio-grid={ratio_text}"))
         oracle_warned, oracle = _caught(
             action, lambda: _oracle_scan(eps_text, ratio_text))
-        assert cli_warned == oracle_warned, (action, eps_text, ratio_text)
-        if isinstance(oracle, str):
-            assert (code, out, err) == (2, "", oracle), (eps_text, ratio_text)
-        else:
-            assert (code, out, err) == (0, oracle[0], "")
-
-
-def test_threshold_scan_warns_as_the_point_loop(capsys):
-    # large and small ratios mixed, one of them twice
-    _assert_scan_as_point_loop(capsys, "0,1e-4,2e-3",
-                               "0.06,0,0.07,1e-3,0.06")
-
-
-@pytest.mark.parametrize("ratios", [["0.06", "1e-4", "0.07"],
-                                    ["0", "1e-4", "1e-3"]])
-@pytest.mark.parametrize("bad_eps", [None, 0, 1, 2])
-@pytest.mark.parametrize("bad_ratio", [None, 0, 1, 2])
-def test_threshold_scan_fails_as_the_point_loop(capsys, ratios, bad_eps,
-                                                bad_ratio):
-    # a bad value in each position, on grids with and without large ratios
-    eps, ratio = ["1e-4", "0", "2e-3"], list(ratios)
-    if bad_eps is not None:
-        eps[bad_eps] = "nan" if bad_eps == 1 else "0.5"
-    if bad_ratio is not None:
-        ratio[bad_ratio] = "inf" if bad_ratio == 1 else "-1"
-    _assert_scan_as_point_loop(capsys, ",".join(eps), ",".join(ratio))
+        for form, json_flag in enumerate(((), ("--json",))):
+            # the = form keeps a grid such as -1,0 from reading as a flag
+            cli_warned, printed = _caught(action, lambda: run_cli(
+                capsys, "threshold", "--scan", f"--eps-grid={eps_text}",
+                f"--ratio-grid={ratio_text}", *json_flag))
+            assert cli_warned == oracle_warned, (action, json_flag)
+            if isinstance(oracle, str):
+                assert printed == (2, "", oracle), json_flag
+            else:
+                assert printed == (0, oracle[form], ""), json_flag
 
 
 def test_mc_cluster_deterministic_bytes(capsys):
@@ -545,22 +542,22 @@ def test_netsim_rejected_run_keeps_log(tmp_path, monkeypatch, capsys, argv):
     assert (tmp_path / "keep.log").read_bytes() == b"keep\n"
 
 
-def test_netsim_event_log_deterministic(tmp_path, capsys, on_engine):
-    # each logged run writes the event engine's log byte for byte and prints
-    # what the unlogged run prints
+def test_netsim_event_log_deterministic(tmp_path, capsys):
+    # each logged run writes the log that run_link_sim streams to its sink,
+    # byte for byte, and prints what the unlogged run prints
     from ionarch.config import device_from_config
     link = LinkModel(LinkType.TYPE_I,
                      device_from_config({}, repetition_rate=500000.0))
     chunks = []
-    on_engine(run_link_sim, link, 3, 9, log_sink=chunks.append)
-    engine_log = "".join(chunks).encode()
+    run_link_sim(link, 3, 9, log_sink=chunks.append)
+    sink_log = "".join(chunks).encode()
     argv = ("netsim", "--pairs", "3", "--seed", "9",
             "--repetition-rate-hz", "500000")
     _, plain, _ = run_cli(capsys, *argv)
     for name in ("a.log", "b.log"):
         path = tmp_path / name
         assert run_cli(capsys, *argv, "--log", str(path)) == (0, plain, "")
-        assert path.read_bytes() == engine_log
+        assert path.read_bytes() == sink_log
 
 
 @pytest.mark.parametrize("argv, digest", [

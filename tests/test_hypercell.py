@@ -16,9 +16,12 @@ def test_fail_prob_values():
     assert fail_prob(1.0, 10) == 0.0
     assert fail_prob(0.01, 300) == pytest.approx(0.04904, abs=5e-6)
     assert fail_prob(0.5, 1) == 0.5
-    for m in (0, math.nan):
+    # an infinite m once gave 0.0, and 2.5 a power no port count has
+    for m in (0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="m must be at least 1"):
             fail_prob(0.5, m)
+    with pytest.raises(TypeError, match="integer"):
+        fail_prob(0.5, 2.5)
 
 
 def test_fail_prob_exact_below_approx():
@@ -40,9 +43,11 @@ def test_path_length():
     assert path_length(256) == 17
     for m in (2, 8, 64):
         assert path_length(2 * m) - path_length(m) == pytest.approx(2.0)
-    for m in (1, math.nan):
+    for m in (1, math.nan, math.inf):
         with pytest.raises(ValidationError, match="m must be at least 2"):
             path_length(m)
+    with pytest.raises(TypeError, match="integer"):
+        path_length(4.0)
 
 
 def test_memory_error_example():
@@ -344,6 +349,25 @@ def test_tree_port_ceiling():
     assert TreeConfig(layers=61).ports == 2**62
     with pytest.raises(ValidationError):
         TreeConfig(layers=62)
+
+
+def test_tree_depth_is_a_whole_number():
+    # NaN layers once gave nan ports, and 2.5 layers 11.3 ports
+    with pytest.raises(ValidationError, match="layers"):
+        TreeConfig(layers=math.nan)
+    for layers in (2.5, 2.0):
+        with pytest.raises(TypeError, match="integer"):
+            TreeConfig(layers=layers)
+
+
+def test_mc_trials_are_a_whole_number():
+    # NaN trials once gave nan rates, and 2.5 trials divided by 2.5
+    budget = HypercellBudget(t=0.35, tau_e=1.0, tau_d=1.0, eps=1e-4)
+    for trials in (0, math.nan):
+        with pytest.raises(ValidationError, match="trials"):
+            mc_tree_build(TreeConfig(layers=1), budget, trials, seed=1)
+    with pytest.raises(TypeError, match="integer"):
+        mc_tree_build(TreeConfig(layers=1), budget, 2.5, seed=1)
 
 
 def test_design_layers_at_exact_powers_of_two():

@@ -64,16 +64,6 @@ def test_request_over_completion_guard():
 # ---------------------------------------------------------------------------
 # link simulation
 
-def _recording(run):
-    """``run`` and the list of the results it returns."""
-    results = []
-
-    def call(*args, **kwargs):
-        results.append(run(*args, **kwargs))
-        return results[-1]
-    return call, results
-
-
 def heralded(log: str) -> int:
     """The heralded successes of a request's event log, drained ones
     included."""
@@ -97,16 +87,6 @@ def test_deterministic_link_p_one():
     assert result["attempts"] == 50
     assert result["completions"][-1] == pytest.approx(
         49 / rate + netsim.HERALD_LATENCY)
-
-
-def test_throughput_gain_of_multiplexing():
-    # pipelined-server oracle: saturated throughput scales with m_p * m_t
-    link = slow_rep_link(0.05, 0.5e6)
-    n = 1500
-    base = run_link_sim(link, n, seed=11, ports=1, m_t=1)
-    tdm = run_link_sim(link, n, seed=12, ports=2, m_t=10)
-    gain = base["makespan_s"] / tdm["makespan_s"]
-    assert gain == pytest.approx(20.0, rel=0.15)
 
 
 def event_log(*args, **kwargs):
@@ -156,28 +136,6 @@ def test_oracle_log_lines_pinned():
 def test_conservation_pairs_and_circuits():
     result = run_link_sim(slow_rep_link(), 200, seed=9)
     assert result["successes"] <= result["attempts"]
-
-
-def test_batched_path_matches_event_engine(monkeypatch):
-    # the event engine, swapped in for the closed form, is its oracle: same
-    # seed, same draws, identical results, completion times and event logs
-    keys = ("makespan_s", "mean_pair_latency_s", "attempts", "successes")
-    closed_form = netsim._closed_form_link_run
-    for p, m_p, m_t, seed in [(0.05, 1, 1, 3), (0.05, 2, 10, 7),
-                              (0.01, 2, 3, 11), (0.002, 2, 10, 13)]:
-        link = slow_rep_link(p)
-        kwargs = dict(seed=seed, ports=m_p, m_t=m_t)
-        run, engine_runs = _recording(engine_link_run)
-        monkeypatch.setattr(netsim, "_closed_form_link_run", run)
-        engine, engine_log = event_log(link, 300, **kwargs)
-        run, batched_runs = _recording(closed_form)
-        monkeypatch.setattr(netsim, "_closed_form_link_run", run)
-        batched, batched_log = event_log(link, 300, **kwargs)
-        for key in keys:
-            assert engine[key] == batched[key], (p, m_p, m_t, key)
-        assert engine_log == batched_log, (p, m_p, m_t)
-        assert (engine_runs[0]["completions"]
-                == batched_runs[0]["completions"]), (p, m_p, m_t)
 
 
 def test_link_sim_outputs_pinned():
@@ -261,13 +219,6 @@ def test_attempt_count_past_int64_range_rejected():
     assert 0 < result["attempts"] < 2**62 and result["makespan_s"] > 0
 
 
-def test_log_sink_receives_the_collected_lines(on_engine):
-    streamed, text = event_log(slow_rep_link(), 30, seed=4)
-    _, collected = on_engine(event_log, slow_rep_link(), 30, seed=4)
-    assert text == collected
-    assert streamed == run_link_sim(slow_rep_link(), 30, seed=4)
-
-
 def _logged_run(run, *args, **kwargs):
     """A link run's result and its event log, as the text and the chunks
     that its sink received."""
@@ -293,11 +244,18 @@ _MULTI_CHUNK_CASE = (0.002, 40, 2, 3, 1)
     _LAST_ION_CASE + (0.0, 0),
     (0.2, 12, 2, 3, 8, 0.37, 5),
     _MULTI_CHUNK_CASE + (0.0, 0),
+    # 300 pairs over 1, 20 and 6 ions: logs of 7, 7 and 30 chunks in 4, 1
+    # and 3 stamp blocks
+    (0.05, 300, 1, 1, 3, 0.0, 0),
+    (0.05, 300, 2, 10, 7, 0.0, 0),
+    (0.01, 300, 2, 3, 11, 0.0, 0),
 ])
 def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
                                         stream):
     # the closed form's log is the engine's, byte for byte, in chunks of
-    # whole ticks: each starts with ion 0's AttemptStart and ends a line
+    # whole ticks: each starts with ion 0's AttemptStart and ends a line,
+    # and all but the last hold more than half of LOG_CHUNK_BYTES and at
+    # most that
     args = (p, n_pairs, ports, tdm, 2e-6, 10e-9, seed)
     kwargs = dict(start=start, stream=stream)
     result, text, chunks = _logged_run(netsim._closed_form_link_run, *args,
@@ -310,9 +268,9 @@ def test_closed_form_log_matches_engine(p, n_pairs, ports, tdm, seed, start,
         line = chunk[:chunk.index("\n")]
         assert line.partition(",")[2] == f"AttemptStart,0,0,{stream}"
         assert chunk.endswith("\n")
-    ticks = math.ceil(result["attempts"] / (ports * tdm))
-    if len(text) > netsim.LOG_CHUNK_BYTES:
-        assert len(chunks) < ticks
+    for chunk in chunks[:-1]:
+        assert (netsim.LOG_CHUNK_BYTES / 2 < len(chunk)
+                <= netsim.LOG_CHUNK_BYTES)
 
 
 @pytest.mark.parametrize("p, n_pairs, ports, tdm, tick, w, seed, decades", [
@@ -347,11 +305,16 @@ def test_closed_form_log_matches_engine_across_decades(p, n_pairs, ports, tdm,
     # a slow herald stretches the attempt spacing past a teleport, so the
     # drained attempts of a request outlive its completion
     (0.05, 1, 3, 5e-4 + 1e-6, 5e-4, 8),
+    # the pipeline's own requests over 2 x 10 ions, at a repetition rate of
+    # 500 kHz and of 1 kHz, where a gate's drained attempts outlive it
+    (0.01, 2, 10, 2e-6, 10e-9, 9),
+    (0.05, 2, 10, 1e-3, 10e-9, 8),
 ])
 def test_closed_form_gate_requests_match_engine(p, ports, tdm, tick, w, seed):
     # the requests of a Toffoli pipeline's first two gates, seven pairs to
-    # each operand on stream 3*gate + op from the gate's start, at success
-    # probabilities and herald latencies no physical link of the pipeline has
+    # each operand on stream 3*gate + op from the gate's start; all but the
+    # last two cases at success probabilities and herald latencies no
+    # physical link of the pipeline has
     for stream in range(6):
         args = (p, PAIRS_PER_OPERAND, ports, tdm, tick, w, seed)
         kwargs = dict(stream=stream, start=stream // 3 * 2.9e-3)
@@ -504,28 +467,44 @@ def pipeline_fixture(p=0.01, rate=0.5e6):
     return link, table
 
 
-def test_batched_pipeline_matches_event_engine(on_engine):
-    # each gate is three closed-form runs on streams 3*gate + op; the event
-    # engine, swapped in for the closed form, serves the same requests
-    keys = ("makespan_s", "gate_times_s", "attempts", "link_wait_fraction")
-    cases = [(0.01, 0.5e6, 9, 3), (0.25, 0.5e6, 2**64 + 1, 3),
-             # a slow repetition rate stretches the attempt spacing past the
-             # teleport, so a gate's drained attempts outlive it
-             (0.05, 1e3, 8, 3)]
-    for p, rate, seed, n in cases:
-        link, table = pipeline_fixture(p, rate)
-        engine = on_engine(run_toffoli_pipeline, n, table, link, seed)
-        batched = run_toffoli_pipeline(n, table, link, seed)
-        for key in keys:
-            assert engine[key] == batched[key], (p, rate, key)
-    # the default device, two gates
-    params = DeviceParams()
-    link = LinkModel(LinkType.TYPE_I, params)
-    table = level1_costs(params, MusiqcLayout())
-    engine = on_engine(run_toffoli_pipeline, 2, table, link, 3)
-    batched = run_toffoli_pipeline(2, table, link, 3)
-    for key in keys:
-        assert engine[key] == batched[key], key
+def _recording(run):
+    """``run`` and the list of the results it returns."""
+    results = []
+
+    def call(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+    return call, results
+
+
+def test_pipeline_gate_ends_a_teleport_after_the_slower_phase(monkeypatch):
+    # each gate ends one teleport after the later of its resource state's
+    # preparation and its three link requests' last completions; at 5 kHz
+    # the preparation ends last in some gates and the links in others
+    link, table = pipeline_fixture(p=0.05, rate=5e3)
+    record, runs = _recording(netsim._closed_form_link_run)
+    monkeypatch.setattr(netsim, "_closed_form_link_run", record)
+    n = 20
+    result = run_toffoli_pipeline(n, table, link, seed=9)
+    assert len(runs) == 3 * n
+    prep, teleport = table.phi_plus_prep_time, table.toffoli_teleport_time
+    t = link_wait = 0.0
+    gate_times, prep_last = [], []
+    for k in range(n):
+        gate = runs[3 * k:3 * k + 3]
+        # no request of a gate completes before the gate starts
+        assert all(run["completions"][0] > t for run in gate), k
+        links_end = max(run["completions"][-1] for run in gate)
+        prep_last.append(t + prep > links_end)
+        link_wait += max(0.0, links_end - (t + prep))
+        gate_end = max(t + prep, links_end) + teleport
+        gate_times.append(gate_end - t)
+        t = gate_end
+    assert 0 < sum(prep_last) < n
+    assert result["gate_times_s"] == gate_times
+    assert result["makespan_s"] == t
+    assert result["attempts"] == sum(run["attempts"] for run in runs)
+    assert result["link_wait_fraction"] == link_wait / t
 
 
 @pytest.mark.parametrize("layout", [QlaLayout(), NnLayout()])
