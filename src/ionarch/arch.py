@@ -10,14 +10,13 @@ syndrome-extraction rounds folded into each logical time step of an adder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar
 
+from ._value import Value
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Value):
     """Link constants every layout answers; a layout overrides what differs."""
 
     #: Ports per remote peer: an encoded teleport's seven Bell pairs are
@@ -28,7 +27,6 @@ class _Layout:
     lift_pair_swap_depth: ClassVar[int] = 0
 
 
-@dataclass(frozen=True)
 class MusiqcLayout(_Layout):
     """Photonically linked registers behind a reconfigurable optical switch.
 
@@ -49,7 +47,6 @@ class MusiqcLayout(_Layout):
         return 18 * n
 
 
-@dataclass(frozen=True)
 class QlaLayout(_Layout):
     """Nearest-neighbor grid of logic units embedded in repeater comm units.
 
@@ -72,7 +69,6 @@ class QlaLayout(_Layout):
         return 110 * n
 
 
-@dataclass(frozen=True)
 class NnLayout(_Layout):
     """Strictly nearest-neighbor hardware running a ripple-carry adder."""
 

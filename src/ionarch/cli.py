@@ -43,30 +43,21 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ionarch",
-        description="resource estimation and simulation for modular "
-                    "trapped-ion architectures")
-    sub = parser.add_subparsers(dest="command", required=True)
-    #: The subcommands' parsers by name, which ``main`` calls directly.
-    parser.commands = sub.choices
-
-    p = sub.add_parser("estimate-adder", help="n-bit adder time and resources")
+def _estimate_adder_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--arch", choices=["musiqc", "qla", "nn"], required=True)
     p.add_argument("--level", type=int, default=1)
-    _add_common(p)
 
-    p = sub.add_parser("estimate-shor", help="factoring roll-up")
+
+def _estimate_shor_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--arch", choices=["musiqc", "qla"], default="musiqc")
     p.add_argument("--eps-phys", type=float, default=steane.EPS_PHYS)
     p.add_argument("--eps-threshold", type=float,
                    default=steane.EPS_THRESHOLD)
-    _add_common(p)
 
-    p = sub.add_parser("threshold", help="cluster-state threshold margin")
+
+def _threshold_args(p):
     p.add_argument("--eps", type=str, default="0.0",
                    help="gate error (accepts fractions like 29/10000)")
     p.add_argument("--ratio", type=str, default="0.0",
@@ -74,16 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", action="store_true")
     p.add_argument("--eps-grid", default="0,1e-4,3e-4,1e-3")
     p.add_argument("--ratio-grid", default="0,1e-4,3e-4,1e-3")
-    _add_common(p)
 
-    p = sub.add_parser("mc-cluster", help="Monte Carlo cell-check expectation")
+
+def _mc_cluster_args(p):
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--ratio", type=float, default=0.0)
-    _add_common(p)
 
-    p = sub.add_parser("netsim", help="photonic link simulation")
+
+def _netsim_args(p):
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--m-p", type=int, default=MusiqcLayout.m_p)
@@ -92,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-excite", type=float, default=None)
     p.add_argument("--repetition-rate-hz", type=float, default=None)
     p.add_argument("--log", help="write the event log to this path")
-    _add_common(p)
 
-    p = sub.add_parser("hypercell", help="tree-cluster analytics and scans")
+
+def _hypercell_args(p):
     p.add_argument("--scan", action="store_true")
     p.add_argument("--eps-grid", default="1e-6,1e-5,1e-4,1e-3")
     p.add_argument("--ratio-grid", default="0.1,1,10,100")
@@ -106,8 +97,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int, default=None,
                    help="tree depth (default: the depth whose ports reach "
                         "c/p)")
-    _add_common(p)
 
+
+#: Each subcommand's help line and the function adding its own arguments.
+_SUBCOMMANDS = {
+    "estimate-adder": ("n-bit adder time and resources", _estimate_adder_args),
+    "estimate-shor": ("factoring roll-up", _estimate_shor_args),
+    "threshold": ("cluster-state threshold margin", _threshold_args),
+    "mc-cluster": ("Monte Carlo cell-check expectation", _mc_cluster_args),
+    "netsim": ("photonic link simulation", _netsim_args),
+    "hypercell": ("tree-cluster analytics and scans", _hypercell_args),
+}
+
+
+#: The program name that usage, help and error lines start with.
+_PROG = "ionarch"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog=_PROG,
+        description="resource estimation and simulation for modular "
+                    "trapped-ion architectures")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        _add_common(p)
     return parser
 
 
@@ -339,20 +355,29 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser the full parser hands ``command``'s arguments to, built
+    alone: ``add_parser`` gives it the same class and the prog
+    "ionarch <command>"."""
+    parser = _Parser(prog=f"{_PROG} {command}")
+    _SUBCOMMANDS[command][1](parser)
+    _add_common(parser)
+    return parser
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse ``argv`` as the full parser does, in one argparse level.
 
     When ``argv`` starts with a known subcommand, the rest goes straight to
-    that subcommand's parser, the one the top-level parser would hand it
-    to.  Anything else (no argument, a leading ``-h``, an unknown command)
-    takes the full parser, which reports it.
+    that subcommand's parser, built without the others.  Anything else (no
+    argument, a leading ``-h``, an unknown command) takes the full parser,
+    which reports it.
     """
-    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return _parser().parse_args(argv)
+    args = _command_parser(argv[0]).parse_args(argv[1:])
     args.command = argv[0]
     return args
 
@@ -360,11 +385,11 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
-    The parser is built on the first call and reused by every later call in
-    the process; a parse keeps no state between calls, so each starts from
-    the defaults.  A call that names a known subcommand first is parsed by
-    that subcommand's parser alone (``_parse_args``), with the namespace
-    and the errors the full parser gives.  A rejected command line returns 2
+    Each parser is built on its first call and reused by every later call
+    in the process; a parse keeps no state between calls, so each starts
+    from the defaults.  A call that names a known subcommand first is
+    parsed by that subcommand's parser alone (``_parse_args``), with the
+    namespace and the errors the full parser gives.  A rejected command line returns 2
     like any other bad input; ``--help`` exits 0 through ``SystemExit``.
     """
     try:

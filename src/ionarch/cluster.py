@@ -51,10 +51,10 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
+from ._value import Value
 from .errors import ValidationError
 
 Coord = tuple[int, int, int]
@@ -62,8 +62,7 @@ Coord = tuple[int, int, int]
 # ---------------------------------------------------------------------------
 # exact linear error forms
 
-@dataclass(frozen=True)
-class LinearError:
+class LinearError(Value):
     """First-order error probability a*eps + b*r with exact coefficients."""
 
     eps: Fraction = Fraction(0)
@@ -102,8 +101,7 @@ MAX_GATE_ERROR = 1 / 15
 RATIO_WARNING_LEVEL = 0.05
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(Value):
     """Gate error strength and per-step memory error ratio."""
 
     eps: float
@@ -117,8 +115,9 @@ class ErrorBudget:
             raise ValidationError(
                 f"memory error ratio {self.r} must be finite and non-negative")
         if float(self.r) > RATIO_WARNING_LEVEL:
-            # level 3 skips this method and the generated __init__, so the
-            # warning names the line that built the budget
+            # level 3 skips this method and the ``__init__`` that ``Value``
+            # gives the class, so the warning names the line that built the
+            # budget
             warnings.warn(
                 f"memory error ratio {self.r} is large; first-order "
                 "bookkeeping is unreliable here", stacklevel=3)
@@ -261,8 +260,7 @@ def edges_of_face(face: Coord) -> list[Coord]:
     return out
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(Value):
     face: Coord
     edge: Coord
     position: int        # 1..4 in the edge's coupling order; 1 = birth pair
@@ -279,8 +277,7 @@ class Link:
                     cnot_step=position, measure_step=position + 1)
 
 
-@dataclass(frozen=True)
-class ErrorSource:
+class ErrorSource(Value):
     kind: str                    # "birth_pair" | "cnot_link" | "readout"
     flip: LinearError            # probability of flipping the cell check
     # the weights of the link-gadget faults that flip the check, which
@@ -288,8 +285,7 @@ class ErrorSource:
     fault_weights: tuple[LinearError, ...] = ()
 
 
-@dataclass(frozen=True)
-class CreationSchedule:
+class CreationSchedule(Value):
     """Five ordered steps of Bell creations, CNOTs and measurements."""
 
     bell_pairs: dict        # step -> list[(face, edge)]

@@ -9,9 +9,9 @@ remote entanglement generation, and a photonic interface with weak-excitation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._value import Value
 from .errors import ValidationError, ZeroSuccessProbability
 
 TWO_PI = 2.0 * math.pi
@@ -26,8 +26,7 @@ class LinkType(Enum):
     TYPE_II = "type2"   # two-photon coincidence
 
 
-@dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(Value):
     """Trap and photonic-interface parameters.
 
     Durations in seconds, rates in Hz, ``gamma`` in rad/s.  ``repetition_rate``
@@ -80,14 +79,17 @@ class DeviceParams:
 TYPE_I_MAX_EXCITE = 0.25
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(Value):
     """A heralded link of a given type over a device parameter set."""
 
     kind: LinkType
     params: DeviceParams
 
     def __post_init__(self):
+        # any other kind would take the two-photon formula unnoticed
+        if not isinstance(self.kind, LinkType):
+            raise ValidationError(
+                f"link kind must be a LinkType, got {self.kind!r}")
         if self.kind is LinkType.TYPE_I and self.params.p_excite > TYPE_I_MAX_EXCITE:
             raise ValidationError(
                 f"type-I links require weak excitation (p_excite <= {TYPE_I_MAX_EXCITE}), "

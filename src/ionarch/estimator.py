@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .arch import ArchLayout, MusiqcLayout, NnLayout, QlaLayout
 from .device import DeviceParams
 from .errors import NTooSmall, ValidationError
@@ -35,8 +35,7 @@ def floor_log2(x: int) -> int:
     return int(x).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(Value):
     x_steps: int
     cnot_steps: int
     toffoli_steps: int

@@ -36,12 +36,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
+from ._value import Value
 from .arch import ArchLayout, MusiqcLayout
 from .device import DeviceParams
 from .errors import InsufficientConcatenation, ValidationError
@@ -64,8 +64,7 @@ class Primitive(Enum):
     ERROR_CORRECT_ROUND = "error_correct_round"
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Value):
     """One entry of an audit trail: a named sub-operation with duration."""
 
     label: str
@@ -77,8 +76,7 @@ class Step:
         return self.duration * self.count
 
 
-@dataclass(frozen=True)
-class CostEntry:
+class CostEntry(Value):
     steps: tuple[Step, ...]
     qubits: int
     parallel_ops: int
@@ -88,8 +86,7 @@ class CostEntry:
         return sum(s.total for s in self.steps)
 
 
-@dataclass(frozen=True)
-class _GateBasis:
+class _GateBasis(Value):
     """Durations of the building blocks one level below."""
 
     single: float
@@ -100,8 +97,7 @@ class _GateBasis:
     tag: str           # label suffix naming the base level
 
 
-@dataclass(frozen=True)
-class LogicalCostTable:
+class LogicalCostTable(Value):
     """Per-primitive time/qubit costs at one concatenation level.
 
     ``entries`` is a read-only mapping, so a table can be shared.

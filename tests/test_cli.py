@@ -389,6 +389,8 @@ def test_parser_reuse_keeps_calls_apart(tmp_path, capsys):
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # a known subcommand builds its own parser alone; anything else builds
+    # the full one; each at most once per process
     built = []
 
     def counting_build():
@@ -397,9 +399,12 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_parser", counting_build)
     cli._parser.cache_clear()
+    cli._command_parser.cache_clear()
     for _ in range(3):
         run_cli(capsys, "estimate-adder", "--n", "128", "--arch", "nn")
+        run_cli(capsys, "bogus")
     assert built == [1]
+    assert cli._command_parser.cache_info().misses == 1
     first, second = build_parser(), build_parser()
     assert first is not second and first is not cli._parser()
     assert first.parse_args(["threshold"]).eps_grid == "0,1e-4,3e-4,1e-3"
@@ -427,21 +432,41 @@ _ANALYTIC_ARGVS = [
 
 
 def test_analytic_commands_start_without_numpy():
-    # modules are never unloaded, so numpy absent after each call means no
-    # call before it loaded numpy either
+    # modules are never unloaded, so a module absent after a call means no
+    # call before it loaded it either; the hypercell commands come last, as
+    # ``hypercell`` is the one ionarch module that imports dataclasses
     script = (
         "import io, json, sys, contextlib\n"
         "import ionarch\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "def loaded():\n"
+        "    return [m for m in ('dataclasses', 'numpy') if m in sys.modules]\n"
+        "seen = [loaded()]\n"
         "from ionarch.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(json.dumps(loaded))\n")
+        "    seen.append(loaded())\n"
+        "print(json.dumps(seen))\n")
     proc = _fresh_python("-c", script, json.dumps(_ANALYTIC_ARGVS))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False] * (1 + len(_ANALYTIC_ARGVS))
+    assert json.loads(proc.stdout) == [[]] * 5 + [["dataclasses"]] * 2
+
+
+def test_benchmark_setup_loads_no_dataclasses():
+    # the benchmark's set-up sequence: import the CLI, build the cluster
+    # census and a level-1 cost table
+    script = (
+        "import sys\n"
+        "import ionarch.cli\n"
+        "from ionarch import cluster, steane\n"
+        "from ionarch.arch import MusiqcLayout\n"
+        "from ionarch.device import DeviceParams\n"
+        "cluster.cell_lattice()\n"
+        "steane.table_at_level(DeviceParams(), MusiqcLayout(), 1)\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("argv", [

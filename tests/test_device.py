@@ -79,6 +79,16 @@ def test_identity_time_rate_probability():
     assert product == pytest.approx(1.0, rel=1e-12)
 
 
+def test_link_kind_must_be_a_link_type():
+    # the string "type1" once priced a one-photon link with the two-photon
+    # formula, 5e-09 in place of 1e-04
+    for kind in ("type1", "type2", None, 1):
+        with pytest.raises(ValidationError, match="must be a LinkType"):
+            LinkModel(kind, DeviceParams())
+    assert link_success_probability(
+        LinkModel(LinkType("type1"), DeviceParams())) == pytest.approx(1e-4)
+
+
 def test_type1_weak_excitation_guard():
     with pytest.raises(ValidationError):
         make_link(LinkType.TYPE_I, p_excite=0.5)
