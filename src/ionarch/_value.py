@@ -11,8 +11,6 @@ refuse assignment and deletion.  Instances keep a ``__dict__``, so
 neither.
 """
 
-from operator import itemgetter
-
 
 class Value:
     """Base of an immutable record; equality and hash read ``_values``, the
@@ -57,16 +55,17 @@ _set_state = Value.__dict__["__dict__"].__set__
 
 
 def _initializer(cls, names):
-    """``cls.__init__``: the keyword arguments, or a dict bound from the
-    arguments and the defaults, become the instance's ``__dict__``."""
+    """``cls.__init__``: a dict bound from the arguments and the defaults
+    becomes the instance's ``__dict__``, with its values in field order as
+    ``_values``; a call that does not bind every field once raises the
+    ``TypeError`` a generated ``__init__`` would."""
     n = len(names)
     defaults = {name: getattr(cls, name) for name in names
                 if hasattr(cls, name)}
-    keyed = itemgetter(*names) if n > 1 else lambda state: (state[names[0]],)
     post_init = getattr(cls, "__post_init__", None)
     title = cls.__qualname__
 
-    def bind(args, kwargs):
+    def __init__(self, *args, **kwargs):
         if len(args) > n:
             raise TypeError(f"{title}() takes {n} positional arguments but "
                             f"{len(args)} were given")
@@ -82,22 +81,8 @@ def _initializer(cls, names):
         if len(state) < n:
             missing = next(name for name in names if name not in state)
             raise TypeError(f"{title}() missing required argument {missing!r}")
-        return state
-
-    def __init__(self, *args, **kwargs):
-        if args:
-            kwargs = (dict(zip(names, args)) if len(args) == n and not kwargs
-                      else bind(args, kwargs))
-        elif len(kwargs) != n:
-            kwargs = {**defaults, **kwargs}
-        try:
-            values = keyed(kwargs)
-        except KeyError:    # a field left out, or named wrongly
-            values = None
-        if values is None or len(kwargs) != n:
-            bind((), kwargs)    # raises the call's TypeError
-        kwargs["_values"] = values
-        _set_state(self, kwargs)
+        state["_values"] = tuple([state[name] for name in names])
+        _set_state(self, state)
         if post_init is not None:
             post_init(self)
 

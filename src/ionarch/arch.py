@@ -84,11 +84,9 @@ class NnLayout(_Layout):
 
 ArchLayout = MusiqcLayout | QlaLayout | NnLayout
 
-_LAYOUTS = {
-    "musiqc": MusiqcLayout,
-    "qla": QlaLayout,
-    "nn": NnLayout,
-}
+#: Each layout by its name, the ``--arch`` choices of ``estimate-adder``.
+_LAYOUTS = {layout.kind: layout
+            for layout in (MusiqcLayout, QlaLayout, NnLayout)}
 
 
 def layout_from_name(name: str) -> ArchLayout:

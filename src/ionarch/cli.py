@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import config, estimator, steane
-from .arch import MusiqcLayout, layout_from_name
+from .arch import _LAYOUTS, MusiqcLayout, layout_from_name
 from .device import LinkModel, LinkType
 from .errors import InsufficientConcatenation, ValidationError
 
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _estimate_adder_args(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--arch", choices=["musiqc", "qla", "nn"], required=True)
+    p.add_argument("--arch", choices=list(_LAYOUTS), required=True)
     p.add_argument("--level", type=int, default=1)
 
 
@@ -79,7 +79,8 @@ def _netsim_args(p):
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--m-p", type=int, default=MusiqcLayout.m_p)
     p.add_argument("--m-t", type=int, default=MusiqcLayout.m_t)
-    p.add_argument("--link", choices=["type1", "type2"], default="type1")
+    p.add_argument("--link", choices=[kind.value for kind in LinkType],
+                   default=LinkType.TYPE_I.value)
     p.add_argument("--p-excite", type=float, default=None)
     p.add_argument("--repetition-rate-hz", type=float, default=None)
     p.add_argument("--log", help="write the event log to this path")
@@ -99,17 +100,6 @@ def _hypercell_args(p):
                         "c/p)")
 
 
-#: Each subcommand's help line and the function adding its own arguments.
-_SUBCOMMANDS = {
-    "estimate-adder": ("n-bit adder time and resources", _estimate_adder_args),
-    "estimate-shor": ("factoring roll-up", _estimate_shor_args),
-    "threshold": ("cluster-state threshold margin", _threshold_args),
-    "mc-cluster": ("Monte Carlo cell-check expectation", _mc_cluster_args),
-    "netsim": ("photonic link simulation", _netsim_args),
-    "hypercell": ("tree-cluster analytics and scans", _hypercell_args),
-}
-
-
 #: The program name that usage, help and error lines start with.
 _PROG = "ionarch"
 
@@ -120,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="resource estimation and simulation for modular "
                     "trapped-ion architectures")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         add_arguments(p)
         _add_common(p)
@@ -278,8 +268,7 @@ def _cmd_netsim(args, cfg) -> int:
     params = config.device_from_config(
         cfg, p_excite=args.p_excite,
         repetition_rate=args.repetition_rate_hz)
-    kind = LinkType.TYPE_I if args.link == "type1" else LinkType.TYPE_II
-    link = LinkModel(kind=kind, params=params)
+    link = LinkModel(kind=LinkType(args.link), params=params)
     # the log file opens at its first chunk, so a rejected run, which stops
     # before any line, leaves an existing file as it was
     with contextlib.ExitStack() as stack:
@@ -340,13 +329,20 @@ def _cmd_hypercell(args, cfg) -> int:
     return 0
 
 
-_COMMANDS = {
-    "estimate-adder": _cmd_estimate_adder,
-    "estimate-shor": _cmd_estimate_shor,
-    "threshold": _cmd_threshold,
-    "mc-cluster": _cmd_mc_cluster,
-    "netsim": _cmd_netsim,
-    "hypercell": _cmd_hypercell,
+#: Each subcommand's help line, the function adding its own arguments and
+#: the function running it.
+_SUBCOMMANDS = {
+    "estimate-adder": ("n-bit adder time and resources", _estimate_adder_args,
+                       _cmd_estimate_adder),
+    "estimate-shor": ("factoring roll-up", _estimate_shor_args,
+                      _cmd_estimate_shor),
+    "threshold": ("cluster-state threshold margin", _threshold_args,
+                  _cmd_threshold),
+    "mc-cluster": ("Monte Carlo cell-check expectation", _mc_cluster_args,
+                   _cmd_mc_cluster),
+    "netsim": ("photonic link simulation", _netsim_args, _cmd_netsim),
+    "hypercell": ("tree-cluster analytics and scans", _hypercell_args,
+                  _cmd_hypercell),
 }
 
 
@@ -395,7 +391,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         cfg = config.load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command](args, cfg)
+        return _SUBCOMMANDS[args.command][2](args, cfg)
     except InsufficientConcatenation as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

@@ -7,10 +7,8 @@ CLI flag > config file > documented default.
 
 from __future__ import annotations
 
-from .device import TWO_PI, DeviceParams
+from .device import _MICRO, TWO_PI, DeviceParams
 from .errors import ValidationError
-
-_MICRO = 1e-6
 
 # device key -> (DeviceParams field, scale to SI units)
 _DEVICE_KEYS = {

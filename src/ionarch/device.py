@@ -90,6 +90,9 @@ class LinkModel(Value):
         if not isinstance(self.kind, LinkType):
             raise ValidationError(
                 f"link kind must be a LinkType, got {self.kind!r}")
+        if not isinstance(self.params, DeviceParams):
+            raise ValidationError(
+                f"link params must be a DeviceParams, got {self.params!r}")
         if self.kind is LinkType.TYPE_I and self.params.p_excite > TYPE_I_MAX_EXCITE:
             raise ValidationError(
                 f"type-I links require weak excitation (p_excite <= {TYPE_I_MAX_EXCITE}), "
@@ -105,10 +108,15 @@ def link_success_probability(link: LinkModel) -> float:
     return collected**2 / 2.0
 
 
+def _nonzero_success_probability(link: LinkModel) -> float:
+    """The link's success probability, which ``DeviceParams`` keeps in
+    [0, 1/2]; a zero one, which never heralds a pair, is refused."""
+    p = link_success_probability(link)
+    if p == 0.0:
+        raise ZeroSuccessProbability("link success probability is zero")
+    return p
+
+
 def mean_connection_time(link: LinkModel) -> float:
     """Mean time to herald one entangled pair, 1 / (R p)."""
-    p = link_success_probability(link)
-    if p <= 0.0:
-        raise ZeroSuccessProbability(
-            "link success probability is zero; connection time diverges")
-    return 1.0 / (link.params.rep_rate * p)
+    return 1.0 / (link.params.rep_rate * _nonzero_success_probability(link))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from fractions import Fraction
 
 from ._value import Value
@@ -73,6 +74,8 @@ MAX_ADDER_N = 2**1022
 
 
 def _check_adder_n(n: int) -> None:
+    # an n that is not an integer, such as 7.5, NaN or 2.0, raises TypeError
+    operator.index(n)
     if n < 1:
         raise ValidationError("n must be at least 1")
     if n > MAX_ADDER_N:
@@ -201,6 +204,7 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
                   eps_phys: float = EPS_PHYS,
                   eps_threshold: float = EPS_THRESHOLD) -> dict:
     """Execution time, qubit count and code level for factoring an n-bit number."""
+    operator.index(n)
     if n < 8:
         raise ValidationError("modular-exponentiation roll-up requires n >= 8")
     if n > MAX_SHOR_N:
@@ -242,7 +246,7 @@ def crossover_scan(n_values, params: DeviceParams | None = None) -> dict:
     ``_adder_rows`` call per layout, so a scan prices each lookahead depth
     class once per layout.
     """
-    n_values = sorted(set(map(int, n_values)))
+    n_values = sorted(set(map(operator.index, n_values)))
     if not n_values:
         raise ValidationError("n_values must be non-empty")
     _check_adder_n(n_values[-1])

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
 from .arch import MusiqcLayout
-from .device import DeviceParams, LinkModel, link_success_probability
-from .errors import DomainError, ValidationError, ZeroSuccessProbability
+from .device import DeviceParams, LinkModel, _nonzero_success_probability
+from .errors import DomainError, ValidationError
 from .rng import philox_stream
 from .steane import PAIRS_PER_OPERAND, LogicalCostTable
 
@@ -93,12 +94,16 @@ def _format_stamps(times: np.ndarray) -> list:
 
 def _check_multiplexity(ports: int, m_t: int):
     """Reject ports and TDM depth that a register cannot host."""
-    if ports < 1 or m_t < 1:
+    # comparisons that NaN fails; a count that is not an integer, such as
+    # 2.5 or 2.0, then raises TypeError
+    if not (ports >= 1 and m_t >= 1):
         raise ValidationError("ports and m_t must be at least 1")
-    if ports * m_t > MusiqcLayout.register_ions:
+    if not ports * m_t <= MusiqcLayout.register_ions:
         raise ValidationError(
             f"{ports} ports x {m_t} TDM slots exceed the "
             f"{MusiqcLayout.register_ions} ions of a register")
+    operator.index(ports)
+    operator.index(m_t)
 
 
 #: Flight time of a herald's classical outcome back to the ion (s).
@@ -108,15 +113,6 @@ HERALD_LATENCY = 10e-9
 def _attempt_tick(params: DeviceParams) -> float:
     """Per-ion attempt spacing: repetition period or herald + reinit."""
     return max(1.0 / params.rep_rate, HERALD_LATENCY + params.reinit_time)
-
-
-def _link_probability(link: LinkModel) -> float:
-    """The link's success probability, which ``DeviceParams`` keeps in
-    [0, 1/2]; a zero one is rejected."""
-    p = link_success_probability(link)
-    if p == 0.0:
-        raise ZeroSuccessProbability("link success probability is zero")
-    return p
 
 
 #: Bytes of log text that ``_log_ticks`` hands its sink at a time, rounded
@@ -286,7 +282,7 @@ def run_link_sim(link: LinkModel, n_pairs: int, seed: int,
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValidationError(f"n_pairs must lie in [1, {MAX_PAIRS}]")
     _check_multiplexity(ports, m_t)
-    p = _link_probability(link)
+    p = _nonzero_success_probability(link)
     tick = _attempt_tick(link.params)
     run = _closed_form_link_run(p, n_pairs, ports, m_t, tick, HERALD_LATENCY,
                                 seed, emit=log_sink)
@@ -323,7 +319,7 @@ def run_toffoli_pipeline(n_toffolis: int, table: LogicalCostTable,
     if not isinstance(layout, MusiqcLayout):
         raise ValidationError(
             f"the Toffoli pipeline runs on MUSIQC tables, not {layout.kind}")
-    p = _link_probability(link)
+    p = _nonzero_success_probability(link)
     tick = _attempt_tick(link.params)
 
     prep = table.phi_plus_prep_time

@@ -2,7 +2,7 @@
 back restores an API that went, and a private one a second code path."""
 
 import ionarch
-from ionarch import cluster, estimator, hypercell, netsim, steane
+from ionarch import cli, cluster, estimator, hypercell, netsim, steane
 
 #: Retired public names, none of which ``ionarch.__all__`` may list again.
 GONE_PUBLIC = {"EluPhysics", "elu_gate_rate", "type1_error_terms",
@@ -13,7 +13,9 @@ GONE_PUBLIC = {"EluPhysics", "elu_gate_rate", "type1_error_terms",
 def test_removed_names_stay_gone():
     lattice = cluster.cell_lattice()
     gone = [
-        (netsim, ("summary", "EventKind", "_herald_kind", "_log_fields")),
+        (netsim, ("summary", "EventKind", "_herald_kind", "_log_fields",
+                  "_link_probability")),
+        (cli, ("_COMMANDS",)),
         (lattice, ("threshold_floats", "_propagated_faces", "_flip_parity",
                    "birth_class", "link_classes", "linear_coefficients",
                    "flips_by_kind")),

@@ -13,7 +13,7 @@ import pytest
 
 import ionarch
 from ionarch import cli, cluster, estimator
-from ionarch.arch import MusiqcLayout, NnLayout
+from ionarch.arch import MusiqcLayout, NnLayout, layout_from_name
 from ionarch.cli import build_parser, main
 from ionarch.config import parse_config_text
 from ionarch.device import DeviceParams, LinkModel, LinkType
@@ -53,6 +53,25 @@ def test_estimate_adder_domain_error(capsys):
     code, _, err = run_cli(capsys, "estimate-adder", "--n", "4", "--arch", "musiqc")
     assert code == 2
     assert "n > 6" in err
+
+
+def test_name_choices_are_the_model_names():
+    # estimate-adder's layouts and netsim's links are named in the model
+    # alone; each name builds the layout or link kind it names
+    def choices(command, dest):
+        return next(action.choices
+                    for action in cli._command_parser(command)._actions
+                    if action.dest == dest)
+
+    assert choices("estimate-adder", "arch") == ["musiqc", "qla", "nn"]
+    assert [layout_from_name(name).kind for name in ["MUSIQC", "qla", "Nn"]
+            ] == ["musiqc", "qla", "nn"]
+    with pytest.raises(ValidationError, match=(
+            r"unknown architecture 'bogus'; expected one of "
+            r"\['musiqc', 'nn', 'qla'\]")):
+        layout_from_name("bogus")
+    assert [LinkType(name) for name in choices("netsim", "link")] == [
+        LinkType.TYPE_I, LinkType.TYPE_II]
 
 
 @pytest.mark.parametrize("level", ["4", "1000", str(10**9)])
@@ -497,9 +516,10 @@ def test_netsim_summary_schema(capsys):
 
 
 def test_netsim_zero_probability_exit(capsys):
-    code, _, err = run_cli(capsys, "netsim", "--pairs", "5", "--seed", "1",
-                           "--p-excite", "0")
-    assert code == 2
+    code, out, err = run_cli(capsys, "netsim", "--pairs", "5", "--seed", "1",
+                             "--p-excite", "0")
+    assert (code, out, err) == (
+        2, "", "error: link success probability is zero\n")
 
 
 def test_netsim_type2_link(capsys):
@@ -1016,6 +1036,8 @@ def test_config_parser():
     assert parsed == {"device.gamma_hz": 20e6, "run.seed": 12}
     with pytest.raises(ValidationError):
         parse_config_text("device.gamma_hz 20e6")
+    with pytest.raises(ValidationError, match="cannot parse 'x' as int"):
+        parse_config_text("run.seed = x")
 
 
 def test_config_device_units(tmp_path, capsys):

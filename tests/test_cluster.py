@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ionarch.cluster import (_A, _B, _C, _GADGET_LAYERS, _T,
-                             MAX_MC_SAMPLES, CellLattice, ErrorBudget,
-                             LinearError, _faults, _outcome,
+                             MAX_MC_SAMPLES, CellLattice, CreationSchedule,
+                             ErrorBudget, LinearError, _faults, _outcome,
                              _parity_product, _residuals, cell_lattice,
                              coupling_order, matched_pair_class,
                              mc_stabilizer_expectation,
@@ -318,6 +318,17 @@ def test_schedule_invariants():
             assert link.cnot_step == link.bell_step + 1
             assert link.measure_step == link.bell_step + 2
             assert 1 <= link.bell_step <= 3
+    # each rule the check holds refuses a schedule that breaks it
+    face, edge = lat.links[0].face, lat.links[0].edge
+    broken = [
+        ({"cnots": {5: [(face, edge)]}}, "CNOT scheduled outside steps 2-4"),
+        ({"bell_pairs": {4: [(face, edge)]}}, "Bell pair outside steps 1-3"),
+        ({"cnots": {2: [(face, edge), (face, edge)]}}, "double-acted"),
+    ]
+    for ops, message in broken:
+        fields = {"bell_pairs": {}, "cnots": {}, "measurements": {}, **ops}
+        with pytest.raises(ValidationError, match=message):
+            CreationSchedule(**fields).validate()
 
 
 def test_schedule_lists_every_cnot_and_measurement():
@@ -600,6 +611,8 @@ def test_mc_samples_bound():
     # a count that is not an integer once ran, and reported 2.5 samples
     with pytest.raises(TypeError, match="integer"):
         mc_stabilizer_expectation(budget, 2.5, seed=1)
+    with pytest.raises(ValidationError, match="unknown MC mode 'bogus'"):
+        mc_stabilizer_expectation(budget, 10, seed=1, mode="bogus")
 
 
 def test_mc_gadget_mode_cross_validation():

@@ -89,6 +89,15 @@ def test_link_kind_must_be_a_link_type():
         LinkModel(LinkType("type1"), DeviceParams())) == pytest.approx(1e-4)
 
 
+def test_link_params_must_be_device_params():
+    # a missing parameter set once raised AttributeError for a one-photon
+    # link and built a two-photon link that failed only when priced
+    for kind in LinkType:
+        for params in (None, {"p_excite": 0.05}):
+            with pytest.raises(ValidationError, match="must be a DeviceParams"):
+                LinkModel(kind, params)
+
+
 def test_type1_weak_excitation_guard():
     with pytest.raises(ValidationError):
         make_link(LinkType.TYPE_I, p_excite=0.5)

@@ -177,6 +177,8 @@ def test_csv_schema(params):
     assert header == ("n,layout,circuit,level,depth_total,toffoli_steps,"
                       "time_s,qubits,parallel_ops")
     assert len(text.splitlines()) == 1 + 3
+    with pytest.raises(ValidationError, match="no rows"):
+        rows_to_csv([])
 
 
 def test_adder_row_fields(params):
@@ -238,10 +240,28 @@ def test_crossover_scan_rejects_n_below_one(params):
     for n_values in ([0, 7], [-3]):
         with pytest.raises(ValidationError, match="^n must be at least 1$"):
             crossover_scan(n_values, params=params)
+    with pytest.raises(ValidationError, match="non-empty"):
+        crossover_scan([], params=params)
     scan = crossover_scan([6, 1], params=params)
     assert [(row["n"], row["layout"]) for row in scan["rows"]] == [
         (1, "nn"), (6, "nn")]
     assert scan["crossover_n"] is None
+
+
+def test_adder_n_must_be_a_whole_number(params):
+    # a 7.5-bit adder was once priced, NaN gave an all-NaN row, the scan
+    # priced 7 for 7.5, and the factoring roll-up raised AttributeError or
+    # the infeasible-result class
+    nn_table = table_at_level(params, NnLayout(), 1)
+    calls = [lambda n: adder_row(n, NnLayout(), params),
+             lambda n: adder_row(n, MusiqcLayout(), params),
+             lambda n: adder_execution_time(n, nn_table),
+             lambda n: crossover_scan([n], params=params),
+             lambda n: shor_estimate(n, MusiqcLayout(), params)]
+    for call in calls:
+        for n in (7.5, math.nan, math.inf, 1e308, 16.0):
+            with pytest.raises(TypeError, match="integer"):
+                call(n)
 
 
 def test_crossover_scan_takes_n_up_to_the_adder_bound(params):

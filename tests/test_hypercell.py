@@ -22,6 +22,9 @@ def test_fail_prob_values():
             fail_prob(0.5, m)
     with pytest.raises(TypeError, match="integer"):
         fail_prob(0.5, 2.5)
+    for p in (1.5, -0.1, math.nan):
+        with pytest.raises(ValidationError, match=r"p must lie in \[0, 1\]"):
+            fail_prob(p, 4)
 
 
 def test_fail_prob_exact_below_approx():

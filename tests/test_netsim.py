@@ -54,6 +54,20 @@ def test_register_capacity_guard(capsys):
     assert run_link_sim(link, 1, seed=1, ports=10, m_t=10)["successes"] == 1
 
 
+def test_multiplexity_must_be_a_whole_number():
+    # NaN ports once gave a NaN makespan, and 2.5 ports or TDM slots priced
+    # fractional attempt counts, 31003.0 and 30983.0
+    link = LinkModel(LinkType.TYPE_I, DeviceParams())
+    for counts in ({"ports": math.nan}, {"m_t": math.nan}):
+        with pytest.raises(ValidationError, match="at least 1"):
+            run_link_sim(link, 3, 1, **counts)
+    with pytest.raises(ValidationError, match="exceed the 100 ions"):
+        run_link_sim(link, 3, 1, ports=math.inf)
+    for counts in ({"ports": 2.5}, {"m_t": 2.5}, {"ports": 2.0}):
+        with pytest.raises(TypeError, match="integer"):
+            run_link_sim(link, 3, 1, **counts)
+
+
 def test_request_over_completion_guard():
     req = EntanglementRequest(pairs_needed=1)
     req.register(1.0)
@@ -517,6 +531,8 @@ def test_pipeline_rejects_tables_without_photonic_links(layout):
                   table_at_level(params, layout, 2)):
         with pytest.raises(ValidationError, match=layout.kind):
             run_toffoli_pipeline(2, table, link, 3)
+    with pytest.raises(ValidationError, match="at least 1"):
+        run_toffoli_pipeline(0, level1_costs(params, MusiqcLayout()), link, 3)
 
 
 def test_pipeline_degenerate_link_limit():

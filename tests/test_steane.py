@@ -181,6 +181,9 @@ def test_required_concat_level_edges():
         required_concat_level(10**40, 10**40, 9e-5)
     with pytest.raises(ValidationError):
         required_concat_level(10, 10, 2e-4, eps_threshold=1e-4)
+    for k, q in ((0, 1), (1, 0)):
+        with pytest.raises(ValidationError, match="at least 1"):
+            required_concat_level(k, q, 1e-7)
 
 
 def test_required_concat_level_monotone():
