@@ -35,6 +35,12 @@ def _add_common(parser):
                         help="write the output to this path, not stdout")
 
 
+def _add_run_setting(parser, flag, key):
+    # a flag over the config file's key; its help states the default
+    parser.add_argument(flag, type=int, help=f"default: {key} of --config, "
+                        f"else {config._RUN_DEFAULTS[key]}")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose rejections raise ``ValidationError``, so
     that ``main`` reports them in one line and returns 2."""
@@ -51,7 +57,8 @@ def _estimate_adder_args(p):
 
 def _estimate_shor_args(p):
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--arch", choices=["musiqc", "qla"], default="musiqc")
+    p.add_argument("--arch", choices=list(estimator._FACTORING_LAYOUTS),
+                   default="musiqc")
     p.add_argument("--eps-phys", type=float, default=steane.EPS_PHYS)
     p.add_argument("--eps-threshold", type=float,
                    default=steane.EPS_THRESHOLD)
@@ -68,15 +75,15 @@ def _threshold_args(p):
 
 
 def _mc_cluster_args(p):
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_run_setting(p, "--samples", "run.samples")
+    _add_run_setting(p, "--seed", "run.seed")
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--ratio", type=float, default=0.0)
 
 
 def _netsim_args(p):
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_run_setting(p, "--pairs", "run.pairs")
+    _add_run_setting(p, "--seed", "run.seed")
     p.add_argument("--m-p", type=int, default=MusiqcLayout.m_p)
     p.add_argument("--m-t", type=int, default=MusiqcLayout.m_t)
     p.add_argument("--link", choices=[kind.value for kind in LinkType],
@@ -91,7 +98,7 @@ def _hypercell_args(p):
     p.add_argument("--eps-grid", default="1e-6,1e-5,1e-4,1e-3")
     p.add_argument("--ratio-grid", default="0.1,1,10,100")
     p.add_argument("--trials", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    _add_run_setting(p, "--seed", "run.seed")
     p.add_argument("--eps", type=float, default=2.9e-4)
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--t", type=float, default=None)
@@ -182,13 +189,8 @@ def _cmd_estimate_shor(args, cfg) -> int:
     result = estimator.shor_estimate(args.n, layout, params,
                                      eps_phys=args.eps_phys,
                                      eps_threshold=args.eps_threshold)
-    payload = {
-        "n": args.n, "layout": layout.kind, "level": result["level"],
-        "time_s": result["time_s"], "time_days": result["time_s"] / 86400.0,
-        "qubits": result["qubits"],
-        "k_ops": result["k_ops"], "q_logical": result["q_logical"],
-    }
-    _emit(args, payload=payload)
+    _emit(args, payload={"n": args.n, "layout": layout.kind, **result,
+                         "time_days": result["time_s"] / 86400.0})
     return 0
 
 
@@ -246,8 +248,8 @@ def _cmd_threshold(args, cfg) -> int:
 def _cmd_mc_cluster(args, cfg) -> int:
     from . import cluster
 
-    samples = config.resolve(args.samples, cfg, "run.samples", 100000)
-    seed = config.resolve(args.seed, cfg, "run.seed", 1)
+    samples = config.resolve(args.samples, cfg, "run.samples")
+    seed = config.resolve(args.seed, cfg, "run.seed")
     budget = cluster.ErrorBudget(eps=args.eps, r=args.ratio)
     analytic = cluster.stabilizer_expectation_analytic(budget)
     mc = cluster.mc_stabilizer_expectation(budget, samples, seed)
@@ -263,8 +265,8 @@ def _cmd_mc_cluster(args, cfg) -> int:
 def _cmd_netsim(args, cfg) -> int:
     from . import netsim
 
-    pairs = config.resolve(args.pairs, cfg, "run.pairs", 10)
-    seed = config.resolve(args.seed, cfg, "run.seed", 1)
+    pairs = config.resolve(args.pairs, cfg, "run.pairs")
+    seed = config.resolve(args.seed, cfg, "run.seed")
     params = config.device_from_config(
         cfg, p_excite=args.p_excite,
         repetition_rate=args.repetition_rate_hz)
@@ -322,7 +324,7 @@ def _cmd_hypercell(args, cfg) -> int:
         "cost": hypercell.hypercell_cost(budget.p, budget.c),
     }
     if args.trials:
-        seed = config.resolve(args.seed, cfg, "run.seed", 1)
+        seed = config.resolve(args.seed, cfg, "run.seed")
         payload["mc"] = hypercell.mc_tree_build(cfg_tree, budget, args.trials,
                                                 seed)
     _emit(args, payload=payload)

@@ -25,9 +25,12 @@ _DEVICE_KEYS = {
     "device.reinit_time_us": ("reinit_time", _MICRO),
 }
 
+# run key -> the documented default, which a flag or the config file overrides
+_RUN_DEFAULTS = {"run.seed": 1, "run.samples": 100000, "run.pairs": 10}
+
 # key -> type
 KNOWN_KEYS = {**dict.fromkeys(_DEVICE_KEYS, float),
-              "run.seed": int, "run.samples": int, "run.pairs": int}
+              **dict.fromkeys(_RUN_DEFAULTS, int)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -75,10 +78,8 @@ def device_from_config(cfg: dict, **overrides) -> DeviceParams:
     return DeviceParams(**kwargs)
 
 
-def resolve(flag_value, cfg: dict, key: str, default):
-    """CLI flag > config value > default."""
+def resolve(flag_value, cfg: dict, key: str):
+    """CLI flag > config value > the run key's documented default."""
     if flag_value is not None:
         return flag_value
-    if key in cfg:
-        return cfg[key]
-    return default
+    return cfg.get(key, _RUN_DEFAULTS[key])

@@ -12,7 +12,6 @@ pricer, ``_adder_pricer``, gives every adder time: ``adder_execution_time``
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from fractions import Fraction
 
@@ -22,18 +21,6 @@ from .device import DeviceParams
 from .errors import NTooSmall, ValidationError
 from .steane import (EPS_PHYS, EPS_THRESHOLD, LogicalCostTable,
                      required_concat_level, table_at_level)
-
-
-def floor_log2(x: int) -> int:
-    """floor(log2(x)) for a positive integer, exactly.
-
-    For n >= 3, floor(log2(n/3)) is ``floor_log2(n // 3)``: 2**e <= n/3 holds
-    exactly when 2**e <= n // 3.
-    """
-    # the exact type test first: it spares ints the abstract-class check
-    if (type(x) is not int and not isinstance(x, numbers.Integral)) or x <= 0:
-        raise ValidationError("floor_log2 requires a positive integer")
-    return int(x).bit_length() - 1
 
 
 class DepthProfile(Value):
@@ -48,12 +35,14 @@ class DepthProfile(Value):
 
 def _stage_logs(n: int) -> tuple[int, int, int, int]:
     """floor(log2) of the n-bit carry-lookahead adder's four stage counts,
-    n, n - 1, n // 3 and (n - 1) // 3 (Draper, Kutin, Rains and Svore,
-    QIC 6, 351 (2006)); its depth and swap-step formulas hold for n > 6."""
+    n, n - 1, n / 3 and (n - 1) / 3, from the bit lengths of n, n - 1, n // 3
+    and (n - 1) // 3 (Draper, Kutin, Rains and Svore, QIC 6, 351 (2006));
+    its depth and swap-step formulas hold for n > 6.  7.5 raises TypeError."""
+    n = operator.index(n)
     if n <= 6:
         raise NTooSmall(f"carry-lookahead depth formula requires n > 6, got {n}")
-    return (floor_log2(n), floor_log2(n - 1), floor_log2(n // 3),
-            floor_log2((n - 1) // 3))
+    return (n.bit_length() - 1, (n - 1).bit_length() - 1,
+            (n // 3).bit_length() - 1, ((n - 1) // 3).bit_length() - 1)
 
 
 def qcla_depth(n: int) -> DepthProfile:
@@ -189,6 +178,8 @@ def adder_execution_time(n: int, table: LogicalCostTable) -> float:
 #     at each additional concatenation level.
 SHOR_GATES_PER_ADDER_BIT = 10
 SHOR_LEVEL_QUBIT_FACTOR = 25
+#: The layouts the roll-up is defined for, by ``kind``.
+_FACTORING_LAYOUTS = ("musiqc", "qla")
 #: Largest n of the roll-up: its error target 1 / (K Q) is a float, and
 #: K Q = 240 n**4 stays below 2**1024 for every n up to 2**254.
 MAX_SHOR_N = 2**254
@@ -211,9 +202,10 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
         raise ValidationError(
             "modular-exponentiation roll-up requires n <= 2**254, got a "
             f"{n.bit_length()}-bit n")
-    if isinstance(layout, NnLayout):
+    if layout.kind not in _FACTORING_LAYOUTS:
         raise ValidationError(
-            "the factoring roll-up is defined for the musiqc and qla layouts")
+            "the factoring roll-up is defined for the "
+            f"{' and '.join(_FACTORING_LAYOUTS)} layouts")
     k_ops, q_logical = shor_k_q(n)
     level = required_concat_level(k_ops, q_logical, eps_phys, eps_threshold)
     table = table_at_level(params, layout, level)

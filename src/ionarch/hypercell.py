@@ -175,7 +175,7 @@ def ft_bounds(budget: HypercellBudget) -> dict:
         return {"t_min": 0.0, "t_max": t_max,
                 "ratio_bound": math.inf, "feasible": True}
     exponent = crit / (2.0 * eps)
-    t_min = c * budget.tau_e * 2.0 ** (-exponent) if exponent < 16000 else 0.0
+    t_min = c * budget.tau_e * 2.0 ** (-exponent)
     if crit <= 2.0 * eps:
         ratio_bound = 0.0
     else:

@@ -355,8 +355,11 @@ EPS_THRESHOLD = 1e-4
 def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
                           eps_threshold: float = EPS_THRESHOLD) -> int:
     """Smallest concatenation level whose logical error meets 1 / (K Q)."""
-    if k_ops < 1 or q_logical < 1:
+    # comparisons that NaN fails; inf or 2.5 then raises TypeError
+    if not (k_ops >= 1 and q_logical >= 1):
         raise ValidationError("K and Q must be at least 1")
+    operator.index(k_ops)
+    operator.index(q_logical)
     if not 0 <= eps_phys < math.inf:       # also rejects NaN
         raise ValidationError("eps_phys must be finite and non-negative")
     if not 0 < eps_threshold < math.inf:

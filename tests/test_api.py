@@ -25,7 +25,8 @@ def test_removed_names_stay_gone():
                      "max_attempt_window")),
         (steane.LogicalCostTable, ("entry",)),
         (estimator, ("adder_depth", "_steps_time", "_adder_time",
-                     "_layout_columns", "_row", "_comm_quarters")),
+                     "_layout_columns", "_row", "_comm_quarters",
+                     "floor_log2")),
     ]
     assert sorted(GONE_PUBLIC & set(ionarch.__all__)) == []
     assert [name for owner, names in gone for name in names

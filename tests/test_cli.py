@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import linecache
@@ -72,6 +73,9 @@ def test_name_choices_are_the_model_names():
         layout_from_name("bogus")
     assert [LinkType(name) for name in choices("netsim", "link")] == [
         LinkType.TYPE_I, LinkType.TYPE_II]
+    # estimate-shor's layouts are the ones the factoring roll-up accepts
+    assert choices("estimate-shor", "arch") == list(
+        estimator._FACTORING_LAYOUTS) == ["musiqc", "qla"]
 
 
 @pytest.mark.parametrize("level", ["4", "1000", str(10**9)])
@@ -793,15 +797,6 @@ def test_hypercell_seed_needs_trials(capsys, argv):
     assert err == "error: --seed seeds the Monte Carlo; give --trials\n"
 
 
-def test_hypercell_point(capsys):
-    code, out, _ = run_cli(capsys, "hypercell", "--eps", "2.9e-4",
-                           "--ratio", "1.0", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["ft_bounds"]["ratio_bound"] == pytest.approx(8.25e-3,
-                                                                rel=0.01)
-
-
 def test_hypercell_point_depth_follows_p(capsys):
     # without --layers the tree is deep enough for the m = c/p design rule
     code, out, _ = run_cli(capsys, "hypercell", "--json")
@@ -954,6 +949,17 @@ def test_command_line_rejection_exit(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_estimate_shor_refuses_the_ripple_layout(capsys):
+    # the roll-up's layouts are estimate-shor's --arch choices, so argparse
+    # refuses nn in its own one line, the one it gives for those choices
+    reference = argparse.ArgumentParser(exit_on_error=False)
+    reference.add_argument("--arch", choices=["musiqc", "qla"])
+    with pytest.raises(argparse.ArgumentError) as exc:
+        reference.parse_args(["--arch", "nn"])
+    assert run_cli(capsys, "estimate-shor", "--n", "64", "--arch", "nn") == (
+        2, "", f"error: {exc.value}\n")
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate-adder", "--help"])
@@ -1038,6 +1044,22 @@ def test_config_parser():
         parse_config_text("device.gamma_hz 20e6")
     with pytest.raises(ValidationError, match="cannot parse 'x' as int"):
         parse_config_text("run.seed = x")
+
+
+def test_run_defaults_are_stated_once():
+    # resolve and each flag's help line read one table of run defaults
+    from ionarch import config
+    assert [config.resolve(None, {}, key)
+            for key in ("run.seed", "run.samples", "run.pairs")] == [
+        1, 100000, 10]
+    commands = ("mc-cluster", "netsim", "hypercell")
+    helps = {(command, action.dest): action.help for command in commands
+             for action in cli._command_parser(command)._actions}
+    assert helps["mc-cluster", "samples"] == (
+        "default: run.samples of --config, else 100000")
+    assert helps["netsim", "pairs"] == "default: run.pairs of --config, else 10"
+    assert {helps[command, "seed"] for command in commands} == {
+        "default: run.seed of --config, else 1"}
 
 
 def test_config_device_units(tmp_path, capsys):

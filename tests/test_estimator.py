@@ -10,10 +10,10 @@ from ionarch.arch import MusiqcLayout, NnLayout, QlaLayout
 from ionarch.device import DeviceParams
 from ionarch.errors import NTooSmall, ValidationError
 from ionarch.estimator import (DepthProfile, adder_execution_time, adder_row,
-                               crossover_scan, floor_log2, qcla_depth,
+                               crossover_scan, qcla_depth,
                                qla_comm_steps, rows_to_csv, shor_estimate)
 from ionarch.steane import Primitive, table_at_level
-from oracles import comm_oracle, depth_oracle, floor_log2_oracle
+from oracles import comm_oracle, depth_oracle
 
 
 def depth_profile_oracle(n, layout):
@@ -61,12 +61,13 @@ def test_qcla_depth_examples():
     assert qcla_depth(100).cnot_steps == 4
 
 
-def test_floor_log2_integers_only():
-    for n in range(3, 4097):
-        assert floor_log2(n // 3) == floor_log2_oracle(n, 3), n
-    for bad in (0, -4, Fraction(7, 3), 2.0):
-        with pytest.raises(ValidationError):
-            floor_log2(bad)
+def test_stage_counts_integers_only():
+    # the one floor-log rule applies the integer rule first, as adder_row
+    # does; criterion 02 checks every n from 7 to 4096 against the oracles
+    for bad in (7.5, math.nan, 2.0, Fraction(22, 3)):
+        for formula in (qcla_depth, qla_comm_steps):
+            with pytest.raises(TypeError):
+                formula(bad)
 
 
 def test_depth_formulas_large_n():
@@ -155,7 +156,9 @@ def test_shor_smallest_case(params):
     assert result["time_s"] > 0
     with pytest.raises(ValidationError):
         shor_estimate(7, MusiqcLayout(), params)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=(
+            r"^the factoring roll-up is defined for the musiqc and qla "
+            r"layouts$")):
         shor_estimate(64, NnLayout(), params)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -181,8 +182,13 @@ def test_required_concat_level_edges():
         required_concat_level(10**40, 10**40, 9e-5)
     with pytest.raises(ValidationError):
         required_concat_level(10, 10, 2e-4, eps_threshold=1e-4)
-    for k, q in ((0, 1), (1, 0)):
+    # NaN once read as infeasible (exit 3), inf as a target of 0 and 2.5 as
+    # a count
+    for k, q in ((0, 1), (1, 0), (math.nan, 1), (1, math.nan)):
         with pytest.raises(ValidationError, match="at least 1"):
+            required_concat_level(k, q, 1e-7)
+    for k, q in ((math.inf, 1), (1, math.inf), (2.5, 1), (1, 2.5), (2.0, 1)):
+        with pytest.raises(TypeError):
             required_concat_level(k, q, 1e-7)
 
 
