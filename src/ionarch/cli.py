@@ -7,8 +7,8 @@ table-like results unless ``--json`` is given; it goes to stdout, or to the
 ``--out`` file instead.
 
 Each simulator module is imported inside the command that uses it: numpy
-comes with ``netsim`` and with the Monte Carlo of ``cluster`` and
-``hypercell``, so the analytic subcommands start without it.
+comes with ``netsim`` and with ``hypercell --trials``, so the analytic
+subcommands and ``mc-cluster`` start without it.
 """
 
 from __future__ import annotations

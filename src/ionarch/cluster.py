@@ -34,8 +34,9 @@ can flip the check.  The Monte Carlo treats those sources as independent
 Bernoulli faults.  A sample's check flips when an odd number of them fire,
 with probability q = (1 - P) / 2, where P = prod(1 - 2 p_i) is the product
 ``threshold`` prints, from :func:`_parity_product`; so the flipped count is
-Binomial(samples, q) and is drawn once.  That checks the sampler and the
-stream, not the product or the census's propagation, which it takes as given.
+Binomial(samples, q), drawn once without numpy (:func:`ionarch.rng.binomial`).
+That checks the sampler and the stream, not the product or the census's
+propagation, which it takes as given.
 
 Error model: a fault location fires each of its non-identity Paulis with
 one of three weights, each written once: ``_PAIR``, each of the 15
@@ -535,11 +536,11 @@ def threshold_margin(budget: ErrorBudget):
 # ---------------------------------------------------------------------------
 # Monte Carlo
 #
-# numpy and the Philox streams are imported inside these functions, so the
-# analytic layer above loads without numpy.
+# The sampler of :mod:`ionarch.rng` is imported inside the function, so the
+# analytic layer above loads without it; neither loads numpy.
 
-#: Most samples of one Monte Carlo call: numpy draws the flipped count as an
-#: int64 and rejects a count of 2**63 or more.
+#: Most samples of one Monte Carlo call, the count at which the tests check
+#: the mean of :func:`ionarch.rng.binomial` (which takes any n below 2**63).
 MAX_MC_SAMPLES = 2**62
 
 
@@ -553,7 +554,7 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     number fire.  The samples are independent, so the flipped count is
     Binomial(samples, q), q = (1 - product) / 2 with the mode's
     :func:`_parity_product`: the independent-source model's exact law,
-    drawn once from stream 0 of ``seed`` (:func:`ionarch.rng.philox_stream`)
+    drawn once by :func:`ionarch.rng.binomial` from stream 0 of ``seed``
     at a cost that does not grow with ``samples``.  In ``"classes"`` mode
     the product is the one ``threshold`` prints, so the draw checks the
     sampler and the stream, not the product or the census's propagation.
@@ -565,10 +566,10 @@ def mc_stabilizer_expectation(budget: ErrorBudget, samples: int, seed: int,
     weights = cell_lattice().flip_weights.get(mode)
     if weights is None:
         raise ValidationError(f"unknown MC mode {mode!r}")
-    from .rng import philox_stream
+    from .rng import binomial, philox_words
 
     q = float((1 - _parity_product(weights, budget.eps, budget.r)) / 2)
-    flipped = int(philox_stream(seed, 0).binomial(samples, q))
+    flipped = binomial(philox_words(seed, 0), samples, q)
     estimate = 1.0 - 2.0 * flipped / samples
     if samples > 1:
         var = (1.0 - estimate**2) * samples / (samples - 1)

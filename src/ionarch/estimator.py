@@ -62,14 +62,16 @@ def qcla_depth(n: int) -> DepthProfile:
 MAX_ADDER_N = 2**1022
 
 
-def _check_adder_n(n: int) -> None:
-    # an n that is not an integer, such as 7.5, NaN or 2.0, raises TypeError
-    operator.index(n)
+def _check_adder_n(n: int) -> int:
+    # an n that is not an integer, such as 7.5, NaN or 2.0, raises TypeError;
+    # returns n as an int, so a numpy integer prices and prints as one
+    n = operator.index(n)
     if n < 1:
         raise ValidationError("n must be at least 1")
     if n > MAX_ADDER_N:
         raise ValidationError(
             f"n must be at most 2**1022, got a {n.bit_length()}-bit n")
+    return n
 
 
 def qla_comm_steps(n: int) -> Fraction:
@@ -164,8 +166,7 @@ def adder_execution_time(n: int, table: LogicalCostTable) -> float:
     A CNOT step is the distance-independent remote CNOT on the switched
     layout and a local teleport elsewhere.
     """
-    _check_adder_n(n)
-    return _adder_pricer(table)(n)[2]
+    return _adder_pricer(table)(_check_adder_n(n))[2]
 
 
 # Roll-up model for the modular-exponentiation circuit (all model inputs, not
@@ -195,7 +196,7 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
                   eps_phys: float = EPS_PHYS,
                   eps_threshold: float = EPS_THRESHOLD) -> dict:
     """Execution time, qubit count and code level for factoring an n-bit number."""
-    operator.index(n)
+    n = operator.index(n)
     if n < 8:
         raise ValidationError("modular-exponentiation roll-up requires n >= 8")
     if n > MAX_SHOR_N:
@@ -225,7 +226,7 @@ def shor_estimate(n: int, layout: ArchLayout, params: DeviceParams,
 def adder_row(n: int, layout: ArchLayout, params: DeviceParams,
               level: int = 1) -> dict:
     """One report row, its keys in CSV column order, 1 <= n <= 2**1022."""
-    _check_adder_n(n)
+    n = _check_adder_n(n)
     return _adder_rows(table_at_level(params, layout, level), (n,))[0]
 
 

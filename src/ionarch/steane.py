@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -358,15 +359,16 @@ def required_concat_level(k_ops: int, q_logical: int, eps_phys: float,
     # comparisons that NaN fails; inf or 2.5 then raises TypeError
     if not (k_ops >= 1 and q_logical >= 1):
         raise ValidationError("K and Q must be at least 1")
-    operator.index(k_ops)
-    operator.index(q_logical)
+    kq = operator.index(k_ops) * operator.index(q_logical)
+    if kq > sys.float_info.max:
+        raise ValidationError("K*Q must lie within the float range")
     if not 0 <= eps_phys < math.inf:       # also rejects NaN
         raise ValidationError("eps_phys must be finite and non-negative")
     if not 0 < eps_threshold < math.inf:
         raise ValidationError("eps_threshold must be finite and positive")
     if eps_phys >= eps_threshold:
         raise ValidationError("eps_phys must be below eps_threshold")
-    target = 1.0 / (k_ops * q_logical)
+    target = 1.0 / kq
     for level in range(1, MAX_CONCAT_LEVEL + 1):
         if logical_error_at_level(level, eps_phys, eps_threshold) <= target:
             return level

@@ -444,11 +444,16 @@ def _fresh_python(*args):
                           text=True, env=env, timeout=120)
 
 
-_ANALYTIC_ARGVS = [
+# the analytic commands, and the cluster Monte Carlo on both of its
+# samplers (inversion at a mean of about 5, BTRD at 2**62 samples)
+_NUMPY_FREE_ARGVS = [
     ["estimate-adder", "--n", "128", "--arch", "musiqc"],
     ["estimate-shor", "--n", "64"],
     ["threshold", "--eps", "29/10000", "--ratio", "1/1000"],
     ["threshold", "--scan"],
+    ["mc-cluster", "--samples", "1000", "--seed", "3"],
+    ["mc-cluster", "--samples", "4611686018427387904", "--seed", "7",
+     "--eps", "1e-4", "--ratio", "1e-4"],
     ["hypercell", "--scan"],
     ["hypercell", "--json"],
 ]
@@ -470,9 +475,16 @@ def test_analytic_commands_start_without_numpy():
         "        assert main(argv) == 0, argv\n"
         "    seen.append(loaded())\n"
         "print(json.dumps(seen))\n")
-    proc = _fresh_python("-c", script, json.dumps(_ANALYTIC_ARGVS))
+    proc = _fresh_python("-c", script, json.dumps(_NUMPY_FREE_ARGVS))
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[]] * 5 + [["dataclasses"]] * 2
+    assert json.loads(proc.stdout) == [[]] * 7 + [["dataclasses"]] * 2
+
+
+def test_rng_loads_no_numpy():
+    proc = _fresh_python(
+        "-c", "import sys, ionarch.rng; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_benchmark_setup_loads_no_dataclasses():

@@ -571,14 +571,8 @@ def test_mc_draws_from_the_analytic_product(monkeypatch):
     import ionarch.rng
 
     seen = []
-
-    class Stream:
-        def binomial(self, samples, q):
-            seen.append(q)
-            return 0
-
-    monkeypatch.setattr(ionarch.rng, "philox_stream",
-                        lambda seed, index: Stream())
+    monkeypatch.setattr(ionarch.rng, "binomial",
+                        lambda words, samples, q: seen.append(q) or 0)
     for eps, r in ((1e-4, 1e-4), (2.5e-3, 2e-4), (2e-2, 1e-3), (1e-3, 0.0),
                    (0.0, 0.0), (0.0666, 0.05), (1 / 15, 0.0)):
         budget = ErrorBudget(eps=eps, r=r)
@@ -626,11 +620,12 @@ def test_mc_gadget_mode_cross_validation():
 
 
 def test_mc_gadget_mode_pinned():
-    # the per-fault sources and the draw, pinned by one run
+    # the per-fault sources and the draw (BTRD, at a mean of about 1373),
+    # pinned by one run
     mc = mc_stabilizer_expectation(ErrorBudget(eps=1e-4, r=1e-4), 100000, 5,
                                    mode="gadget")
-    assert mc["flipped"] == 1297
-    assert mc["estimate"] == 0.97406
+    assert mc["flipped"] == 1431
+    assert mc["estimate"] == 0.97138
 
 
 def test_mc_vs_product_grid():

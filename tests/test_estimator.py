@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import random
 from fractions import Fraction
@@ -192,6 +193,22 @@ def test_adder_row_fields(params):
     nn_row = adder_row(128, NnLayout(), params)
     assert nn_row["circuit"] == "qrca"
     assert nn_row["depth_total"] == 259
+
+
+def test_estimates_take_a_numpy_integer(params):
+    # the integer check's index prices and prints the result: a numpy n once
+    # raised AttributeError on bit_length in adder_row, and wrapped 40 n**3
+    # in shor_estimate
+    np = pytest.importorskip("numpy")
+    row = adder_row(np.int64(100), MusiqcLayout(), params)
+    assert row == adder_row(100, MusiqcLayout(), params)
+    assert json.dumps(row) == json.dumps(adder_row(100, MusiqcLayout(), params))
+    table = table_at_level(params, MusiqcLayout(), 1)
+    assert (adder_execution_time(np.int64(100), table)
+            == adder_execution_time(100, table))
+    estimate = shor_estimate(np.int64(2**20), MusiqcLayout(), params)
+    assert estimate == shor_estimate(2**20, MusiqcLayout(), params)
+    assert json.dumps(estimate)
 
 
 def test_adder_time_matches_oracle_bit_for_bit(params):

@@ -190,6 +190,10 @@ def test_required_concat_level_edges():
     for k, q in ((math.inf, 1), (1, math.inf), (2.5, 1), (1, 2.5), (2.0, 1)):
         with pytest.raises(TypeError):
             required_concat_level(k, q, 1e-7)
+    # a K Q past the float range once raised OverflowError at 1 / (K Q)
+    for k, q in ((10**400, 1), (10**200, 10**200)):
+        with pytest.raises(ValidationError, match="float range"):
+            required_concat_level(k, q, 1e-7)
 
 
 def test_required_concat_level_monotone():
